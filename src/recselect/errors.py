@@ -41,3 +41,7 @@ class SourceMetricError(RecselectError):
 
 class ConfigError(RecselectError):
     """Raised for invalid or inconsistent configuration values."""
+
+
+class SearchError(RecselectError):
+    """Raised when hyperparameter search finds no candidate with a finite score."""

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import stats
 
 from .algo_features import FEATURE_CATEGORIES, AlgorithmFeatureTable
-from .errors import ConfigError
+from .errors import ConfigError, SearchError
 from .ground_truth import PerformanceMatrix, gap_closed, single_best_algorithm
 from .meta import (
     GBDTParams,
@@ -168,15 +168,31 @@ class MethodResult:
         }
 
 
+ScoreFn = Callable[[Sequence[str]], np.ndarray]
+
+
+def _oracle_scores(pm: PerformanceMatrix) -> ScoreFn:
+    """Scores are the users' true rows (the VBA selector)."""
+    return lambda users: np.vstack([pm.row(u) for u in users])
+
+
+def _constant_scores(scores: np.ndarray) -> ScoreFn:
+    """Every user gets the same scores (the SBA selector, given column means)."""
+    return lambda users: np.tile(scores, (len(users), 1))
+
+
 def selector_fold_metrics(
     pm: PerformanceMatrix,
     users: Sequence[str],
-    score_fn: Callable[[str], np.ndarray],
+    score_fn: ScoreFn,
 ) -> tuple[float, float, float]:
-    """Predict, select, look up, aggregate for one set of held-out users."""
+    """Predict, select, look up, aggregate for one set of held-out users.
+
+    ``score_fn`` maps the users to a (users, algorithms) score matrix in one call.
+    """
+    score_matrix = np.asarray(score_fn(list(users)), dtype=np.float64)
     achieved, hits1, hits3 = [], 0, 0
-    for user in users:
-        scores = np.asarray(score_fn(user), dtype=np.float64)
+    for user, scores in zip(users, score_matrix):
         chosen = select_algorithm(scores)
         truth_row = pm.row(user)
         achieved.append(float(truth_row[chosen]))
@@ -264,25 +280,33 @@ def _fit_predictor(
     user_rows: Mapping[str, np.ndarray],
     enc,
 ):
-    """Fit one meta-learner on training users; returns a per-user score_fn."""
-    x_train = np.vstack([user_rows[u] for u in train_users])
+    """Fit one meta-learner on training users; returns it and its batch score_fn."""
+
+    def rows(users: Sequence[str]) -> np.ndarray:
+        return np.vstack([user_rows[u] for u in users])
+
+    x_train = rows(train_users)
     if mode == "user_only":
         wide = build_wide(pm, x_train, train_users, [])
         model = fit_multi_output_gbdt(wide.x, wide.y, params)
-        return model, lambda user: predict_scores_user_only(model, user_rows[user])
+        return model, lambda users: predict_scores_user_only(model, rows(users))
     long = build_long(pm, x_train, train_users, [], enc)
     model = fit_gbdt(long.x, long.y, params)
-    return model, lambda user: predict_scores_user_algo(model, user_rows[user], enc, pm.algorithms)
+    return model, lambda users: predict_scores_user_algo(model, rows(users), enc, pm.algorithms)
 
 
-def _score_fn_mse(
-    pm: PerformanceMatrix, users: Sequence[str], score_fn: Callable[[str], np.ndarray]
-) -> float:
-    errors = []
-    for user in users:
-        predicted = np.asarray(score_fn(user), dtype=np.float64)
-        errors.append(np.mean((predicted - pm.row(user)) ** 2))
+def _score_fn_mse(pm: PerformanceMatrix, users: Sequence[str], score_fn: ScoreFn) -> float:
+    predicted = np.asarray(score_fn(list(users)), dtype=np.float64)
+    errors = [np.mean((p - pm.row(user)) ** 2) for user, p in zip(users, predicted)]
     return float(np.mean(errors))
+
+
+def _scaled_user_rows(
+    feature_matrix: np.ndarray, users: Sequence[str], position: Mapping[str, int], train_users: Sequence[str]
+) -> dict[str, np.ndarray]:
+    """Every user's feature row, standardized with training-user statistics only."""
+    scaler = standardize_fit(feature_matrix[[position[u] for u in train_users]])
+    return dict(zip(users, standardize_apply(scaler, feature_matrix)))
 
 
 def run_nested_cv(
@@ -326,20 +350,17 @@ def run_nested_cv(
     best_params_per_fold: list[dict] = []
 
     feature_matrix = user_features.subset(users).matrix
+    position = {u: i for i, u in enumerate(users)}
     for fold_idx, test_users in enumerate(folds):
         test_set = set(test_users)
         train_users = [u for u in users if u not in test_set]
-
-        scaler = standardize_fit(feature_matrix[[users.index(u) for u in train_users]])
-        user_rows = {
-            u: standardize_apply(scaler, feature_matrix[users.index(u)][None, :])[0] for u in users
-        }
+        user_rows = _scaled_user_rows(feature_matrix, users, position, train_users)
 
         if predictor == "oracle":
-            score_fn = lambda user: pm.row(user)  # noqa: E731
+            score_fn = _oracle_scores(pm)
             best_params_per_fold.append({})
         elif predictor == "single_best":
-            score_fn = lambda user: column_means  # noqa: E731
+            score_fn = _constant_scores(column_means)
             best_params_per_fold.append({})
         else:
             best = _random_search(
@@ -354,12 +375,12 @@ def run_nested_cv(
         methods["model"].fold_top1.append(top1)
         methods["model"].fold_top3.append(top3)
 
-        sba_metrics = selector_fold_metrics(pm, test_users, lambda user: column_means)
+        sba_metrics = selector_fold_metrics(pm, test_users, _constant_scores(column_means))
         methods["sba"].fold_ndcg.append(sba_metrics[0])
         methods["sba"].fold_top1.append(sba_metrics[1])
         methods["sba"].fold_top3.append(sba_metrics[2])
 
-        vba_metrics = selector_fold_metrics(pm, test_users, lambda user: pm.row(user))
+        vba_metrics = selector_fold_metrics(pm, test_users, _oracle_scores(pm))
         methods["vba"].fold_ndcg.append(vba_metrics[0])
         methods["vba"].fold_top1.append(vba_metrics[1])
         methods["vba"].fold_top3.append(vba_metrics[2])
@@ -399,6 +420,10 @@ def _random_search(pm, space, mode, train_users, user_rows, enc, seed, fold_idx)
         mse = float(np.mean(fold_mses))
         if mse < best_mse:
             best_mse, best_params = mse, candidate
+    if best_params is None:  # every MSE was NaN or inf, e.g. from non-finite targets
+        raise SearchError(
+            f"no hyperparameter candidate reached a finite validation MSE in outer fold {fold_idx}"
+        )
     return best_params
 
 
@@ -581,6 +606,7 @@ def run_importance(
     assert_user_disjoint(folds)
     enc = encode_algo_features(algo_table)
     feature_matrix = user_features.subset(users).matrix
+    position = {u: i for i, u in enumerate(users)}
     base = params or GBDTParams()
 
     names = list(user_features.names) + list(enc.feature_names)
@@ -588,11 +614,7 @@ def run_importance(
     for fold_idx, test_users in enumerate(folds):
         test_set = set(test_users)
         train_users = [u for u in users if u not in test_set]
-        scaler = standardize_fit(feature_matrix[[users.index(u) for u in train_users]])
-        user_rows = {
-            u: standardize_apply(scaler, feature_matrix[users.index(u)][None, :])[0]
-            for u in train_users
-        }
+        user_rows = _scaled_user_rows(feature_matrix, users, position, train_users)
         fit_params = GBDTParams(
             num_trees=base.num_trees,
             learning_rate=base.learning_rate,

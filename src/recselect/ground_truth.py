@@ -18,7 +18,7 @@ from typing import AbstractSet, Callable, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, SplitPair
-from .errors import EmptyDatasetError
+from .errors import EmptyDatasetError, SchemaError
 from .recommenders import (
     RecommenderModel,
     TrainMatrix,
@@ -84,16 +84,27 @@ class PerformanceMatrix:
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "PerformanceMatrix":
+        """Read a ``to_csv`` file; ragged rows, repeated users and NaN/inf are SchemaErrors."""
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             if not header or header[0] != "user":
                 raise ValueError(f"expected 'user' as first column in {path}")
             algorithms = header[1:]
-            users, rows = [], []
-            for row in reader:
+            users, rows, seen = [], [], set()
+            for line, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise SchemaError(
+                        f"{path}: line {line} has {len(row)} fields, the header has {len(header)}"
+                    )
+                if row[0] in seen:
+                    raise SchemaError(f"{path}: line {line} repeats user {row[0]!r}")
+                values = [float(v) for v in row[1:]]
+                if not all(math.isfinite(v) for v in values):
+                    raise SchemaError(f"{path}: line {line} (user {row[0]!r}) has a non-finite value")
+                seen.add(row[0])
                 users.append(row[0])
-                rows.append([float(v) for v in row[1:]])
+                rows.append(values)
         return cls(users, algorithms, np.asarray(rows))
 
 

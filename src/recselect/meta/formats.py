@@ -6,6 +6,7 @@ concatenate the user's features with the algorithm's encoded features and
 whose target is that pair's NDCG. Long rows are user-major, algorithm-minor.
 Algorithm feature rows are addressed by id, so the long format and the
 user+algorithm predictor are invariant to reordering the algorithm table.
+Both predictors score a batch: user rows in, one (users, algorithms) matrix out.
 """
 
 from __future__ import annotations
@@ -114,39 +115,36 @@ def build_long(
     if user_x.shape[0] != len(users):
         raise ValueError("user feature rows do not match user list")
     algo_block = algo.aligned(pm.algorithms)
-    n_users, n_algos = len(users), len(pm.algorithms)
-    d_user, d_algo = user_x.shape[1], algo_block.shape[1]
-
-    x = np.empty((n_users * n_algos, d_user + d_algo))
-    y = np.empty(n_users * n_algos)
-    pairs = []
-    for ui, user in enumerate(users):
-        row = pm.row(user)
-        for ai, algorithm in enumerate(pm.algorithms):
-            r = ui * n_algos + ai
-            x[r, :d_user] = user_x[ui]
-            x[r, d_user:] = algo_block[ai]
-            y[r] = row[ai]
-            pairs.append((user, algorithm))
+    n_algos = len(pm.algorithms)
+    x = np.hstack([
+        np.repeat(np.asarray(user_x, dtype=np.float64), n_algos, axis=0),
+        np.tile(algo_block, (len(users), 1)),
+    ])
+    y = pm.values[[pm.user_pos[u] for u in users]].reshape(-1)
+    pairs = [(user, algorithm) for user in users for algorithm in pm.algorithms]
     names = list(user_feature_names) + list(algo.feature_names)
     return LongMetaDataset(pairs, list(users), list(pm.algorithms), x, y, names)
 
 
-def predict_scores_user_only(model: MultiOutputGBDT, user_row: np.ndarray) -> np.ndarray:
-    """Predicted NDCG per algorithm from user features alone."""
-    return model.predict(user_row[None, :])[0]
+def predict_scores_user_only(model: MultiOutputGBDT, user_rows: np.ndarray) -> np.ndarray:
+    """Predicted NDCG, (users, algorithms), from user feature rows alone."""
+    return model.predict(user_rows)
 
 
 def predict_scores_user_algo(
     model: BoostedEnsemble,
-    user_row: np.ndarray,
+    user_rows: np.ndarray,
     algo: EncodedAlgoFeatures,
     algorithms: Sequence[str],
 ) -> np.ndarray:
-    """Predicted NDCG per algorithm from concatenated pair features."""
+    """Predicted NDCG, (users, algorithms), from concatenated pair features.
+
+    The pair rows are user-major, algorithm-minor, as ``build_long`` lays them out.
+    """
     block = algo.aligned(algorithms)
-    x = np.hstack([np.tile(user_row, (block.shape[0], 1)), block])
-    return model.predict(x)
+    n_users = user_rows.shape[0]
+    x = np.hstack([np.repeat(user_rows, block.shape[0], axis=0), np.tile(block, (n_users, 1))])
+    return model.predict(x).reshape(n_users, block.shape[0])
 
 
 def select_algorithm(scores: np.ndarray) -> int:

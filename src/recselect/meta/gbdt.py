@@ -7,6 +7,14 @@ every feature's sorted order is scanned and the variance-reduction gain of
 every admissible threshold is computed; the best (gain, then lowest split
 position, then lowest feature index) wins. Feature importance is the total
 split gain accumulated per feature, normalized to sum to one.
+
+Each tree sorts its rows once, at the root, as the exact greedy method of
+XGBoost does (Chen & Guestrin, KDD 2016); a child's sorted order is its
+parent's with the other child's rows filtered out, so the scans, gains and
+tie rules are those of a fresh stable sort at every node. A fitted tree is a
+set of flat node arrays and predicts a whole batch level by level. Without
+subsampling, boosting updates its running predictions from the leaf values
+the tree assigned while it was built instead of predicting the rows again.
 """
 
 from __future__ import annotations
@@ -44,17 +52,32 @@ class GBDTParams:
 
 
 class RegressionTree:
-    """CART regression tree stored as parallel node arrays."""
+    """CART regression tree stored as flat node arrays.
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "gain")
+    Nodes are numbered in depth-first preorder. After ``fit``, ``feature``
+    (-1 at a leaf), ``threshold``, ``left``, ``right`` (child node ids, -1 at
+    a leaf), ``value`` (the node's target mean) and ``gain`` are numpy arrays,
+    ``depth`` is the deepest leaf's level and ``fitted_values`` holds the leaf
+    value of every training row.
+    """
 
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.gain: list[float] = []
+    __slots__ = ("feature", "threshold", "left", "right", "value", "gain", "depth", "fitted_values")
+
+    def fit(self, x: np.ndarray, y: np.ndarray, max_depth: int, min_samples_leaf: int) -> "RegressionTree":
+        self.feature, self.threshold, self.left, self.right, self.value, self.gain = [], [], [], [], [], []
+        self.depth = 0
+        self.fitted_values = np.empty(y.shape[0])
+        # One stable sort per tree, feature-major: order[f] lists the rows by x[:, f].
+        order = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
+        member = np.zeros(y.shape[0], dtype=bool)
+        self._build(x, y, np.arange(y.shape[0]), order, member, 0, max_depth, min_samples_leaf)
+        self.feature = np.asarray(self.feature, dtype=np.intp)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.left = np.asarray(self.left, dtype=np.intp)
+        self.right = np.asarray(self.right, dtype=np.intp)
+        self.value = np.asarray(self.value, dtype=np.float64)
+        self.gain = np.asarray(self.gain, dtype=np.float64)
+        return self
 
     def _new_node(self, value: float) -> int:
         self.feature.append(-1)
@@ -65,89 +88,103 @@ class RegressionTree:
         self.gain.append(0.0)
         return len(self.feature) - 1
 
-    def fit(self, x: np.ndarray, y: np.ndarray, max_depth: int, min_samples_leaf: int) -> "RegressionTree":
-        self._build(x, y, np.arange(y.shape[0]), 0, max_depth, min_samples_leaf)
-        return self
+    def _build(self, x, y, idx, order, member, depth, max_depth, min_samples_leaf) -> int:
+        """Grow the subtree over rows ``idx`` (ascending); ``order`` is their presort.
 
-    def _build(self, x, y, idx, depth, max_depth, min_samples_leaf) -> int:
-        y_node = y[idx]
-        n = idx.shape[0]
-        mean = float(y_node.mean())
+        A child's order is the parent's filtered by the child's row mask. Since
+        ``idx`` is ascending, that equals a stable argsort of ``x[idx]`` mapped
+        back to row ids, so every cumsum and gain matches a per-node sort.
+        ``member`` is an all-False mask over the tree's rows, reused by every split.
+        """
+        mean = float(y[idx].sum()) / idx.shape[0]  # np.mean's arithmetic, without its overhead
         node = self._new_node(mean)
-        if depth >= max_depth or n < 2 * min_samples_leaf:
-            return node
-        split = _best_split(x[idx], y_node, min_samples_leaf)
+        self.depth = max(self.depth, depth)
+        split = None
+        if depth < max_depth and idx.shape[0] >= 2 * min_samples_leaf:
+            split = _best_split(x, y, order, min_samples_leaf)
+        if split is not None:
+            feature, threshold, gain = split
+            go_left = x[idx, feature] <= threshold
+            if np.count_nonzero(go_left) in (0, idx.shape[0]):
+                split = None  # midpoint rounded onto a sample value; keep the leaf
         if split is None:
+            self.fitted_values[idx] = mean
             return node
-        feature, threshold, gain = split
-        go_left = x[idx, feature] <= threshold
-        if not go_left.any() or go_left.all():
-            return node  # midpoint rounded onto a sample value; keep the leaf
         self.feature[node] = feature
         self.threshold[node] = threshold
         self.gain[node] = gain
-        self.left[node] = self._build(x, y, idx[go_left], depth + 1, max_depth, min_samples_leaf)
-        self.right[node] = self._build(x, y, idx[~go_left], depth + 1, max_depth, min_samples_leaf)
+        left_rows = idx[go_left]
+        member[left_rows] = True
+        in_left = member[order]
+        member[left_rows] = False
+        n_features = order.shape[0]
+        left_order = order[in_left].reshape(n_features, -1)
+        right_order = order[~in_left].reshape(n_features, -1)
+        self.left[node] = self._build(
+            x, y, left_rows, left_order, member, depth + 1, max_depth, min_samples_leaf
+        )
+        self.right[node] = self._build(
+            x, y, idx[~go_left], right_order, member, depth + 1, max_depth, min_samples_leaf
+        )
         return node
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.shape[0])
-        self._predict_into(0, x, np.arange(x.shape[0]), out)
-        return out
-
-    def _predict_into(self, node: int, x, idx, out) -> None:
-        if self.feature[node] < 0:
-            out[idx] = self.value[node]
-            return
-        go_left = x[idx, self.feature[node]] <= self.threshold[node]
-        self._predict_into(self.left[node], x, idx[go_left], out)
-        self._predict_into(self.right[node], x, idx[~go_left], out)
+        """Walk every row down one level per step; leaves keep their node."""
+        rows = np.arange(x.shape[0])
+        node = np.zeros(x.shape[0], dtype=np.intp)
+        for _ in range(self.depth):
+            feature = self.feature[node]
+            inner = feature >= 0
+            go_left = x[rows, np.where(inner, feature, 0)] <= self.threshold[node]
+            node = np.where(inner, np.where(go_left, self.left[node], self.right[node]), node)
+        return self.value[node]
 
     def accumulate_gains(self, totals: np.ndarray) -> None:
-        for node, feature in enumerate(self.feature):
-            if feature >= 0:
-                totals[feature] += self.gain[node]
+        inner = self.feature >= 0
+        np.add.at(totals, self.feature[inner], self.gain[inner])  # in node order
 
 
-def _best_split(x_node: np.ndarray, y_node: np.ndarray, min_samples_leaf: int):
+def _best_split(x: np.ndarray, y: np.ndarray, order: np.ndarray, min_samples_leaf: int):
     """Exact greedy search over all features at once.
 
-    Returns (feature, threshold, gain) or None when no admissible split has
-    strictly positive gain. Split positions s place the first s sorted rows
-    on the left; position order breaks gain ties before feature order does
-    (argmax over the s-major grid respects both).
+    ``order`` is the node's presort, shape (features, rows >= 2): ``order[f]``
+    holds the node's row ids sorted stably by ``x[:, f]``. Returns (feature,
+    threshold, gain) or None when no admissible split has strictly positive
+    gain. Split positions s place the first s sorted rows on the left; a
+    position is admissible when it falls between two distinct values and
+    leaves ``min_samples_leaf`` rows on each side, and gains are evaluated at
+    admissible positions only. Position order breaks gain ties before feature
+    order does (the candidates are listed s-major and the first maximum wins).
     """
-    n, n_features = x_node.shape
+    n_features, n = order.shape
     if n_features == 0:
         return None
-    order = np.argsort(x_node, axis=0, kind="stable")
-    x_sorted = np.take_along_axis(x_node, order, axis=0)
-    y_sorted = y_node[order]
+    x_sorted = x[order, np.arange(n_features)[:, None]]
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf  # left = sorted rows 0..j, lo <= j < hi
+    j, feature = np.nonzero((x_sorted[:, lo:hi] < x_sorted[:, lo + 1:hi + 1]).T)
+    if j.size == 0:
+        return None
+    j += lo
 
-    cum = np.cumsum(y_sorted, axis=0)
-    cum_sq = np.cumsum(y_sorted * y_sorted, axis=0)
-    total, total_sq = cum[-1], cum_sq[-1]
-    sse_node = float(total_sq[0] - total[0] * total[0] / n)
+    y_sorted = y[order]
+    cum = y_sorted.cumsum(axis=1)
+    cum_sq = (y_sorted * y_sorted).cumsum(axis=1)
+    sse_node = float(cum_sq[0, -1] - cum[0, -1] * cum[0, -1] / n)
 
-    counts = np.arange(1, n, dtype=np.float64)[:, None]
-    left_sum, left_sq = cum[:-1], cum_sq[:-1]
+    total, total_sq = cum[feature, -1], cum_sq[feature, -1]
+    left_sum, left_sq = cum[feature, j], cum_sq[feature, j]
+    counts = j + 1.0
     right_sum, right_sq = total - left_sum, total_sq - left_sq
     sse = (left_sq - left_sum * left_sum / counts) + (right_sq - right_sum * right_sum / (n - counts))
     gains = sse_node - sse
 
-    valid = x_sorted[:-1] < x_sorted[1:]
-    if min_samples_leaf > 1:
-        s = np.arange(1, n)
-        valid &= ((s >= min_samples_leaf) & (n - s >= min_samples_leaf))[:, None]
-    gains = np.where(valid, gains, -np.inf)
-
-    flat = int(np.argmax(gains))
-    best_gain = float(gains.flat[flat])
+    best = int(gains.argmax())
+    best_gain = float(gains[best])
     if not np.isfinite(best_gain) or best_gain <= 1e-12:
         return None
-    s, feature = divmod(flat, n_features)
-    threshold = float(0.5 * (x_sorted[s, feature] + x_sorted[s + 1, feature]))
-    return feature, threshold, best_gain
+    f, last = int(feature[best]), int(j[best])
+    threshold = float(0.5 * (x_sorted[f, last] + x_sorted[f, last + 1]))
+    return f, threshold, best_gain
 
 
 class BoostedEnsemble:
@@ -201,7 +238,11 @@ def fit_gbdt(x: np.ndarray, y: np.ndarray, params: GBDTParams) -> BoostedEnsembl
             x[rows], residual[rows], params.max_depth, params.min_samples_leaf
         )
         ensemble.trees.append(tree)
-        current += params.learning_rate * tree.predict(x)
+        # Without subsampling the tree was fit on every row and already knows
+        # each row's leaf value. The ensemble keeps no per-row arrays.
+        fitted = tree.predict(x) if rng is not None else tree.fitted_values
+        tree.fitted_values = None
+        current += params.learning_rate * fitted
         ensemble.train_mse_trace.append(float(np.mean((y - current) ** 2)))
     return ensemble
 

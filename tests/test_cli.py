@@ -306,6 +306,23 @@ class TestEvaluateCommand:
         assert os.path.exists(os.path.join(out, "evaluation_user_only.json"))
         assert not os.path.exists(os.path.join(out, "evaluation_user_only.csv"))
 
+    def test_non_finite_matrix_cell_exits_1_with_one_error_line(self, pipeline, tmp_path, capsys):
+        with open(os.path.join(pipeline["gt_out"], "performance_matrix.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][1] = "nan"
+        bad_matrix = tmp_path / "performance_matrix.csv"
+        with open(bad_matrix, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with open(pipeline["eval_cfg"]) as fh:
+            config = json.load(fh)
+        config["performance_matrix"] = str(bad_matrix)
+        cfg = write_config(str(tmp_path), "eval.json", config)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_required_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(str(tmp_path), "eval.json", {"user_features": "x.csv"})
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -14,7 +14,7 @@ from scipy import stats
 
 import recselect.experiment as experiment
 from recselect.algo_features import AlgorithmFeatureTable, FEATURE_CATEGORIES
-from recselect.errors import ConfigError
+from recselect.errors import ConfigError, SearchError
 from recselect.experiment import (
     DEFAULT_ABLATION_SETS,
     SearchSpace,
@@ -212,13 +212,26 @@ class TestSelectorFoldMetrics:
             values=np.array([[0.4, 0.6], [0.9, 0.3]]),
         )
         scores = {"u0": np.array([0.0, 1.0]), "u1": np.array([0.0, 1.0])}
-        ndcg, top1, top3 = selector_fold_metrics(pm, ["u0", "u1"], lambda u: scores[u])
+        calls = []
+
+        def score_fn(users):
+            calls.append(list(users))
+            return np.vstack([scores[u] for u in users])
+
+        ndcg, top1, top3 = selector_fold_metrics(pm, ["u0", "u1"], score_fn)
+        assert calls == [["u0", "u1"]]  # one score matrix per fold
         assert ndcg == pytest.approx((0.6 + 0.3) / 2)
         assert top1 == 50.0
         assert top3 == 100.0
 
 
 class TestNestedCv:
+    def test_non_finite_targets_name_the_failed_search(self):
+        pm, uf = planted_problem()
+        pm.values[3, 1] = np.nan  # from_csv rejects this; the constructor does not
+        with pytest.raises(SearchError, match="finite validation MSE"):
+            run_nested_cv(pm, uf, None, "user_only", 3, LEAN_SPACE, seed=0)
+
     def test_oracle_predictor_reproduces_vba_exactly(self):
         pm, uf = planted_problem()
         report = run_nested_cv(pm, uf, None, "user_only", n_folds=3, seed=5, predictor="oracle")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recselect.data import temporal_split_per_user
-from recselect.errors import EmptyDatasetError
+from recselect.errors import EmptyDatasetError, SchemaError
 from recselect.ground_truth import (
     PerformanceMatrix,
     apply_selector,
@@ -132,6 +132,19 @@ class TestPerformanceMatrix:
         path = tmp_path / "pm.csv"
         path.write_text("name,a\nu1,0.5\n")
         with pytest.raises(ValueError):
+            PerformanceMatrix.from_csv(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("u1,0.5,nan\nu2,0.1,0.2\n", "non-finite"),
+        ("u1,0.5,inf\n", "non-finite"),
+        ("u1,0.5,0.1\nu1,0.2,0.3\n", "repeats user"),
+        ("u1,0.5,0.1\nu2,0.2\n", "fields"),
+        ("u1,0.5,0.1,0.9\n", "fields"),
+    ])
+    def test_from_csv_rejects_malformed_rows(self, tmp_path, body, message):
+        path = tmp_path / "pm.csv"
+        path.write_text("user,a,b\n" + body)
+        with pytest.raises(SchemaError, match=message):
             PerformanceMatrix.from_csv(path)
 
 

@@ -2,7 +2,9 @@
 
 Split search is verified against an O(n^2 d) brute-force scan that shares no
 code with the production cumsum path; structured fixtures freeze the
-tie-breaking rules (lowest split position, then lowest feature).
+tie-breaking rules (lowest split position, then lowest feature). The presorted
+split search and the flat level-wise tree walk are checked bitwise against
+an argsort-per-node search and a recursive walk kept here as references.
 """
 
 import numpy as np
@@ -23,6 +25,8 @@ from recselect.meta.formats import (
 from recselect.meta.gbdt import (
     BoostedEnsemble,
     GBDTParams,
+    RegressionTree,
+    _best_split,
     fit_gbdt,
     fit_multi_output_gbdt,
 )
@@ -183,6 +187,25 @@ class TestMetaDatasets:
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.y, b.y)
 
+    def test_long_equals_pair_by_pair_reference(self):
+        rng = np.random.default_rng(4)
+        users = [f"u{i}" for i in range(5)]
+        algorithms = ["x", "y", "z"]
+        pm = PerformanceMatrix(users, algorithms, rng.random((5, 3)))
+        enc = EncodedAlgoFeatures(["z", "x", "y"], ["a0", "a1"], rng.normal(size=(3, 2)))
+        order = ["u3", "u0", "u4"]
+        user_x = rng.normal(size=(3, 4))
+        long = build_long(pm, user_x, order, ["f0", "f1", "f2", "f3"], enc)
+        x, y, pairs = [], [], []
+        for ui, user in enumerate(order):
+            for algorithm in algorithms:
+                x.append(np.concatenate([user_x[ui], enc.row(algorithm)]))
+                y.append(pm.lookup(user, algorithm))
+                pairs.append((user, algorithm))
+        assert long.x.tobytes() == np.array(x).tobytes()
+        assert long.y.tobytes() == np.array(y).tobytes()
+        assert long.pairs == pairs
+
     def test_row_count_mismatch_rejected(self):
         pm = small_pm()
         with pytest.raises(ValueError):
@@ -300,6 +323,133 @@ class TestSplitSearch:
         base = float(((y - y.mean()) ** 2).sum())
         target = want[1] if want is not None else base
         assert sse <= target + 1e-6
+
+
+def argsort_per_node_split(x_node, y_node, min_samples_leaf):
+    """Reference split search: a fresh stable argsort of the node's rows."""
+    n, n_features = x_node.shape
+    if n_features == 0:
+        return None
+    order = np.argsort(x_node, axis=0, kind="stable")
+    x_sorted = np.take_along_axis(x_node, order, axis=0)
+    y_sorted = y_node[order]
+    cum = np.cumsum(y_sorted, axis=0)
+    cum_sq = np.cumsum(y_sorted * y_sorted, axis=0)
+    total, total_sq = cum[-1], cum_sq[-1]
+    sse_node = float(total_sq[0] - total[0] * total[0] / n)
+    counts = np.arange(1, n, dtype=np.float64)[:, None]
+    left_sum, left_sq = cum[:-1], cum_sq[:-1]
+    right_sum, right_sq = total - left_sum, total_sq - left_sq
+    sse = (left_sq - left_sum * left_sum / counts) + (right_sq - right_sum * right_sum / (n - counts))
+    gains = sse_node - sse
+    valid = x_sorted[:-1] < x_sorted[1:]
+    if min_samples_leaf > 1:
+        s = np.arange(1, n)
+        valid &= ((s >= min_samples_leaf) & (n - s >= min_samples_leaf))[:, None]
+    gains = np.where(valid, gains, -np.inf)
+    flat = int(np.argmax(gains))
+    best_gain = float(gains.flat[flat])
+    if not np.isfinite(best_gain) or best_gain <= 1e-12:
+        return None
+    s, feature = divmod(flat, n_features)
+    return feature, float(0.5 * (x_sorted[s, feature] + x_sorted[s + 1, feature])), best_gain
+
+
+def recursive_walk(tree, row, node=0):
+    """Reference prediction for one row: follow child links until a leaf."""
+    if tree.feature[node] < 0:
+        return tree.value[node]
+    go_left = row[tree.feature[node]] <= tree.threshold[node]
+    return recursive_walk(tree, row, tree.left[node] if go_left else tree.right[node])
+
+
+@st.composite
+def tree_problems(draw):
+    """Small x/y sets, often with repeated feature values, plus tree limits.
+
+    Targets are full-precision doubles, so summing tied rows in another order
+    changes the last bits of a cumsum and the bitwise comparisons notice it.
+    """
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    grid = draw(st.booleans())
+    cell = st.integers(-3, 3).map(float) if grid else st.floats(-10, 10, allow_nan=False, width=32)
+    x = np.array(draw(st.lists(cell, min_size=n * d, max_size=n * d)), dtype=np.float64).reshape(n, d)
+    seed = draw(st.integers(0, 2**32 - 1))
+    y = np.random.default_rng(seed).normal(size=n) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return x, y, draw(st.integers(1, 5)), draw(st.integers(1, 4))
+
+
+class TestFlatTrees:
+    @settings(max_examples=80, deadline=None)
+    @given(tree_problems(), st.integers(0, 2**32 - 1))
+    def test_batch_predict_equals_row_by_row_and_recursive_walk(self, problem, seed):
+        x, y, max_depth, min_samples_leaf = problem
+        tree = RegressionTree().fit(x, y, max_depth, min_samples_leaf)
+        probe = np.vstack([x, np.random.default_rng(seed).uniform(-12, 12, size=(10, x.shape[1]))])
+        batch = tree.predict(probe)
+        one_by_one = np.concatenate([tree.predict(row[None, :]) for row in probe])
+        walked = np.array([recursive_walk(tree, row) for row in probe])
+        np.testing.assert_array_equal(batch, one_by_one)
+        np.testing.assert_array_equal(batch, walked)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tree_problems())
+    def test_fitted_values_equal_predictions_on_training_rows(self, problem):
+        x, y, max_depth, min_samples_leaf = problem
+        tree = RegressionTree().fit(x, y, max_depth, min_samples_leaf)
+        np.testing.assert_array_equal(tree.fitted_values, tree.predict(x))
+
+    @settings(max_examples=80, deadline=None)
+    @given(tree_problems(), st.data())
+    def test_presorted_split_equals_argsort_per_node(self, problem, data):
+        x, y, _, min_samples_leaf = problem
+        keep = data.draw(st.lists(st.booleans(), min_size=len(y), max_size=len(y)))
+        rows = np.flatnonzero(keep)  # a node's rows: any ascending subset of two or more
+        if rows.size < 2:
+            rows = np.arange(len(y))
+        member = np.zeros(len(y), dtype=bool)
+        member[rows] = True
+        root_order = np.argsort(x, axis=0, kind="stable").T
+        node_order = root_order[member[root_order]].reshape(x.shape[1], -1)
+        got = _best_split(x, y, node_order, min_samples_leaf)
+        want = argsort_per_node_split(x[rows], y[rows], min_samples_leaf)
+        assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_problems())
+    def test_tree_equals_one_grown_with_argsort_per_node(self, problem):
+        x, y, max_depth, min_samples_leaf = problem
+        tree = RegressionTree().fit(x, y, max_depth, min_samples_leaf)
+        nodes = []  # (feature, threshold, gain, value) in depth-first preorder
+
+        def grow(idx, depth):
+            nodes.append((-1, 0.0, 0.0, float(y[idx].mean())))
+            node = len(nodes) - 1
+            if depth >= max_depth or idx.size < 2 * min_samples_leaf:
+                return
+            split = argsort_per_node_split(x[idx], y[idx], min_samples_leaf)
+            if split is None:
+                return
+            feature, threshold, gain = split
+            go_left = x[idx, feature] <= threshold
+            if go_left.all() or not go_left.any():
+                return
+            nodes[node] = (feature, threshold, gain, nodes[node][3])
+            grow(idx[go_left], depth + 1)
+            grow(idx[~go_left], depth + 1)
+
+        grow(np.arange(len(y)), 0)
+        assert list(zip(tree.feature.tolist(), tree.threshold.tolist(),
+                        tree.gain.tolist(), tree.value.tolist())) == nodes
+
+    def test_boosting_from_fitted_values_matches_predicting_the_rows(self):
+        rng = np.random.default_rng(3)
+        x = np.round(rng.normal(size=(60, 3)), 1)
+        y = np.sin(x[:, 0]) + rng.normal(scale=0.1, size=60)
+        model = fit_gbdt(x, y, GBDTParams(num_trees=25, learning_rate=0.3, max_depth=3))
+        assert model.train_mse_trace[-1] == float(np.mean((y - model.predict(x)) ** 2))
+        assert all(tree.fitted_values is None for tree in model.trees)
 
 
 class TestBoosting:
@@ -427,16 +577,19 @@ class TestPredictors:
 
     def test_user_only_scores_equal_direct_prediction(self):
         pm, enc, user_x, multi, _ = self.fitted()
-        scores = predict_scores_user_only(multi, user_x[1])
-        np.testing.assert_array_equal(scores, multi.predict(user_x[1][None, :])[0])
-        assert scores.shape == (2,)
+        scores = predict_scores_user_only(multi, user_x)
+        assert scores.shape == (3, 2)
+        for i in range(3):
+            np.testing.assert_array_equal(scores[i], multi.predict(user_x[i][None, :])[0])
 
     def test_user_algo_scores_stack_pair_rows(self):
         pm, enc, user_x, _, single = self.fitted()
-        scores = predict_scores_user_algo(single, user_x[0], enc, pm.algorithms)
-        for j, algo in enumerate(pm.algorithms):
-            row = np.hstack([user_x[0], enc.row(algo)])[None, :]
-            assert scores[j] == single.predict(row)[0]
+        scores = predict_scores_user_algo(single, user_x, enc, pm.algorithms)
+        assert scores.shape == (3, 2)
+        for i in range(3):
+            for j, algo in enumerate(pm.algorithms):
+                row = np.hstack([user_x[i], enc.row(algo)])[None, :]
+                assert scores[i, j] == single.predict(row)[0]
 
     def test_select_algorithm_breaks_ties_low(self):
         assert select_algorithm(np.array([0.5, 0.5, 0.4])) == 0
