@@ -26,6 +26,7 @@ from .errors import (
     DivergenceError,
     EmptyDatasetError,
     MatrixInversionError,
+    NonFiniteScoresError,
     RecselectError,
     RowParseError,
     SchemaError,
@@ -64,6 +65,7 @@ __all__ = [
     "IngestConfig",
     "Interaction",
     "MatrixInversionError",
+    "NonFiniteScoresError",
     "PerformanceMatrix",
     "PortfolioConfig",
     "RecselectError",

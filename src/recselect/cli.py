@@ -34,7 +34,7 @@ from .data import (
     temporal_split_per_user,
     write_interactions_csv,
 )
-from .errors import ConfigError, RecselectError
+from .errors import ConfigError, RecselectError, SchemaError
 from .experiment import (
     DEFAULT_SPACE,
     SearchSpace,
@@ -284,6 +284,13 @@ def _load_eval_inputs(config: dict, need_algo: bool):
 
     pm = PerformanceMatrix.from_csv(_require(config, "performance_matrix"))
     user_features = UserFeatureTable.from_csv(_require(config, "user_features"))
+    featured = set(user_features.users)
+    missing = [u for u in pm.users if u not in featured]
+    if missing:
+        raise SchemaError(
+            f"{len(missing)} user(s) of the performance matrix have no row in "
+            f"{config['user_features']}, first {missing[0]!r}"
+        )
     algo_table = None
     if need_algo:
         from .algo_features import AlgorithmFeatureTable

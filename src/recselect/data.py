@@ -324,6 +324,30 @@ def read_interactions_csv(path: str | os.PathLike, name: str | None = None) -> D
     return Dataset(name, tuple(interactions))
 
 
+def read_user_rows(path: str | os.PathLike, reader, width: int) -> tuple[list[str], np.ndarray]:
+    """The ``user, value, ...`` rows left in a csv reader, validated.
+
+    Every row must have ``width`` fields (the header's), a user id not seen
+    before and finite numbers; anything else is a SchemaError naming the line.
+    """
+    users, rows, seen = [], [], set()
+    for line, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise SchemaError(f"{path}: line {line} has {len(row)} fields, the header has {width}")
+        if row[0] in seen:
+            raise SchemaError(f"{path}: line {line} repeats user {row[0]!r}")
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise SchemaError(f"{path}: line {line} (user {row[0]!r}): {exc}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise SchemaError(f"{path}: line {line} (user {row[0]!r}) has a non-finite value")
+        seen.add(row[0])
+        users.append(row[0])
+        rows.append(values)
+    return users, np.asarray(rows)
+
+
 def stats_row(name: str, stats: DatasetStats) -> dict:
     """One summary-table row as written by the ingest command."""
     row = {"dataset": name}

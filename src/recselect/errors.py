@@ -45,3 +45,12 @@ class ConfigError(RecselectError):
 
 class SearchError(RecselectError):
     """Raised when hyperparameter search finds no candidate with a finite score."""
+
+
+class NonFiniteScoresError(RecselectError):
+    """Raised when a recommender scores some item NaN or infinite; names the algorithm and user."""
+
+    def __init__(self, algorithm: str, user: str):
+        super().__init__(f"{algorithm} produced non-finite scores for user {user!r}")
+        self.algorithm = algorithm
+        self.user = user

@@ -37,6 +37,7 @@ from .meta import (
     standardize_apply,
     standardize_fit,
 )
+from .recommenders import top_k
 from .user_features import UserFeatureTable
 
 logger = logging.getLogger(__name__)
@@ -135,8 +136,8 @@ def ci_half_width(values: Sequence[float], confidence: float = 0.95) -> float | 
 
 
 def top_k_hit(scores: np.ndarray, truth_row: np.ndarray, k: int) -> bool:
-    """True when any truly-best algorithm appears in the predicted top k."""
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))[:k]
+    """True when any truly-best algorithm appears in the predicted top k (ties as in ``top_k``)."""
+    order = top_k(scores[None, :], k)[0]
     truth_best = np.flatnonzero(truth_row == truth_row.max())
     return bool(np.isin(order, truth_best).any())
 

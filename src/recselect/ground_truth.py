@@ -17,14 +17,10 @@ from typing import AbstractSet, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, SplitPair
-from .errors import EmptyDatasetError, SchemaError
-from .recommenders import (
-    RecommenderModel,
-    TrainMatrix,
-    build_train_matrix,
-    recommend_top_k,
-)
+from .data import Dataset, SplitPair, read_user_rows
+from .errors import EmptyDatasetError
+from .recommenders import RecommenderModel, TrainMatrix, build_train_matrix, top_k
+from .recommenders.base import checked_scores
 
 logger = logging.getLogger(__name__)
 
@@ -91,21 +87,11 @@ class PerformanceMatrix:
             if not header or header[0] != "user":
                 raise ValueError(f"expected 'user' as first column in {path}")
             algorithms = header[1:]
-            users, rows, seen = [], [], set()
-            for line, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise SchemaError(
-                        f"{path}: line {line} has {len(row)} fields, the header has {len(header)}"
-                    )
-                if row[0] in seen:
-                    raise SchemaError(f"{path}: line {line} repeats user {row[0]!r}")
-                values = [float(v) for v in row[1:]]
-                if not all(math.isfinite(v) for v in values):
-                    raise SchemaError(f"{path}: line {line} (user {row[0]!r}) has a non-finite value")
-                seen.add(row[0])
-                users.append(row[0])
-                rows.append(values)
-        return cls(users, algorithms, np.asarray(rows))
+            users, rows = read_user_rows(path, reader, len(header))
+        return cls(users, algorithms, rows)
+
+
+_USER_BLOCK = 256  # users scored per score_users call; bounds the (block, items) buffers
 
 
 def evaluate_portfolio(
@@ -119,7 +105,13 @@ def evaluate_portfolio(
 
     Users absent from the training matrix (or with empty relevant sets, which
     cannot occur for datasets produced by the splitter) are skipped; the count
-    is logged and recorded on the returned matrix.
+    is logged and recorded on the returned matrix. Each model scores blocks of
+    users with ``score_users`` and ranks them with ``top_k``. Its snapped tie
+    rule keeps a cell from depending on how the scores were summed (block
+    size, BLAS kernel, EASE solve route), and each cell is ``ndcg_at_k`` of
+    the user's list, as with per-user ``recommend_top_k`` calls. A NaN or
+    infinite score raises NonFiniteScoresError naming the algorithm and the
+    first such user.
     """
     if not models:
         raise ValueError("models mapping must not be empty")
@@ -127,25 +119,29 @@ def evaluate_portfolio(
     for it in test.interactions:
         relevant_by_user.setdefault(it.user, set()).add(it.item)
 
-    users, rows, skipped = [], [], 0
-    algorithms = list(models)
-    for user in test.user_ids:
-        relevant = relevant_by_user.get(user)
-        if not relevant or user not in matrix.user_index:
-            skipped += 1
-            continue
-        row = []
-        for algo in algorithms:
-            rec = recommend_top_k(models[algo], user, k=k, exclude_seen=exclude_seen)
-            row.append(ndcg_at_k(rec.items, relevant, k=k))
-        users.append(user)
-        rows.append(row)
-
+    users = [u for u in test.user_ids if relevant_by_user.get(u) and u in matrix.user_index]
+    skipped = len(test.user_ids) - len(users)
     if skipped:
         logger.warning("skipped %d test user(s) absent from training", skipped)
     if not users:
         raise EmptyDatasetError("no test users could be evaluated")
-    return PerformanceMatrix(users, algorithms, np.asarray(rows), skipped_users=skipped)
+
+    algorithms = list(models)
+    idx = np.array([matrix.user_index[u] for u in users], dtype=np.int64)
+    values = np.empty((len(users), len(algorithms)))
+    for start in range(0, len(users), _USER_BLOCK):
+        block_users = users[start:start + _USER_BLOCK]
+        block = idx[start:start + _USER_BLOCK]
+        exclude = np.zeros((block.size, matrix.n_items), dtype=bool)
+        if exclude_seen:
+            for row, u in enumerate(block):
+                exclude[row, matrix.seen[u]] = True
+        for col, algo in enumerate(algorithms):
+            scores = checked_scores(models[algo], block, block_users)
+            for row, ranked in enumerate(top_k(scores, k, exclude)):
+                items = [matrix.item_ids[j] for j in ranked if j >= 0]
+                values[start + row, col] = ndcg_at_k(items, relevant_by_user[block_users[row]], k=k)
+    return PerformanceMatrix(users, algorithms, values, skipped_users=skipped)
 
 
 def evaluate_split(

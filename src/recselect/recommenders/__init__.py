@@ -29,6 +29,7 @@ from .base import (
     load_model,
     recommend_top_k,
     save_model,
+    top_k,
 )
 
 _REGISTRY = {
@@ -125,6 +126,7 @@ __all__ = [
     "load_model",
     "recommend_top_k",
     "save_model",
+    "top_k",
     "train_algorithm",
     "train_portfolio",
 ]

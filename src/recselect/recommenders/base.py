@@ -1,8 +1,17 @@
 """Shared training-matrix representation and top-k recommendation.
 
 Every algorithm trains from a :class:`TrainMatrix` and exposes a single
-``score_user`` method returning one finite score per training item; ranking,
-seen-item exclusion, and tie handling live here so all algorithms share them.
+``score_users`` method returning a (users, items) matrix of finite scores;
+ranking, seen-item exclusion, and tie handling live in :func:`top_k` so all
+algorithms share them.
+
+Tie rule: each score row is snapped to a relative grid,
+``q = round(s / scale * 1e9)`` with ``scale`` the row's largest ``|s|``
+(1 for an all-zero row), and items rank by ``q`` descending, then by
+ascending item index. Scores that are equal in exact arithmetic but differ in
+their last bits (the same sum taken in another order, another BLAS kernel)
+therefore rank as the tie they are, so a ranking does not depend on the
+numeric route that produced the scores.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..data import Dataset
-from ..errors import ColdStartError, EmptyDatasetError
+from ..errors import ColdStartError, EmptyDatasetError, NonFiniteScoresError
 
 
 @dataclass
@@ -79,7 +88,8 @@ class RecommenderModel:
         self.config = dict(config)
         self.train_seconds = 0.0
 
-    def score_user(self, user_idx: int) -> np.ndarray:
+    def score_users(self, idx: np.ndarray) -> np.ndarray:
+        """Scores of the users at matrix rows ``idx``: shape (len(idx), n_items)."""
         raise NotImplementedError
 
 
@@ -92,12 +102,67 @@ class RecommendationList:
     scores: tuple[float, ...]
 
 
-def rank_items(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the top-k scores, ties broken by ascending item index."""
-    n = scores.shape[0]
-    # lexsort uses the last key as primary: sort by -score, then index.
-    order = np.lexsort((np.arange(n), -scores))
-    return order[:k]
+# Grid steps per row scale: far coarser than the last-bit noise of a re-ordered
+# sum, far finer than any score difference a model means.
+SNAP_GRID = 1e9
+
+
+def top_k(scores: np.ndarray, k: int, exclude: np.ndarray | None = None) -> np.ndarray:
+    """Item indices of each row's top k, by the snapped tie rule of this module.
+
+    ``scores`` is a (B, n_items) array and ``exclude`` an optional boolean
+    mask of the same shape whose items are never returned; neither are NaN or
+    infinite scores (callers that must reject them check first). The result
+    has shape (B, min(k, n_items)) and lists each row's items best first; a
+    row with fewer than k candidates is padded at the end with -1. The order
+    equals a full stable sort of every row by (-q, item index).
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2:
+        raise ValueError(f"scores must be 2-D (rows, items), got shape {scores.shape}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n_rows, n_items = scores.shape
+    finite = np.isfinite(scores)
+    if not finite.all():
+        exclude = ~finite if exclude is None else exclude | ~finite
+        scores = np.where(finite, scores, 0.0)
+    scale = np.abs(scores).max(axis=1, initial=0.0, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    q = scores / scale  # in [-1, 1], also for a subnormal scale
+    q *= SNAP_GRID
+    np.round(q, out=q)  # integers in [-1e9, 1e9]
+    if exclude is not None:
+        q[exclude] = -SNAP_GRID - 1  # below every candidate
+    # One unique int64 key per item: snapped rank first, item index second.
+    key = np.subtract(SNAP_GRID, q, out=q).astype(np.int64)
+    key *= n_items
+    key += np.arange(n_items)
+    width = min(k, n_items)
+    if width < n_items:
+        part = np.argpartition(key, width - 1, axis=1)[:, :width]
+    else:
+        part = np.broadcast_to(np.arange(n_items), (n_rows, n_items))
+    order = np.take_along_axis(part, np.argsort(np.take_along_axis(key, part, axis=1), axis=1), axis=1)
+    if exclude is None:
+        return order
+    return np.where(np.take_along_axis(exclude, order, axis=1), -1, order)
+
+
+def checked_scores(model: RecommenderModel, idx: np.ndarray, users) -> np.ndarray:
+    """``model.score_users(idx)`` with its shape and finiteness checked.
+
+    ``users`` names the rows of ``idx``; the first one with a NaN or infinite
+    score is named in the NonFiniteScoresError.
+    """
+    scores = np.asarray(model.score_users(idx), dtype=np.float64)
+    expected = (len(idx), model.matrix.n_items)
+    if scores.shape != expected:
+        raise ValueError(f"{model.algorithm_id} score_users returned shape {scores.shape}, expected {expected}")
+    finite = np.isfinite(scores).all(axis=1)
+    if not finite.all():
+        raise NonFiniteScoresError(model.algorithm_id, users[int(np.argmin(finite))])
+    return scores
 
 
 def recommend_top_k(
@@ -109,7 +174,8 @@ def recommend_top_k(
     """Top-k recommendation for one user known at training time.
 
     Seen training items are excluded by default; when fewer than k candidates
-    remain the list is shorter than k. Unknown users raise ColdStartError.
+    remain the list is shorter than k. Unknown users raise ColdStartError and
+    non-finite scores NonFiniteScoresError. Ties follow :func:`top_k`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -117,25 +183,16 @@ def recommend_top_k(
     if user not in m.user_index:
         raise ColdStartError(f"user {user!r} was not seen during training")
     u = m.user_index[user]
-    scores = np.asarray(model.score_user(u), dtype=np.float64)
-    if scores.shape != (m.n_items,):
-        raise ValueError(f"score_user returned shape {scores.shape}, expected ({m.n_items},)")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError(f"{model.algorithm_id} produced non-finite scores for user {user!r}")
-
-    mask = np.zeros(m.n_items, dtype=bool)
+    scores = checked_scores(model, np.array([u]), [user])
+    exclude = None
     if exclude_seen:
-        mask[m.seen[u]] = True
-    candidates = np.flatnonzero(~mask)
-    if candidates.size == 0:
-        return RecommendationList(user=user, items=(), scores=())
-    sub = scores[candidates]
-    order = np.lexsort((candidates, -sub))[:k]
-    chosen = candidates[order]
+        exclude = np.zeros((1, m.n_items), dtype=bool)
+        exclude[0, m.seen[u]] = True
+    chosen = [j for j in top_k(scores, k, exclude)[0] if j >= 0]
     return RecommendationList(
         user=user,
         items=tuple(m.item_ids[j] for j in chosen),
-        scores=tuple(float(scores[j]) for j in chosen),
+        scores=tuple(float(scores[0, j]) for j in chosen),
     )
 
 

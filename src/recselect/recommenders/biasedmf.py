@@ -63,8 +63,8 @@ class BiasedMFModel(RecommenderModel):
         self.q = q
         self.epoch_objectives = epoch_objectives
 
-    def score_user(self, user_idx: int) -> np.ndarray:
-        return self.mu + self.b_user[user_idx] + self.b_item + self.q @ self.p[user_idx]
+    def score_users(self, idx: np.ndarray) -> np.ndarray:
+        return self.mu + self.b_user[idx, None] + self.b_item + self.p[idx] @ self.q.T
 
 
 def train_biasedmf(

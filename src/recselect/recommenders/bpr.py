@@ -45,8 +45,8 @@ class BPRModel(RecommenderModel):
         self.p = p
         self.q = q
 
-    def score_user(self, user_idx: int) -> np.ndarray:
-        return self.q @ self.p[user_idx]
+    def score_users(self, idx: np.ndarray) -> np.ndarray:
+        return self.p[idx] @ self.q.T
 
 
 def train_bpr(

@@ -8,13 +8,13 @@ the rank-restricted update
     A = Q^T Q + Q_s^T diag(c_s - 1) Q_s + reg * I,   b = Q_s^T c_s,
 
 where s indexes the user's observed items. A is symmetric positive definite
-for reg > 0, which the Cholesky factorization asserts on every solve.
+for reg > 0, which the Cholesky factorization asserts on every solve. Each
+half-step solves all rows of one side in one batch (see :func:`solve_side`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from ..errors import DivergenceError
@@ -22,24 +22,34 @@ from .base import RecommenderModel, TrainMatrix
 
 
 def solve_side(factors_other: np.ndarray, csr: sp.csr_matrix, alpha: float, reg: float) -> np.ndarray:
-    """Solve every row of one side given the other side's factors."""
+    """Solve every row of one side given the other side's factors.
+
+    All rows' k x k systems are built at once. Each stored entry contributes
+    an outer product, summed over its CSR row's segment by a sparse product
+    whose rows are the segments (a row with no entries sums to zero). The
+    stacked systems are solved with one batched Cholesky factorization. The
+    sums run in another order than a per-row product, so factors match a
+    per-row solve to rounding.
+    """
     n_rows = csr.shape[0]
     k = factors_other.shape[1]
     gram = factors_other.T @ factors_other + reg * np.eye(k)
-    out = np.empty((n_rows, k))
-    for u in range(n_rows):
-        start, end = csr.indptr[u], csr.indptr[u + 1]
-        cols = csr.indices[start:end]
-        conf = 1.0 + alpha * csr.data[start:end]
-        q_s = factors_other[cols]
-        a = gram + q_s.T @ ((conf - 1.0)[:, None] * q_s)
-        b = q_s.T @ conf
-        try:
-            chol = scipy.linalg.cho_factor(a, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise DivergenceError(f"ALS normal equations not positive definite: {exc}") from exc
-        out[u] = scipy.linalg.cho_solve(chol, b)
-    return out
+    q_s = factors_other[csr.indices]
+    conf = 1.0 + alpha * csr.data
+    entries = np.arange(csr.nnz)
+
+    def segment_sum(weights, rows):
+        return sp.csr_matrix((weights, entries, csr.indptr), shape=(n_rows, csr.nnz)) @ rows
+
+    outer = (q_s[:, :, None] * q_s[:, None, :]).reshape(csr.nnz, k * k)
+    a = gram + segment_sum(conf - 1.0, outer).reshape(n_rows, k, k)
+    b = segment_sum(conf, q_s)
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise DivergenceError(f"ALS normal equations not positive definite: {exc}") from exc
+    y = np.linalg.solve(chol, b[:, :, None])
+    return np.linalg.solve(np.swapaxes(chol, 1, 2), y)[:, :, 0]
 
 
 def weighted_objective(p: np.ndarray, q: np.ndarray, csr: sp.csr_matrix, alpha: float, reg: float) -> float:
@@ -66,8 +76,8 @@ class ImplicitMFModel(RecommenderModel):
         self.p = p
         self.q = q
 
-    def score_user(self, user_idx: int) -> np.ndarray:
-        return self.q @ self.p[user_idx]
+    def score_users(self, idx: np.ndarray) -> np.ndarray:
+        return self.p[idx] @ self.q.T
 
 
 def train_implicitmf(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .base import RecommenderModel, TrainMatrix
+from .base import RecommenderModel, TrainMatrix, top_k
 
 
 def cosine_similarity_columns(x: sp.csr_matrix) -> sp.csr_matrix:
@@ -26,47 +26,57 @@ def cosine_similarity_columns(x: sp.csr_matrix) -> sp.csr_matrix:
     return sims
 
 
+_COLUMN_BLOCK = 256  # columns ranked per top_k call
+
+
 def truncate_columns(sims: sp.spmatrix, neighbors: int) -> sp.csc_matrix:
-    """Keep the top ``neighbors`` entries of each column, ties to lower index."""
-    sims = sims.tocsc()
-    data, indices, indptr = [], [], [0]
-    for j in range(sims.shape[1]):
-        start, end = sims.indptr[j], sims.indptr[j + 1]
-        col_idx = sims.indices[start:end]
-        col_val = sims.data[start:end]
-        if col_idx.size > neighbors:
-            order = np.lexsort((col_idx, -col_val))[:neighbors]
-            col_idx, col_val = col_idx[order], col_val[order]
-            resort = np.argsort(col_idx)
-            col_idx, col_val = col_idx[resort], col_val[resort]
-        indices.append(col_idx)
-        data.append(col_val)
-        indptr.append(indptr[-1] + col_idx.size)
-    return sp.csc_matrix(
-        (np.concatenate(data) if data else np.empty(0),
-         np.concatenate(indices) if indices else np.empty(0, dtype=np.int64),
-         np.asarray(indptr)),
-        shape=sims.shape,
-    )
+    """Keep the top ``neighbors`` entries of each column, ranked by :func:`top_k`.
+
+    Entries tie under the snapped rule of ``top_k`` and ties keep the lower
+    row index. Columns are ranked in blocks of similar length, each block as
+    the rows of a zero-padded (columns, longest column) array of its stored
+    entries, so a few dense columns do not widen every block.
+    """
+    sims = sp.csc_matrix(sims, copy=True)
+    sims.sort_indices()
+    counts = np.diff(sims.indptr)
+    long_cols = np.flatnonzero(counts > neighbors)
+    long_cols = long_cols[np.argsort(counts[long_cols], kind="stable")]
+    keep = np.ones(sims.nnz, dtype=bool)
+    for start in range(0, long_cols.size, _COLUMN_BLOCK):
+        block = long_cols[start:start + _COLUMN_BLOCK]
+        lengths = counts[block]
+        # Stored entry i of a column sits at position i of its row, so ties by position are ties by row.
+        rows = np.repeat(np.arange(block.size), lengths)
+        positions = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        entries = np.repeat(sims.indptr[block], lengths) + positions
+        padded = np.zeros((block.size, lengths.max()))
+        padded[rows, positions] = sims.data[entries]
+        pad = np.ones(padded.shape, dtype=bool)
+        pad[rows, positions] = False
+        chosen = top_k(padded, neighbors, exclude=pad)  # no -1: every column has > neighbors entries
+        keep[entries] = False
+        keep[(sims.indptr[block, None] + chosen).ravel()] = True
+    indptr = np.concatenate([[0], np.cumsum(np.minimum(counts, neighbors))])
+    return sp.csc_matrix((sims.data[keep], sims.indices[keep], indptr), shape=sims.shape)
 
 
 class ItemKnnModel(RecommenderModel):
     algorithm_id = "itemknn"
 
-    def __init__(self, matrix: TrainMatrix, config: dict, sims: sp.csc_matrix):
+    def __init__(self, matrix: TrainMatrix, config: dict, sims: sp.csr_matrix):
         super().__init__(matrix, config)
         self.sims = sims
 
-    def score_user(self, user_idx: int) -> np.ndarray:
-        history = self.matrix.seen[user_idx]
-        if history.size == 0:
-            return np.zeros(self.matrix.n_items)
-        return np.asarray(self.sims[history, :].sum(axis=0)).ravel()
+    def score_users(self, idx: np.ndarray) -> np.ndarray:
+        history = self.matrix.matrix[idx]  # a copy, so its ratings can become memberships
+        history.data = np.ones_like(history.data)
+        return (history @ self.sims).toarray()
 
 
 def train_itemknn(matrix: TrainMatrix, neighbors: int = 50, binarize: bool = True) -> ItemKnnModel:
     if neighbors < 1:
         raise ValueError("neighbors must be >= 1")
     x = matrix.binarized() if binarize else matrix.matrix
-    sims = truncate_columns(cosine_similarity_columns(x), neighbors)
+    sims = truncate_columns(cosine_similarity_columns(x), neighbors).tocsr()
     return ItemKnnModel(matrix, {"neighbors": neighbors, "binarize": binarize}, sims)

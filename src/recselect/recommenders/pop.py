@@ -14,9 +14,9 @@ class PopularityModel(RecommenderModel):
         super().__init__(matrix, config)
         self.item_scores = item_scores
 
-    def score_user(self, user_idx: int) -> np.ndarray:
+    def score_users(self, idx: np.ndarray) -> np.ndarray:
         # The ranking is identical for every known user.
-        return self.item_scores
+        return np.tile(self.item_scores, (len(idx), 1))
 
 
 def train_pop(matrix: TrainMatrix) -> PopularityModel:

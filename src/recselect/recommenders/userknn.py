@@ -22,8 +22,8 @@ class UserKnnModel(RecommenderModel):
         self.sims = sims
         self.ratings = ratings
 
-    def score_user(self, user_idx: int) -> np.ndarray:
-        return np.asarray((self.sims[user_idx, :] @ self.ratings).todense()).ravel()
+    def score_users(self, idx: np.ndarray) -> np.ndarray:
+        return (self.sims[idx] @ self.ratings).toarray()
 
 
 def train_userknn(matrix: TrainMatrix, neighbors: int = 50, binarize: bool = True) -> UserKnnModel:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_user_rows
 from .errors import SchemaError
 
 USER_FEATURE_NAMES = (
@@ -120,16 +120,14 @@ class UserFeatureTable:
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "UserFeatureTable":
+        """Read a ``to_csv`` file; ragged rows, repeated users and NaN/inf are SchemaErrors."""
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             if not header or header[0] != "user" or tuple(header[1:]) != USER_FEATURE_NAMES:
                 raise SchemaError(f"unexpected user-feature header in {path}")
-            users, rows = [], []
-            for row in reader:
-                users.append(row[0])
-                rows.append([float(v) for v in row[1:]])
-        return cls(users, USER_FEATURE_NAMES, np.asarray(rows))
+            users, rows = read_user_rows(path, reader, len(header))
+        return cls(users, USER_FEATURE_NAMES, rows)
 
 
 def user_feature_table(train: Dataset, popularity: dict[str, int] | None = None) -> UserFeatureTable:

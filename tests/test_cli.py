@@ -244,6 +244,21 @@ class TestGroundTruthCommand:
         cfg = write_config(str(tmp_path), "gt.json", {"dataset": str(tmp_path / "ghost.csv")})
         assert main(["ground-truth", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_non_finite_scores_exit_1_with_one_error_line(self, pipeline, tmp_path, capsys, monkeypatch):
+        from recselect.recommenders.pop import PopularityModel
+
+        def nan_scores(self, idx):
+            scores = np.tile(self.item_scores, (len(idx), 1))
+            scores[:, 0] = np.nan
+            return scores
+
+        monkeypatch.setattr(PopularityModel, "score_users", nan_scores)
+        capsys.readouterr()
+        assert main(["ground-truth", "--config", pipeline["gt_cfg"], "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pop produced non-finite scores for user ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestFeaturesCommand:
     def test_user_table_covers_all_users(self, pipeline):
@@ -321,6 +336,33 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("corruption", ["nan_cell", "text_cell", "repeated_user", "ragged_row", "missing_user"])
+    def test_malformed_user_features_exit_1_with_one_error_line(self, pipeline, tmp_path, capsys, corruption):
+        with open(os.path.join(pipeline["feat_out"], "user_features.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        if corruption == "nan_cell":
+            rows[1][3] = "nan"
+        elif corruption == "text_cell":
+            rows[1][3] = "tall"
+        elif corruption == "repeated_user":
+            rows[2][0] = rows[1][0]
+        elif corruption == "ragged_row":
+            rows[1] = rows[1][:-1]
+        else:
+            del rows[1]
+        bad_table = tmp_path / "user_features.csv"
+        with open(bad_table, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with open(pipeline["eval_cfg"]) as fh:
+            config = json.load(fh)
+        config["user_features"] = str(bad_table)
+        cfg = write_config(str(tmp_path), "eval.json", config)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_missing_required_key_exits_2(self, tmp_path, capsys):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recselect import ground_truth
 from recselect.data import temporal_split_per_user
-from recselect.errors import EmptyDatasetError, SchemaError
+from recselect.errors import EmptyDatasetError, NonFiniteScoresError, SchemaError
 from recselect.ground_truth import (
     PerformanceMatrix,
     apply_selector,
@@ -19,7 +20,15 @@ from recselect.ground_truth import (
     single_best_algorithm,
     virtual_best_algorithm,
 )
-from recselect.recommenders import build_train_matrix, recommend_top_k, train_portfolio, PortfolioConfig
+from recselect.recommenders import (
+    PortfolioConfig,
+    build_train_matrix,
+    recommend_top_k,
+    train_algorithm,
+    train_portfolio,
+)
+from recselect.recommenders.ease import EaseModel
+from recselect.synth import planted_two_population
 
 from conftest import make_dataset, random_dataset
 
@@ -140,6 +149,7 @@ class TestPerformanceMatrix:
         ("u1,0.5,0.1\nu1,0.2,0.3\n", "repeats user"),
         ("u1,0.5,0.1\nu2,0.2\n", "fields"),
         ("u1,0.5,0.1,0.9\n", "fields"),
+        ("u1,0.5,high\n", "could not convert"),
     ])
     def test_from_csv_rejects_malformed_rows(self, tmp_path, body, message):
         path = tmp_path / "pm.csv"
@@ -233,6 +243,43 @@ class TestEvaluatePortfolio:
                 rec = recommend_top_k(model, user, k=5, exclude_seen=True)
                 want = ndcg_at_k(rec.items, relevant[user], k=5)
                 assert pm.lookup(user, algo) == want
+
+    def test_user_blocks_do_not_change_the_matrix(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        ds = random_dataset(rng, n_users=11, n_items=12, min_per_user=4, max_per_user=9)
+        split = temporal_split_per_user(ds, 0.25)
+        models = train_portfolio(split.train, PortfolioConfig({"pop": {}, "userknn": {"neighbors": 3}}))
+        matrix = build_train_matrix(split.train)
+        whole = evaluate_portfolio(matrix, split.test, models, k=4)
+        monkeypatch.setattr(ground_truth, "_USER_BLOCK", 3)
+        blocked = evaluate_portfolio(matrix, split.test, models, k=4)
+        assert blocked.users == whole.users
+        np.testing.assert_array_equal(blocked.values, whole.values)
+
+    def test_non_finite_scores_name_the_algorithm_and_first_user(self, toy_split, toy_matrix, monkeypatch):
+        models = train_portfolio(toy_split.train, PortfolioConfig({"pop": {}}))
+        scores = np.tile(models["pop"].item_scores, (toy_matrix.n_users, 1))
+        scores[1:, 2] = np.inf
+        monkeypatch.setattr(models["pop"], "score_users", lambda idx: scores[idx])
+        first_bad = next(u for u in toy_split.test.user_ids if toy_matrix.user_index[u] >= 1)
+        with pytest.raises(NonFiniteScoresError, match=f"pop produced non-finite scores for user {first_bad!r}"):
+            evaluate_portfolio(toy_matrix, toy_split.test, models, k=3)
+
+    def test_ease_column_is_the_same_for_a_dense_inverse_reference(self):
+        """Block/Cholesky B and a dense ``np.linalg.inv`` B rank every user alike."""
+        split = temporal_split_per_user(planted_two_population(seed=17, users_per_group=100), 0.2)
+        matrix = build_train_matrix(split.train)
+        shipped = train_algorithm("ease", matrix, {"l2": 10.0})
+        x = shipped.x.toarray()
+        p = np.linalg.inv(x.T @ x + 10.0 * np.eye(matrix.n_items))
+        b = -p / np.diag(p)[None, :]
+        np.fill_diagonal(b, 0.0)
+        assert not np.array_equal(b, shipped.b)  # two numeric routes, not one
+        np.testing.assert_allclose(shipped.b, b, atol=1e-9)
+        reference = EaseModel(matrix, shipped.config, shipped.x, b)
+        got = evaluate_portfolio(matrix, split.test, {"ease": shipped}, k=10)
+        want = evaluate_portfolio(matrix, split.test, {"ease": reference}, k=10)
+        np.testing.assert_array_equal(got.values, want.values)
 
     def test_unknown_test_users_are_skipped_and_counted(self, toy_split, toy_matrix):
         models = train_portfolio(toy_split.train, PortfolioConfig({"pop": {}}))

@@ -8,7 +8,10 @@ rather than against its own closed form.
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recselect.data import temporal_split_per_user
 from recselect.errors import (
@@ -16,6 +19,7 @@ from recselect.errors import (
     DivergenceError,
     EmptyDatasetError,
     MatrixInversionError,
+    NonFiniteScoresError,
 )
 from recselect.recommenders import (
     AVAILABLE_ALGORITHMS,
@@ -27,6 +31,7 @@ from recselect.recommenders import (
     load_model,
     recommend_top_k,
     save_model,
+    top_k,
     train_algorithm,
     train_portfolio,
 )
@@ -44,8 +49,8 @@ class _StubModel(RecommenderModel):
         super().__init__(matrix, {})
         self.scores = scores
 
-    def score_user(self, user_idx):
-        return self.scores[user_idx]
+    def score_users(self, idx):
+        return self.scores[idx]
 
 
 def small_matrix():
@@ -126,7 +131,7 @@ class TestRecommendTopK:
         scores = np.ones((3, 3))
         scores[0, 0] = np.nan
         model = _StubModel(m, scores)
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteScoresError, match="stub produced non-finite scores for user 'u1'"):
             recommend_top_k(model, "u1", k=1, exclude_seen=False)
 
     def test_scores_are_non_increasing(self):
@@ -137,12 +142,76 @@ class TestRecommendTopK:
         assert list(rec.scores) == sorted(rec.scores, reverse=True)
 
 
+@st.composite
+def integer_score_rows(draw):
+    """Rows of small integers times one positive scale: ties exact, distinct values far apart."""
+    rows = draw(st.integers(1, 4))
+    items = draw(st.integers(1, 25))
+    ints = draw(st.lists(st.integers(-8, 8), min_size=rows * items, max_size=rows * items))
+    scale = draw(st.floats(1e-6, 1e6))
+    exclude = draw(st.lists(st.booleans(), min_size=rows * items, max_size=rows * items))
+    k = draw(st.integers(1, items + 2))
+    shape = (rows, items)
+    return np.asarray(ints, dtype=np.float64).reshape(shape) * scale, np.asarray(exclude).reshape(shape), k
+
+
+def lexsort_top_k(scores, k, exclude):
+    """Reference: full stable sort by (-score, item index), excluded items dropped."""
+    out = []
+    for row, mask in zip(scores, exclude):
+        order = [j for j in np.lexsort((np.arange(row.size), -row)) if not mask[j]]
+        out.append(order[:k])
+    return out
+
+
+class TestTopK:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_score_rows())
+    def test_well_separated_scores_follow_the_lexsort_reference(self, case):
+        scores, exclude, k = case
+        got = top_k(scores, k, exclude)
+        assert got.shape == (scores.shape[0], min(k, scores.shape[1]))
+        for row, want in zip(got, lexsort_top_k(scores, k, exclude)):
+            assert [j for j in row if j >= 0] == want
+            assert all(j == -1 for j in row[len(want):])
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_score_rows(), st.data())
+    def test_ties_survive_a_few_ulps_of_noise(self, case, data):
+        scores, exclude, k = case
+        steps = np.asarray(data.draw(st.lists(st.integers(-4, 4), min_size=scores.size, max_size=scores.size)))
+        noisy = scores.ravel().copy()
+        for _ in range(4):  # move each score |step| ulps in the sign's direction
+            moving = steps != 0
+            noisy[moving] = np.nextafter(noisy[moving], np.sign(steps[moving]) * np.inf)
+            steps = steps - np.sign(steps)
+        noisy = noisy.reshape(scores.shape)
+        np.testing.assert_array_equal(top_k(noisy, k, exclude), top_k(scores, k, exclude))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_excluded_items_never_appear(self, items, k, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(size=(3, items))
+        exclude = rng.random((3, items)) < 0.5
+        got = top_k(scores, k, exclude)
+        for row, mask in zip(got, exclude):
+            listed = row[row >= 0]
+            assert not mask[listed].any()
+            assert listed.size == min(k, int((~mask).sum()))
+            assert len(set(listed.tolist())) == listed.size
+
+    def test_near_equal_scores_tie_to_the_lower_index(self):
+        scores = np.array([[0.3, 0.1 + 0.2, 0.2]])  # 0.30000000000000004 at index 1
+        np.testing.assert_array_equal(top_k(scores, 2), [[0, 1]])
+        np.testing.assert_array_equal(top_k(scores[:, ::-1], 2), [[1, 2]])
+
+
 class TestPopularity:
     def test_scores_are_item_counts(self):
         m = small_matrix()
         model = pop.train_pop(m)
-        np.testing.assert_array_equal(model.score_user(0), [3.0, 2.0, 1.0])
-        np.testing.assert_array_equal(model.score_user(0), model.score_user(2))
+        np.testing.assert_array_equal(model.score_users(np.array([0, 2])), [[3.0, 2.0, 1.0]] * 2)
 
     def test_ranking_follows_counts_then_index(self):
         m = small_matrix()
@@ -176,13 +245,28 @@ class TestItemKnn:
         assert kept[2, 0] == 0.0
         assert (kept != 0).sum(axis=0).max() <= 1
 
+    @pytest.mark.parametrize("block", [2, 256])
+    def test_truncation_equals_a_per_column_lexsort_reference(self, monkeypatch, block):
+        rng = np.random.default_rng(3)
+        dense = rng.integers(1, 5, size=(12, 9)) * (rng.random((12, 9)) < 0.6) * 0.25
+        sims = sp.csc_matrix(dense)
+        want = np.zeros_like(dense)
+        for j in range(dense.shape[1]):
+            rows = np.flatnonzero(dense[:, j])
+            top = rows[np.lexsort((rows, -dense[rows, j]))][:3]
+            want[top, j] = dense[top, j]
+        monkeypatch.setattr(itemknn, "_COLUMN_BLOCK", block)
+        kept = itemknn.truncate_columns(sims, neighbors=3)
+        np.testing.assert_array_equal(kept.toarray(), want)
+        assert kept.has_sorted_indices
+
     def test_score_is_history_similarity_sum(self):
         m = small_matrix()
         model = itemknn.train_itemknn(m, neighbors=3)
         sims = model.sims.toarray()
         # u3's history is {A, C}; candidate B accumulates both similarities
         want = sims[0, 1] + sims[2, 1]
-        assert model.score_user(2)[1] == pytest.approx(want)
+        assert model.score_users(np.array([2]))[0, 1] == pytest.approx(want)
 
     def test_neighbor_bound_validated(self):
         with pytest.raises(ValueError):
@@ -197,8 +281,7 @@ class TestUserKnn:
         model = userknn.train_userknn(m, neighbors=8, binarize=False)
         sims = model.sims.toarray()
         ratings = m.matrix.toarray()
-        for u in range(m.n_users):
-            np.testing.assert_allclose(model.score_user(u), sims[u] @ ratings, atol=1e-12)
+        np.testing.assert_allclose(model.score_users(np.arange(m.n_users)), sims @ ratings, atol=1e-12)
 
     def test_neighbor_truncation_limits_row_support(self):
         rng = np.random.default_rng(17)
@@ -242,9 +325,8 @@ class TestBiasedMF:
         ds = random_dataset(rng, n_users=6, n_items=8, min_per_user=3, max_per_user=6)
         m = build_train_matrix(ds)
         model = biasedmf.train_biasedmf(m, factors=0, epochs=30, lr=0.05, reg=0.0, seed=1)
-        for u in range(m.n_users):
-            want = model.mu + model.b_user[u] + model.b_item
-            np.testing.assert_allclose(model.score_user(u), want, atol=1e-12)
+        want = model.mu + model.b_user[:, None] + model.b_item[None, :]
+        np.testing.assert_allclose(model.score_users(np.arange(m.n_users)), want, atol=1e-12)
 
     def test_objective_decreases_on_a_fittable_matrix(self):
         rng = np.random.default_rng(9)
@@ -267,7 +349,7 @@ class TestBiasedMF:
                 ts += 1
         m = build_train_matrix(make_dataset(rows))
         model = biasedmf.train_biasedmf(m, factors=2, epochs=300, lr=0.05, reg=1e-4, seed=2)
-        preds = np.vstack([model.score_user(u) for u in range(users)])
+        preds = model.score_users(np.arange(users))
         rmse = np.sqrt(np.mean((preds - np.outer(left, right)) ** 2))
         assert rmse < 0.05
 
@@ -345,7 +427,8 @@ class TestImplicitMF:
         model = implicitmf.train_implicitmf(m, factors=2, iterations=8, reg=0.05, alpha=20.0, seed=0)
         rec = recommend_top_k(model, "u", k=1, exclude_seen=False)
         assert rec.items[0] in ("liked", "other")
-        assert model.score_user(0)[m.item_index["liked"]] > model.score_user(0)[m.item_index["third"]]
+        scores = model.score_users(np.array([0]))[0]
+        assert scores[m.item_index["liked"]] > scores[m.item_index["third"]]
 
     def test_nonpositive_reg_rejected(self):
         with pytest.raises(ValueError):
@@ -388,13 +471,13 @@ class TestBPR:
         rows.append(("walker", "cold", 1.0, 101))
         m = build_train_matrix(make_dataset(rows))
         model = bpr.train_bpr(m, factors=4, epochs=60, lr=0.08, reg=0.01, seed=0)
-        scores = model.score_user(0)
+        scores = model.score_users(np.array([0]))[0]
         assert scores[m.item_index["liked_b"]] > scores[m.item_index["cold"]]
 
     def test_zero_epochs_yields_finite_scores(self):
         m = small_matrix()
         model = bpr.train_bpr(m, factors=3, epochs=0, seed=5)
-        assert np.isfinite(model.score_user(0)).all()
+        assert np.isfinite(model.score_users(np.array([0]))).all()
 
     def test_parameter_validation(self):
         m = small_matrix()
@@ -441,12 +524,94 @@ class TestEase:
         m = small_matrix()
         model = ease.train_ease(m, l2=3.0)
         x = m.binarized().toarray()
-        for u in range(m.n_users):
-            np.testing.assert_allclose(model.score_user(u), x[u] @ model.b, atol=1e-12)
+        np.testing.assert_allclose(model.score_users(np.arange(m.n_users)), x @ model.b, atol=1e-12)
 
     def test_l2_must_be_positive(self):
         with pytest.raises(ValueError):
             ease.train_ease(small_matrix(), l2=0.0)
+
+    def test_block_diagonal_weights_equal_the_dense_inverse(self):
+        # Two co-occurrence components ({A, B}, {C, D, E}) and an item nobody holds twice.
+        ds = make_dataset([
+            ("u1", "A", 1.0, 0), ("u1", "B", 1.0, 1), ("u2", "A", 1.0, 2),
+            ("u3", "C", 1.0, 3), ("u3", "D", 1.0, 4), ("u4", "D", 1.0, 5), ("u4", "E", 1.0, 6),
+            ("u5", "C", 1.0, 7), ("u5", "E", 1.0, 8), ("u6", "F", 1.0, 9),
+        ])
+        m = build_train_matrix(ds)
+        model = ease.train_ease(m, l2=1.5)
+        x = m.binarized().toarray()
+        p = np.linalg.inv(x.T @ x + 1.5 * np.eye(m.n_items))
+        want = -p / np.diag(p)[None, :]
+        np.fill_diagonal(want, 0.0)
+        assert isinstance(model.b, np.ndarray)
+        np.testing.assert_allclose(model.b, want, atol=1e-12)
+        assert not model.b[:2, 2:].any() and not model.b[2:, :2].any()
+        np.testing.assert_array_equal(model.b[:, m.item_index["F"]], np.zeros(m.n_items))
+
+    def test_non_positive_definite_block_raises_with_remedy(self):
+        gram = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+        with pytest.raises(MatrixInversionError, match="increase the l2 penalty"):
+            ease.ease_weights(gram, 0.5)
+
+
+def reference_rows(model, users):
+    """One score row per user, written per model the way a one-user scorer would."""
+    m = model.matrix
+    rows = []
+    for u in users:
+        if isinstance(model, pop.PopularityModel):
+            rows.append(model.item_scores)
+        elif isinstance(model, itemknn.ItemKnnModel):
+            rows.append(np.asarray(model.sims[m.seen[u], :].sum(axis=0)).ravel())
+        elif isinstance(model, userknn.UserKnnModel):
+            rows.append(np.asarray((model.sims[u, :] @ model.ratings).todense()).ravel())
+        elif isinstance(model, biasedmf.BiasedMFModel):
+            rows.append(model.mu + model.b_user[u] + model.b_item + model.q @ model.p[u])
+        elif isinstance(model, (implicitmf.ImplicitMFModel, bpr.BPRModel)):
+            rows.append(model.q @ model.p[u])
+        else:
+            rows.append(np.asarray(model.x[u, :].todense()).ravel() @ model.b)
+    return np.vstack(rows)
+
+
+class TestBatchScoring:
+    def test_score_users_equals_stacked_reference_rows(self):
+        rng = np.random.default_rng(8)
+        m = build_train_matrix(random_dataset(rng, n_users=14, n_items=18, min_per_user=2, max_per_user=7))
+        params = {
+            "pop": {}, "itemknn": {"neighbors": 4}, "userknn": {"neighbors": 4},
+            "biasedmf": {"factors": 3, "epochs": 3}, "implicitmf": {"factors": 3, "iterations": 3},
+            "bpr": {"factors": 3, "epochs": 3}, "ease": {"l2": 2.0},
+        }
+        idx = np.array([5, 0, 13, 5, 7])
+        for algo in AVAILABLE_ALGORITHMS:
+            model = train_algorithm(algo, m, params[algo])
+            got = model.score_users(idx)
+            assert got.shape == (idx.size, m.n_items), algo
+            np.testing.assert_allclose(got, reference_rows(model, idx), rtol=1e-12, atol=1e-12, err_msg=algo)
+
+    def test_batched_solve_side_equals_per_row_cho_solve(self):
+        rng = np.random.default_rng(12)
+        dense = rng.integers(1, 4, size=(9, 7)) * (rng.random((9, 7)) < 0.4)
+        dense[[0, 4, 8]] = 0  # empty rows, the last one trailing
+        csr = sp.csr_matrix(dense.astype(np.float64))
+        factors = rng.normal(size=(7, 3))
+        alpha, reg = 6.0, 0.4
+        got = implicitmf.solve_side(factors, csr, alpha, reg)
+        gram = factors.T @ factors + reg * np.eye(3)
+        for u in range(csr.shape[0]):
+            start, end = csr.indptr[u], csr.indptr[u + 1]
+            q_s = factors[csr.indices[start:end]]
+            conf = 1.0 + alpha * csr.data[start:end]
+            a = gram + q_s.T @ ((conf - 1.0)[:, None] * q_s)
+            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), q_s.T @ conf)
+            np.testing.assert_allclose(got[u], want, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(got[[0, 4, 8]], np.zeros((3, 3)))
+
+    def test_non_positive_definite_systems_are_a_divergence(self):
+        csr = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DivergenceError, match="not positive definite"):
+            implicitmf.solve_side(np.zeros((2, 2)), csr, 1.0, -1.0)
 
 
 class TestPortfolio:
