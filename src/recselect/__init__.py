@@ -34,7 +34,6 @@ from .errors import (
 )
 from .ground_truth import (
     PerformanceMatrix,
-    apply_selector,
     evaluate_portfolio,
     evaluate_split,
     gap_closed,
@@ -75,7 +74,6 @@ __all__ = [
     "SplitPair",
     "USER_FEATURE_NAMES",
     "UserFeatureTable",
-    "apply_selector",
     "build_train_matrix",
     "dataset_stats",
     "evaluate_portfolio",

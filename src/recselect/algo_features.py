@@ -21,7 +21,7 @@ import numpy as np
 
 from .astgraph import AST_METRIC_NAMES, AstGraphMetrics, analyze_ast_file
 from .codemetrics import CODE_METRIC_NAMES, CodeMetrics, analyze_file
-from .data import SplitPair
+from .data import SplitPair, read_id_rows
 from .errors import ConfigError
 from .ground_truth import evaluate_portfolio
 from .recommenders import TrainMatrix, algorithm_source_path, build_train_matrix, train_algorithm
@@ -216,6 +216,7 @@ class AlgorithmFeatureTable:
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "AlgorithmFeatureTable":
+        """Read a ``to_csv`` file; ragged rows, repeated algorithms and bad numbers are SchemaErrors."""
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -228,12 +229,10 @@ class AlgorithmFeatureTable:
                     cat_start = i
                     break
             numeric_names, cat_names = names[:cat_start], names[cat_start:]
-            algorithms, numeric, cats = [], [], []
-            for row in reader:
-                algorithms.append(row[0])
-                numeric.append([float(v) for v in row[1 : 1 + len(numeric_names)]])
-                cats.append(tuple(row[1 + len(numeric_names) :]))
-        return cls(algorithms, numeric_names, np.asarray(numeric), cat_names, cats)
+            algorithms, numeric, cats = read_id_rows(
+                path, reader, len(header), len(numeric_names), kind="algorithm"
+            )
+        return cls(algorithms, numeric_names, numeric, cat_names, cats)
 
 
 def assemble_algorithm_features(

@@ -1,18 +1,20 @@
 """Structural metrics of a source file's abstract syntax tree.
 
 The AST is viewed as an undirected simple graph whose vertices are AST nodes
-and whose edges link each node to its children. For a tree this gives
-edge_count = node_count - 1; transitivity and average clustering come from
-networkx on the same graph. Depth counts edges along the longest root-to-leaf
-path, so a lone root has depth 0.
+and whose edges link each node to its children. That graph is a tree, so
+edge_count = node_count - 1, avg_degree = 2 (n - 1) / n, and transitivity and
+average clustering are 0.0 (a tree has no triangles). Depth counts edges
+along the longest root-to-leaf path, so a lone root has depth 0.
+
+Nodes are counted per occurrence, not per object identity: the parser interns
+expression-context instances (one shared Load for every read), and keying on
+identity would merge those leaves and destroy the tree shape.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .errors import SourceMetricError
 
@@ -41,59 +43,30 @@ class AstGraphMetrics:
         return {name: getattr(self, name) for name in AST_METRIC_NAMES}
 
 
-def ast_to_graph(tree: ast.AST) -> nx.Graph:
-    """Undirected parent-child graph with integer node labels.
-
-    Labels are assigned per occurrence, not per object identity: the parser
-    interns expression-context instances (one shared Load for every read), and
-    keying on identity would merge those leaves and destroy the tree shape.
-    """
-    graph = nx.Graph()
-    graph.add_node(0)
-    stack = [(tree, 0)]
-    next_label = 1
-    while stack:
-        node, parent_label = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            label = next_label
-            next_label += 1
-            graph.add_edge(parent_label, label)
-            stack.append((child, label))
-    return graph
-
-
-def tree_depth(tree: ast.AST) -> int:
-    """Edges on the longest root-to-leaf path, computed iteratively."""
-    deepest = 0
-    stack = [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
-        children = list(ast.iter_child_nodes(node))
-        if not children:
-            deepest = max(deepest, depth)
-        for child in children:
-            stack.append((child, depth + 1))
-    return deepest
-
-
 def build_ast_graph(source: str, filename: str = "<source>") -> AstGraphMetrics:
+    """All seven metrics from one iterative pass over the parsed tree."""
     try:
         tree = ast.parse(source, filename=filename)
     except (SyntaxError, ValueError) as exc:
         raise SourceMetricError(f"{filename}: cannot parse: {exc}") from exc
 
-    graph = ast_to_graph(tree)
-    n = graph.number_of_nodes()
-    e = graph.number_of_edges()
-    degrees = [d for _, d in graph.degree]
+    n, max_degree, deepest = 1, 0, 0
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        children = list(ast.iter_child_nodes(node))
+        n += len(children)
+        max_degree = max(max_degree, len(children) + (depth > 0))  # the parent edge, except at the root
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in children)
     return AstGraphMetrics(
         ast_node_count=n,
-        ast_edge_count=e,
-        ast_avg_degree=2.0 * e / n,
-        ast_max_degree=max(degrees) if degrees else 0,
-        ast_transitivity=float(nx.transitivity(graph)),
-        ast_avg_clustering=float(nx.average_clustering(graph)) if n else 0.0,
-        ast_depth=tree_depth(tree),
+        ast_edge_count=n - 1,
+        ast_avg_degree=2.0 * (n - 1) / n,
+        ast_max_degree=max_degree,
+        ast_transitivity=0.0,
+        ast_avg_clustering=0.0,
+        ast_depth=deepest,
     )
 
 

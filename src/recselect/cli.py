@@ -296,6 +296,12 @@ def _load_eval_inputs(config: dict, need_algo: bool):
         from .algo_features import AlgorithmFeatureTable
 
         algo_table = AlgorithmFeatureTable.from_csv(_require(config, "algo_features"))
+        unfeatured = [a for a in pm.algorithms if a not in algo_table.algorithms]
+        if unfeatured:
+            raise SchemaError(
+                f"{len(unfeatured)} algorithm(s) of the performance matrix have no row in "
+                f"{config['algo_features']}, first {unfeatured[0]!r}"
+            )
     return pm, user_features, algo_table
 
 

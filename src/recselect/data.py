@@ -324,28 +324,35 @@ def read_interactions_csv(path: str | os.PathLike, name: str | None = None) -> D
     return Dataset(name, tuple(interactions))
 
 
-def read_user_rows(path: str | os.PathLike, reader, width: int) -> tuple[list[str], np.ndarray]:
-    """The ``user, value, ...`` rows left in a csv reader, validated.
+def read_id_rows(
+    path: str | os.PathLike, reader, width: int, n_numeric: int | None = None, kind: str = "user"
+) -> tuple[list[str], np.ndarray, list[tuple[str, ...]]]:
+    """The ``id, value, ...`` rows left in a csv reader, validated.
 
-    Every row must have ``width`` fields (the header's), a user id not seen
-    before and finite numbers; anything else is a SchemaError naming the line.
+    Every row must have ``width`` fields (the header's) and a ``kind`` id not
+    seen before; the ``n_numeric`` fields after the id (all of them by
+    default) must be finite numbers. Anything else is a SchemaError naming the
+    line. Returns the ids, the numbers as a (rows, n_numeric) array and each
+    row's remaining fields as text.
     """
-    users, rows, seen = [], [], set()
+    n_numeric = width - 1 if n_numeric is None else n_numeric
+    ids, rows, texts, seen = [], [], [], set()
     for line, row in enumerate(reader, start=2):
         if len(row) != width:
             raise SchemaError(f"{path}: line {line} has {len(row)} fields, the header has {width}")
         if row[0] in seen:
-            raise SchemaError(f"{path}: line {line} repeats user {row[0]!r}")
+            raise SchemaError(f"{path}: line {line} repeats {kind} {row[0]!r}")
         try:
-            values = [float(v) for v in row[1:]]
+            values = [float(v) for v in row[1:1 + n_numeric]]
         except ValueError as exc:
-            raise SchemaError(f"{path}: line {line} (user {row[0]!r}): {exc}") from exc
+            raise SchemaError(f"{path}: line {line} ({kind} {row[0]!r}): {exc}") from exc
         if not all(math.isfinite(v) for v in values):
-            raise SchemaError(f"{path}: line {line} (user {row[0]!r}) has a non-finite value")
+            raise SchemaError(f"{path}: line {line} ({kind} {row[0]!r}) has a non-finite value")
         seen.add(row[0])
-        users.append(row[0])
+        ids.append(row[0])
         rows.append(values)
-    return users, np.asarray(rows)
+        texts.append(tuple(row[1 + n_numeric:]))
+    return ids, np.asarray(rows), texts
 
 
 def stats_row(name: str, stats: DatasetStats) -> dict:

@@ -3,10 +3,11 @@
 Outer folds partition users; per fold, random-search HPO (inner user folds,
 validation MSE of predicted vs. true per-algorithm NDCG) picks the meta-
 learner configuration, which is refit on the outer training users and applied
-to the held-out users in four steps: predict scores for every portfolio
-algorithm, select the argmax, look up the realized NDCG in the performance
-matrix, and aggregate. SBA and VBA run through the same selection plumbing
-with constant and oracle score functions.
+to the held-out users in four steps: predict a (users, algorithms) score
+matrix, select each row's best-ranked algorithm, look up the realized NDCG in
+the performance matrix, and aggregate. SBA and VBA run through the same
+selection call with the tiled column means and the true rows as score
+matrices.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import stats
@@ -33,7 +34,6 @@ from .meta import (
     fit_multi_output_gbdt,
     predict_scores_user_algo,
     predict_scores_user_only,
-    select_algorithm,
     standardize_apply,
     standardize_fit,
 )
@@ -135,13 +135,6 @@ def ci_half_width(values: Sequence[float], confidence: float = 0.95) -> float | 
     return float(stats.t.ppf(0.5 * (1.0 + confidence), n - 1) * sem)
 
 
-def top_k_hit(scores: np.ndarray, truth_row: np.ndarray, k: int) -> bool:
-    """True when any truly-best algorithm appears in the predicted top k (ties as in ``top_k``)."""
-    order = top_k(scores[None, :], k)[0]
-    truth_best = np.flatnonzero(truth_row == truth_row.max())
-    return bool(np.isin(order, truth_best).any())
-
-
 @dataclass
 class MethodResult:
     """Per-fold metrics of one selection method."""
@@ -150,6 +143,11 @@ class MethodResult:
     fold_ndcg: list[float] = field(default_factory=list)
     fold_top1: list[float] = field(default_factory=list)
     fold_top3: list[float] = field(default_factory=list)
+
+    def add_fold(self, ndcg: float, top1: float, top3: float) -> None:
+        self.fold_ndcg.append(ndcg)
+        self.fold_top1.append(top1)
+        self.fold_top3.append(top3)
 
     def mean_ndcg(self) -> float:
         return float(np.mean(self.fold_ndcg))
@@ -169,38 +167,27 @@ class MethodResult:
         }
 
 
-ScoreFn = Callable[[Sequence[str]], np.ndarray]
+def selector_fold_metrics(truth: np.ndarray, scores: np.ndarray) -> tuple[float, float, float]:
+    """Select, look up and aggregate for one fold of held-out users.
 
-
-def _oracle_scores(pm: PerformanceMatrix) -> ScoreFn:
-    """Scores are the users' true rows (the VBA selector)."""
-    return lambda users: np.vstack([pm.row(u) for u in users])
-
-
-def _constant_scores(scores: np.ndarray) -> ScoreFn:
-    """Every user gets the same scores (the SBA selector, given column means)."""
-    return lambda users: np.tile(scores, (len(users), 1))
-
-
-def selector_fold_metrics(
-    pm: PerformanceMatrix,
-    users: Sequence[str],
-    score_fn: ScoreFn,
-) -> tuple[float, float, float]:
-    """Predict, select, look up, aggregate for one set of held-out users.
-
-    ``score_fn`` maps the users to a (users, algorithms) score matrix in one call.
+    ``truth`` holds the users' realized NDCG and ``scores`` the selector's
+    scores, both (users, algorithms). One ``top_k`` call ranks every row: its
+    first column is the chosen algorithm, and a top-k hit is a truly-best
+    algorithm (any one of a tied row maximum) among the first k columns.
+    Returns the mean realized NDCG and the top-1 and top-3 hit percentages.
     """
-    score_matrix = np.asarray(score_fn(list(users)), dtype=np.float64)
-    achieved, hits1, hits3 = [], 0, 0
-    for user, scores in zip(users, score_matrix):
-        chosen = select_algorithm(scores)
-        truth_row = pm.row(user)
-        achieved.append(float(truth_row[chosen]))
-        hits1 += top_k_hit(scores, truth_row, 1)
-        hits3 += top_k_hit(scores, truth_row, 3)
-    n = len(users)
-    return float(np.mean(achieved)), 100.0 * hits1 / n, 100.0 * hits3 / n
+    truth = np.asarray(truth, dtype=np.float64)
+    n = truth.shape[0]
+    ranked = top_k(scores, min(3, truth.shape[1]))  # skips NaN/inf scores, pads rows with -1
+    if (ranked[:, 0] < 0).any():
+        raise ValueError("every score row needs a finite value")
+    picked = truth[np.arange(n)[:, None], ranked]
+    hits = (picked == truth.max(axis=1, keepdims=True)) & (ranked >= 0)  # a -1 pad is no hit
+    return (
+        float(np.mean(picked[:, 0])),
+        100.0 * int(hits[:, 0].sum()) / n,
+        100.0 * int(hits.any(axis=1).sum()) / n,
+    )
 
 
 @dataclass
@@ -278,36 +265,30 @@ def _fit_predictor(
     params: GBDTParams,
     pm: PerformanceMatrix,
     train_users: list[str],
-    user_rows: Mapping[str, np.ndarray],
+    eval_users: Sequence[str],
+    x: np.ndarray,
     enc,
-):
-    """Fit one meta-learner on training users; returns it and its batch score_fn."""
+) -> np.ndarray:
+    """Fit one meta-learner on the training users and return the eval users' score matrix.
 
-    def rows(users: Sequence[str]) -> np.ndarray:
-        return np.vstack([user_rows[u] for u in users])
-
-    x_train = rows(train_users)
+    ``x`` holds every user's feature row at the user's position in ``pm.users``;
+    the scores are (eval users, algorithms).
+    """
+    x_train = x[[pm.user_pos[u] for u in train_users]]
+    x_eval = x[[pm.user_pos[u] for u in eval_users]]
     if mode == "user_only":
         wide = build_wide(pm, x_train, train_users, [])
-        model = fit_multi_output_gbdt(wide.x, wide.y, params)
-        return model, lambda users: predict_scores_user_only(model, rows(users))
+        return predict_scores_user_only(fit_multi_output_gbdt(wide.x, wide.y, params), x_eval)
     long = build_long(pm, x_train, train_users, [], enc)
-    model = fit_gbdt(long.x, long.y, params)
-    return model, lambda users: predict_scores_user_algo(model, rows(users), enc, pm.algorithms)
-
-
-def _score_fn_mse(pm: PerformanceMatrix, users: Sequence[str], score_fn: ScoreFn) -> float:
-    predicted = np.asarray(score_fn(list(users)), dtype=np.float64)
-    errors = [np.mean((p - pm.row(user)) ** 2) for user, p in zip(users, predicted)]
-    return float(np.mean(errors))
+    return predict_scores_user_algo(fit_gbdt(long.x, long.y, params), x_eval, enc, pm.algorithms)
 
 
 def _scaled_user_rows(
-    feature_matrix: np.ndarray, users: Sequence[str], position: Mapping[str, int], train_users: Sequence[str]
-) -> dict[str, np.ndarray]:
+    feature_matrix: np.ndarray, pm: PerformanceMatrix, train_users: Sequence[str]
+) -> np.ndarray:
     """Every user's feature row, standardized with training-user statistics only."""
-    scaler = standardize_fit(feature_matrix[[position[u] for u in train_users]])
-    return dict(zip(users, standardize_apply(scaler, feature_matrix)))
+    scaler = standardize_fit(feature_matrix[[pm.user_pos[u] for u in train_users]])
+    return standardize_apply(scaler, feature_matrix)
 
 
 def run_nested_cv(
@@ -351,40 +332,25 @@ def run_nested_cv(
     best_params_per_fold: list[dict] = []
 
     feature_matrix = user_features.subset(users).matrix
-    position = {u: i for i, u in enumerate(users)}
     for fold_idx, test_users in enumerate(folds):
         test_set = set(test_users)
         train_users = [u for u in users if u not in test_set]
-        user_rows = _scaled_user_rows(feature_matrix, users, position, train_users)
+        x = _scaled_user_rows(feature_matrix, pm, train_users)
+        truth = pm.subset(test_users).values
+        sba_scores = np.tile(column_means, (len(test_users), 1))
 
         if predictor == "oracle":
-            score_fn = _oracle_scores(pm)
-            best_params_per_fold.append({})
+            best, scores = {}, truth
         elif predictor == "single_best":
-            score_fn = _constant_scores(column_means)
-            best_params_per_fold.append({})
+            best, scores = {}, sba_scores
         else:
-            best = _random_search(
-                pm, space, mode, train_users, user_rows, enc, seed, fold_idx
-            )
-            best_params_per_fold.append(best)
+            best = _random_search(pm, space, mode, train_users, x, enc, seed, fold_idx)
             params = GBDTParams(**best, seed=derive_seed(seed, "refit", fold_idx)).validate()
-            _, score_fn = _fit_predictor(mode, params, pm, train_users, user_rows, enc)
+            scores = _fit_predictor(mode, params, pm, train_users, test_users, x, enc)
+        best_params_per_fold.append(best)
 
-        ndcg, top1, top3 = selector_fold_metrics(pm, test_users, score_fn)
-        methods["model"].fold_ndcg.append(ndcg)
-        methods["model"].fold_top1.append(top1)
-        methods["model"].fold_top3.append(top3)
-
-        sba_metrics = selector_fold_metrics(pm, test_users, _constant_scores(column_means))
-        methods["sba"].fold_ndcg.append(sba_metrics[0])
-        methods["sba"].fold_top1.append(sba_metrics[1])
-        methods["sba"].fold_top3.append(sba_metrics[2])
-
-        vba_metrics = selector_fold_metrics(pm, test_users, _oracle_scores(pm))
-        methods["vba"].fold_ndcg.append(vba_metrics[0])
-        methods["vba"].fold_top1.append(vba_metrics[1])
-        methods["vba"].fold_top3.append(vba_metrics[2])
+        for name, method_scores in (("model", scores), ("sba", sba_scores), ("vba", truth)):
+            methods[name].add_fold(*selector_fold_metrics(truth, method_scores))
 
     return EvaluationReport(
         mode=mode,
@@ -400,7 +366,7 @@ def run_nested_cv(
     )
 
 
-def _random_search(pm, space, mode, train_users, user_rows, enc, seed, fold_idx) -> dict:
+def _random_search(pm, space, mode, train_users, x, enc, seed, fold_idx) -> dict:
     """Random search scored by inner-fold validation MSE; first best wins ties."""
     rng = np.random.default_rng(derive_seed(seed, "hpo", fold_idx))
     candidates = [space.sample(rng) for _ in range(space.n_iter)]
@@ -416,8 +382,8 @@ def _random_search(pm, space, mode, train_users, user_rows, enc, seed, fold_idx)
             params = GBDTParams(
                 **candidate, seed=derive_seed(seed, "inner-fit", fold_idx, c_idx, i_idx)
             ).validate()
-            _, score_fn = _fit_predictor(mode, params, pm, fit_users, user_rows, enc)
-            fold_mses.append(_score_fn_mse(pm, val_users, score_fn))
+            pred = _fit_predictor(mode, params, pm, fit_users, val_users, x, enc)
+            fold_mses.append(np.mean(np.mean((pred - pm.subset(val_users).values) ** 2, axis=1)))
         mse = float(np.mean(fold_mses))
         if mse < best_mse:
             best_mse, best_params = mse, candidate
@@ -607,7 +573,6 @@ def run_importance(
     assert_user_disjoint(folds)
     enc = encode_algo_features(algo_table)
     feature_matrix = user_features.subset(users).matrix
-    position = {u: i for i, u in enumerate(users)}
     base = params or GBDTParams()
 
     names = list(user_features.names) + list(enc.feature_names)
@@ -615,17 +580,9 @@ def run_importance(
     for fold_idx, test_users in enumerate(folds):
         test_set = set(test_users)
         train_users = [u for u in users if u not in test_set]
-        user_rows = _scaled_user_rows(feature_matrix, users, position, train_users)
-        fit_params = GBDTParams(
-            num_trees=base.num_trees,
-            learning_rate=base.learning_rate,
-            max_depth=base.max_depth,
-            min_samples_leaf=base.min_samples_leaf,
-            subsample=base.subsample,
-            seed=derive_seed(seed, "importance", fold_idx),
-        ).validate()
-        x_train = np.vstack([user_rows[u] for u in train_users])
-        long = build_long(pm, x_train, train_users, [], enc)
+        x = _scaled_user_rows(feature_matrix, pm, train_users)
+        fit_params = replace(base, seed=derive_seed(seed, "importance", fold_idx)).validate()
+        long = build_long(pm, x[[pm.user_pos[u] for u in train_users]], train_users, [], enc)
         model = fit_gbdt(long.x, long.y, fit_params)
         importance = model.feature_importance()
         total = importance.sum()

@@ -13,11 +13,11 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, SplitPair, read_user_rows
+from .data import Dataset, SplitPair, read_id_rows
 from .errors import EmptyDatasetError
 from .recommenders import RecommenderModel, TrainMatrix, build_train_matrix, top_k
 from .recommenders.base import checked_scores
@@ -87,7 +87,7 @@ class PerformanceMatrix:
             if not header or header[0] != "user":
                 raise ValueError(f"expected 'user' as first column in {path}")
             algorithms = header[1:]
-            users, rows = read_user_rows(path, reader, len(header))
+            users, rows, _ = read_id_rows(path, reader, len(header))
         return cls(users, algorithms, rows)
 
 
@@ -172,24 +172,3 @@ def gap_closed(selector_mean: float, sba_mean: float, vba_mean: float) -> float:
         raise ValueError("gap is undefined when VBA does not exceed SBA")
     return 100.0 * (selector_mean - sba_mean) / (vba_mean - sba_mean)
 
-
-@dataclass(frozen=True)
-class SelectorOutcome:
-    """Realized per-user NDCG of a selection function over a matrix."""
-
-    choices: dict[str, str]
-    achieved: dict[str, float]
-    mean_ndcg: float
-
-
-def apply_selector(pm: PerformanceMatrix, choose: Callable[[str], str] | Mapping[str, str]) -> SelectorOutcome:
-    """Look up the matrix value of each user's chosen algorithm and average."""
-    choices, achieved = {}, {}
-    for user in pm.users:
-        algo = choose[user] if isinstance(choose, Mapping) else choose(user)
-        if algo not in pm.algorithms:
-            raise ValueError(f"selector chose unknown algorithm {algo!r} for user {user!r}")
-        choices[user] = algo
-        achieved[user] = pm.lookup(user, algo)
-    mean = float(np.mean(list(achieved.values()))) if achieved else 0.0
-    return SelectorOutcome(choices=choices, achieved=achieved, mean_ndcg=mean)

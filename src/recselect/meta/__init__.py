@@ -9,7 +9,6 @@ from .formats import (
     encode_algo_features,
     predict_scores_user_algo,
     predict_scores_user_only,
-    select_algorithm,
 )
 from .gbdt import (
     BoostedEnsemble,
@@ -47,7 +46,6 @@ __all__ = [
     "one_hot_fit",
     "predict_scores_user_algo",
     "predict_scores_user_only",
-    "select_algorithm",
     "standardize_apply",
     "standardize_fit",
 ]

@@ -146,7 +146,3 @@ def predict_scores_user_algo(
     x = np.hstack([np.repeat(user_rows, block.shape[0], axis=0), np.tile(block, (n_users, 1))])
     return model.predict(x).reshape(n_users, block.shape[0])
 
-
-def select_algorithm(scores: np.ndarray) -> int:
-    """Index of the best predicted score; ties go to the lowest index."""
-    return int(np.argmax(scores))

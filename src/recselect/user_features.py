@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, read_user_rows
+from .data import Dataset, read_id_rows
 from .errors import SchemaError
 
 USER_FEATURE_NAMES = (
@@ -126,7 +126,7 @@ class UserFeatureTable:
             header = next(reader)
             if not header or header[0] != "user" or tuple(header[1:]) != USER_FEATURE_NAMES:
                 raise SchemaError(f"unexpected user-feature header in {path}")
-            users, rows = read_user_rows(path, reader, len(header))
+            users, rows, _ = read_id_rows(path, reader, len(header))
         return cls(users, USER_FEATURE_NAMES, rows)
 
 

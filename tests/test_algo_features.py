@@ -21,7 +21,7 @@ from recselect.algo_features import (
 from recselect.astgraph import AST_METRIC_NAMES
 from recselect.codemetrics import CODE_METRIC_NAMES
 from recselect.data import temporal_split_per_user
-from recselect.errors import ConfigError
+from recselect.errors import ConfigError, SchemaError
 from recselect.ground_truth import evaluate_portfolio
 from recselect.recommenders import AVAILABLE_ALGORITHMS, build_train_matrix, train_algorithm
 
@@ -252,6 +252,20 @@ class TestCsv:
         back = AlgorithmFeatureTable.from_csv(path)
         assert back.numeric_names == table.numeric_names
         np.testing.assert_array_equal(back.numeric, table.numeric)
+
+    @pytest.mark.parametrize("body, message", [
+        ("pop,10,Popularity\nease,nan,Autoencoder\n", "line 3 .* non-finite"),
+        ("pop,inf,Popularity\n", "line 2 .* non-finite"),
+        ("pop,ten,Popularity\n", "line 2 .*could not convert"),
+        ("pop,10,Popularity\npop,12,Popularity\n", "line 3 repeats algorithm 'pop'"),
+        ("pop,10\n", "line 2 has 2 fields, the header has 3"),
+        ("pop,10,Popularity,Counting\n", "line 2 has 4 fields"),
+    ])
+    def test_from_csv_rejects_malformed_rows(self, tmp_path, body, message):
+        path = tmp_path / "af.csv"
+        path.write_text("algorithm,sloc,family\n" + body)
+        with pytest.raises(SchemaError, match=message):
+            AlgorithmFeatureTable.from_csv(path)
 
     def test_header_must_start_with_algorithm(self, tmp_path):
         path = tmp_path / "bad.csv"

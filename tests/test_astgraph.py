@@ -1,18 +1,48 @@
-"""AST-as-graph metrics checked against tiny trees counted by hand."""
+"""AST-as-graph metrics checked against tiny trees counted by hand.
+
+The library counts the tree in one pass; networkx on an explicit parent-child
+graph, built here, is the oracle for all seven metrics.
+"""
 
 import ast
 
 import networkx as nx
 import pytest
 
-from recselect.astgraph import (
-    AST_METRIC_NAMES,
-    ast_to_graph,
-    build_ast_graph,
-    tree_depth,
-)
+from recselect.astgraph import AST_METRIC_NAMES, build_ast_graph
 from recselect.errors import SourceMetricError
 from recselect.recommenders import AVAILABLE_ALGORITHMS, algorithm_source_path
+
+
+def ast_to_graph(tree: ast.AST) -> nx.Graph:
+    """Undirected parent-child graph with one integer label per node occurrence."""
+    graph = nx.Graph()
+    graph.add_node(0)
+    stack = [(tree, 0)]
+    next_label = 1
+    while stack:
+        node, parent_label = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            label = next_label
+            next_label += 1
+            graph.add_edge(parent_label, label)
+            stack.append((child, label))
+    return graph
+
+
+def networkx_metrics(source: str) -> dict:
+    tree = ast.parse(source)
+    graph = ast_to_graph(tree)
+    n, e = graph.number_of_nodes(), graph.number_of_edges()
+    return {
+        "ast_node_count": n,
+        "ast_edge_count": e,
+        "ast_avg_degree": 2.0 * e / n,
+        "ast_max_degree": max(d for _, d in graph.degree),
+        "ast_transitivity": float(nx.transitivity(graph)),
+        "ast_avg_clustering": float(nx.average_clustering(graph)),
+        "ast_depth": max(nx.shortest_path_length(graph, 0).values()),
+    }
 
 
 class TestGraphConstruction:
@@ -41,7 +71,7 @@ class TestGraphConstruction:
         assert metrics.ast_avg_degree == pytest.approx(4 / 3)
 
     def test_lone_root_has_depth_zero(self):
-        assert tree_depth(ast.parse("")) == 0
+        assert build_ast_graph("").ast_depth == 0
 
     def test_empty_module_graph(self):
         metrics = build_ast_graph("")
@@ -92,6 +122,10 @@ class TestTreeInvariants:
         nested = build_ast_graph("def f():\n    def g():\n        return (1 + 2) * 3\n")
         assert nested.ast_depth > flat.ast_depth
 
+    @pytest.mark.parametrize("source", SOURCES + ["", "1", "pass\npass"])
+    def test_metrics_equal_the_networkx_oracle(self, source):
+        assert build_ast_graph(source).as_dict() == networkx_metrics(source)
+
     def test_metric_name_order(self):
         metrics = build_ast_graph("x")
         assert tuple(metrics.as_dict()) == AST_METRIC_NAMES
@@ -106,3 +140,9 @@ class TestOnShippedAlgorithms:
             assert metrics.ast_edge_count == metrics.ast_node_count - 1
             assert metrics.ast_transitivity == 0.0
             assert metrics.ast_depth >= 5
+
+    def test_every_algorithm_matches_the_networkx_oracle(self):
+        for algo in AVAILABLE_ALGORITHMS:
+            with open(algorithm_source_path(algo), encoding="utf-8") as fh:
+                source = fh.read()
+            assert build_ast_graph(source).as_dict() == networkx_metrics(source)

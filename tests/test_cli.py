@@ -365,6 +365,37 @@ class TestEvaluateCommand:
         assert err.startswith("error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "corruption", ["missing_algorithm", "nan_cell", "ragged_row", "repeated_algorithm"]
+    )
+    def test_malformed_algorithm_features_exit_1_with_one_error_line(
+        self, pipeline, tmp_path, capsys, corruption
+    ):
+        with open(os.path.join(pipeline["feat_out"], "algorithm_features.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        if corruption == "missing_algorithm":
+            rows = [r for r in rows if r[0] != "ease"]
+        elif corruption == "nan_cell":
+            rows[1][1] = "nan"
+        elif corruption == "ragged_row":
+            rows[1] = rows[1][:-1]
+        else:
+            rows[2][0] = rows[1][0]
+        bad_table = tmp_path / "algorithm_features.csv"
+        with open(bad_table, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with open(pipeline["eval_cfg"]) as fh:
+            config = json.load(fh)
+        config["algo_features"] = str(bad_table)
+        cfg = write_config(str(tmp_path), "eval.json", config)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o"), "--mode", "user_algo"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if corruption == "missing_algorithm":
+            assert "'ease'" in err
+
     def test_missing_required_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(str(tmp_path), "eval.json", {"user_features": "x.csv"})
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

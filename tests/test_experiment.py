@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import recselect.experiment as experiment
@@ -29,10 +31,10 @@ from recselect.experiment import (
     run_importance,
     run_nested_cv,
     selector_fold_metrics,
-    top_k_hit,
 )
 from recselect.ground_truth import PerformanceMatrix
 from recselect.meta import GBDTParams
+from recselect.recommenders import top_k
 from recselect.user_features import USER_FEATURE_NAMES, UserFeatureTable
 
 LEAN_SPACE = SearchSpace(
@@ -142,25 +144,28 @@ class TestCiHalfWidth:
             assert ci_half_width(values) == pytest.approx(want)
 
 
+def row_metrics(truth_row, scores_row):
+    """``selector_fold_metrics`` of a one-user fold."""
+    return selector_fold_metrics(np.array([truth_row], dtype=float), np.array([scores_row], dtype=float))
+
+
 class TestTopKHit:
     def test_hit_and_miss_at_k1(self):
-        truth = np.array([0.2, 0.9, 0.1])
-        assert top_k_hit(np.array([0.0, 1.0, 0.5]), truth, 1)
-        assert not top_k_hit(np.array([1.0, 0.0, 0.5]), truth, 1)
+        truth = [0.2, 0.9, 0.1]
+        assert row_metrics(truth, [0.0, 1.0, 0.5])[1] == 100.0
+        assert row_metrics(truth, [1.0, 0.0, 0.5])[1] == 0.0
 
     def test_k3_window(self):
-        truth = np.array([0.0, 0.0, 0.0, 1.0])
-        scores = np.array([0.9, 0.8, 0.7, 0.6])
-        assert not top_k_hit(scores, truth, 3)
-        assert top_k_hit(scores, truth, 4)
+        truth = np.array([[0.0, 0.0, 0.0, 1.0]] * 2)
+        scores = np.array([[0.9, 0.8, 0.7, 0.6], [0.9, 0.8, 0.6, 0.7]])  # best ranked 4th, then 3rd
+        assert selector_fold_metrics(truth, scores)[1:] == (0.0, 50.0)
 
     def test_tied_truth_counts_any_best(self):
-        truth = np.array([1.0, 1.0, 0.0])
-        assert top_k_hit(np.array([0.0, 1.0, 0.5]), truth, 1)
+        assert row_metrics([1.0, 1.0, 0.0], [0.0, 1.0, 0.5])[1] == 100.0
 
     def test_tied_scores_resolve_to_lower_index(self):
-        truth = np.array([0.0, 1.0])
-        assert not top_k_hit(np.array([0.5, 0.5]), truth, 1)
+        ndcg, top1, top3 = row_metrics([0.0, 1.0], [0.5, 0.5])
+        assert (ndcg, top1, top3) == (0.0, 0.0, 100.0)
 
 
 class TestSearchSpace:
@@ -204,25 +209,57 @@ class TestSearchSpace:
             SearchSpace.from_dict({"inner_folds": 1})
 
 
+def per_user_reference(truth, scores):
+    """Argmax choice and per-row ``top_k`` hits, one user at a time."""
+    achieved, hits1, hits3 = [], 0, 0
+    for truth_row, scores_row in zip(truth, scores):
+        achieved.append(truth_row[int(np.argmax(scores_row))])
+        truth_best = np.flatnonzero(truth_row == truth_row.max())
+        hits1 += bool(np.isin(top_k(scores_row[None, :], 1)[0], truth_best).any())
+        hits3 += bool(np.isin(top_k(scores_row[None, :], 3)[0], truth_best).any())
+    n = len(truth)
+    return float(np.mean(achieved)), 100.0 * hits1 / n, 100.0 * hits3 / n
+
+
+@st.composite
+def fold_matrices(draw):
+    """Truth and score matrices on a coarse grid, so exact ties are common and near ties absent."""
+    n_users = draw(st.integers(1, 8))
+    n_algorithms = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    grid = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
+    shape = n_users * n_algorithms
+    truth = draw(st.lists(grid, min_size=shape, max_size=shape))
+    scores = draw(st.lists(grid.map(lambda v: 2.0 * v - 1.0), min_size=shape, max_size=shape))
+    return (np.reshape(truth, (n_users, n_algorithms)), np.reshape(scores, (n_users, n_algorithms)))
+
+
 class TestSelectorFoldMetrics:
     def test_recomposes_from_score_functions(self):
-        pm = PerformanceMatrix(
-            users=["u0", "u1"],
-            algorithms=["a", "b"],
-            values=np.array([[0.4, 0.6], [0.9, 0.3]]),
-        )
-        scores = {"u0": np.array([0.0, 1.0]), "u1": np.array([0.0, 1.0])}
-        calls = []
-
-        def score_fn(users):
-            calls.append(list(users))
-            return np.vstack([scores[u] for u in users])
-
-        ndcg, top1, top3 = selector_fold_metrics(pm, ["u0", "u1"], score_fn)
-        assert calls == [["u0", "u1"]]  # one score matrix per fold
+        truth = np.array([[0.4, 0.6], [0.9, 0.3]])
+        scores = np.array([[0.0, 1.0], [0.0, 1.0]])
+        ndcg, top1, top3 = selector_fold_metrics(truth, scores)
         assert ndcg == pytest.approx((0.6 + 0.3) / 2)
         assert top1 == 50.0
         assert top3 == 100.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(fold_matrices())
+    def test_batched_metrics_equal_the_per_user_reference(self, matrices):
+        truth, scores = matrices
+        assert selector_fold_metrics(truth, scores) == per_user_reference(truth, scores)
+
+    def test_choice_and_top1_hit_share_one_tie_rule(self):
+        # 0.1 + 0.2 exceeds 0.3 by one ulp: a raw argmax would choose column 1
+        # while the snapped top-1 hit counted column 0.
+        assert row_metrics([1.0, 0.0], [0.3, 0.1 + 0.2])[:2] == (1.0, 100.0)
+
+    def test_non_finite_scores_are_never_chosen_or_hit(self):
+        # The VBA scores are the truth rows, which hold NaN when a matrix is built directly.
+        assert row_metrics([0.0, 0.0, 1.0], [1.0, np.nan, np.inf]) == (0.0, 0.0, 0.0)
+
+    def test_scores_without_a_finite_value_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            row_metrics([0.5, 0.4], [np.nan, np.nan])
 
 
 class TestNestedCv:

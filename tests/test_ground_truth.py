@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from recselect import ground_truth
 from recselect.data import temporal_split_per_user
 from recselect.errors import EmptyDatasetError, NonFiniteScoresError, SchemaError
+from recselect.experiment import selector_fold_metrics
 from recselect.ground_truth import (
     PerformanceMatrix,
-    apply_selector,
     evaluate_portfolio,
     evaluate_split,
     gap_closed,
@@ -203,25 +203,23 @@ class TestBaselines:
 
 
 class TestApplySelector:
+    """The oracle and constant selectors through ``selector_fold_metrics``."""
+
     def make_pm(self):
         return PerformanceMatrix(["u1", "u2"], ["a", "b"],
                                  np.array([[0.9, 0.1], [0.2, 0.8]]))
 
     def test_oracle_choices_reach_vba(self):
         pm = self.make_pm()
-        outcome = apply_selector(pm, {"u1": "a", "u2": "b"})
-        assert math.isclose(outcome.mean_ndcg, virtual_best_algorithm(pm))
+        ndcg, top1, _ = selector_fold_metrics(pm.values, pm.values)
+        assert math.isclose(ndcg, virtual_best_algorithm(pm))
+        assert top1 == 100.0
 
     def test_constant_choice_reaches_the_column_mean(self):
         pm = self.make_pm()
-        outcome = apply_selector(pm, lambda user: "a")
-        assert math.isclose(outcome.mean_ndcg, 0.55)
-        assert outcome.choices == {"u1": "a", "u2": "a"}
-
-    def test_unknown_algorithm_rejected(self):
-        pm = self.make_pm()
-        with pytest.raises(ValueError):
-            apply_selector(pm, {"u1": "zzz", "u2": "a"})
+        ndcg, top1, _ = selector_fold_metrics(pm.values, np.tile([1.0, 0.0], (2, 1)))
+        assert math.isclose(ndcg, 0.55)
+        assert top1 == 50.0
 
 
 class TestEvaluatePortfolio:

@@ -20,7 +20,6 @@ from recselect.meta.formats import (
     encode_algo_features,
     predict_scores_user_algo,
     predict_scores_user_only,
-    select_algorithm,
 )
 from recselect.meta.gbdt import (
     BoostedEnsemble,
@@ -590,7 +589,3 @@ class TestPredictors:
             for j, algo in enumerate(pm.algorithms):
                 row = np.hstack([user_x[i], enc.row(algo)])[None, :]
                 assert scores[i, j] == single.predict(row)[0]
-
-    def test_select_algorithm_breaks_ties_low(self):
-        assert select_algorithm(np.array([0.5, 0.5, 0.4])) == 0
-        assert select_algorithm(np.array([0.1, 0.9, 0.9])) == 1
