@@ -21,7 +21,7 @@ import numpy as np
 
 from .astgraph import AST_METRIC_NAMES, AstGraphMetrics, analyze_ast_file
 from .codemetrics import CODE_METRIC_NAMES, CodeMetrics, analyze_file
-from .data import SplitPair, read_id_rows
+from .data import SplitPair, read_header, read_id_rows
 from .errors import ConfigError
 from .ground_truth import evaluate_portfolio
 from .recommenders import TrainMatrix, algorithm_source_path, build_train_matrix, train_algorithm
@@ -216,12 +216,13 @@ class AlgorithmFeatureTable:
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "AlgorithmFeatureTable":
-        """Read a ``to_csv`` file; ragged rows, repeated algorithms and bad numbers are SchemaErrors."""
+        """Read a ``to_csv`` file.
+
+        A wrong header, no rows, ragged rows, repeated algorithms and bad numbers are SchemaErrors.
+        """
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            if not header or header[0] != "algorithm":
-                raise ConfigError(f"expected 'algorithm' as first column in {path}")
+            header = read_header(path, reader, "algorithm")
             names = header[1:]
             cat_start = len(names)
             for i, name in enumerate(names):

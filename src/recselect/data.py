@@ -324,6 +324,15 @@ def read_interactions_csv(path: str | os.PathLike, name: str | None = None) -> D
     return Dataset(name, tuple(interactions))
 
 
+def read_header(path: str | os.PathLike, reader, first: str) -> list[str]:
+    """The header row of a csv reader; a SchemaError naming ``path`` unless it starts with ``first``."""
+    header = next(reader, [])
+    if not header or header[0] != first:
+        found = repr(header[0]) if header else "an empty file"
+        raise SchemaError(f"{path}: expected {first!r} as the first header column, found {found}")
+    return header
+
+
 def read_id_rows(
     path: str | os.PathLike, reader, width: int, n_numeric: int | None = None, kind: str = "user"
 ) -> tuple[list[str], np.ndarray, list[tuple[str, ...]]]:
@@ -331,9 +340,10 @@ def read_id_rows(
 
     Every row must have ``width`` fields (the header's) and a ``kind`` id not
     seen before; the ``n_numeric`` fields after the id (all of them by
-    default) must be finite numbers. Anything else is a SchemaError naming the
-    line. Returns the ids, the numbers as a (rows, n_numeric) array and each
-    row's remaining fields as text.
+    default) must be finite numbers, and at least one row must follow the
+    header. Anything else is a SchemaError naming the file and, for a bad row,
+    the line. Returns the ids, the numbers as a (rows, n_numeric) array and
+    each row's remaining fields as text.
     """
     n_numeric = width - 1 if n_numeric is None else n_numeric
     ids, rows, texts, seen = [], [], [], set()
@@ -352,6 +362,8 @@ def read_id_rows(
         ids.append(row[0])
         rows.append(values)
         texts.append(tuple(row[1 + n_numeric:]))
+    if not ids:
+        raise SchemaError(f"{path}: no {kind} rows after the header")
     return ids, np.asarray(rows), texts
 
 

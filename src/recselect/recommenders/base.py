@@ -7,9 +7,9 @@ algorithms share them.
 
 Tie rule: each score row is snapped to a relative grid,
 ``q = round(s / scale * 1e9)`` with ``scale`` the row's largest ``|s|``
-(1 for an all-zero row), and items rank by ``q`` descending, then by
-ascending item index. Scores that are equal in exact arithmetic but differ in
-their last bits (the same sum taken in another order, another BLAS kernel)
+(1 when that is zero or subnormal), and items rank by ``q`` descending, then
+by ascending item index. Scores that are equal in exact arithmetic but differ
+in their last bits (the same sum taken in another order, another BLAS kernel)
 therefore rank as the tie they are, so a ranking does not depend on the
 numeric route that produced the scores.
 """
@@ -78,6 +78,48 @@ def build_train_matrix(train: Dataset) -> TrainMatrix:
     )
 
 
+def wavefronts(users: np.ndarray, items: np.ndarray, n_users: int, n_items: int) -> list[np.ndarray]:
+    """Split a sequence of SGD samples into levels that can be applied at once.
+
+    ``users`` is (n,) and ``items`` is (n, c): the user and the c distinct
+    items each sample reads and writes, in the order a sequential loop visits
+    them. A sample's level is one more than the highest level already given to
+    its user or to any of its items. So two samples of one level share no user
+    and no item, and a sample's level is above that of every earlier sample it
+    shares one with. The result lists the sample positions of each level,
+    levels in increasing order, positions ascending within a level (a stable
+    sort). Updates of samples that share no user and no item commute exactly,
+    so applying the levels in turn gives every sample's update the same state,
+    bit for bit, as the sequential loop does.
+    """
+    user_level = [0] * n_users
+    item_level = [0] * n_items
+    levels = []
+    for u, its in zip(users.tolist(), items.tolist()):
+        level = user_level[u]
+        for i in its:
+            if item_level[i] > level:
+                level = item_level[i]
+        level += 1
+        user_level[u] = level
+        for i in its:
+            item_level[i] = level
+        levels.append(level)
+    levels = np.asarray(levels, dtype=np.int64)
+    order = np.argsort(levels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(levels)[1:-1]))
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[k] @ b[k]`` for every row k, bit for bit.
+
+    A stacked ``matmul`` of (1, f) by (f, 1) runs the same dot kernel per pair
+    as the 1-D product, where ``np.einsum`` or ``(a * b).sum(1)`` may add in
+    another order.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 class RecommenderModel:
     """Base class: a trained model bound to its training matrix ids."""
 
@@ -128,8 +170,9 @@ def top_k(scores: np.ndarray, k: int, exclude: np.ndarray | None = None) -> np.n
         exclude = ~finite if exclude is None else exclude | ~finite
         scores = np.where(finite, scores, 0.0)
     scale = np.abs(scores).max(axis=1, initial=0.0, keepdims=True)
-    scale[scale == 0.0] = 1.0
-    q = scores / scale  # in [-1, 1], also for a subnormal scale
+    # A row whose largest |score| is zero or subnormal is all zero up to noise.
+    scale[scale < np.finfo(np.float64).tiny] = 1.0
+    q = scores / scale  # in [-1, 1]
     q *= SNAP_GRID
     np.round(q, out=q)  # integers in [-1e9, 1e9]
     if exclude is not None:

@@ -8,6 +8,17 @@ contributes the regularized squared-error loss
 with e = r - r_hat, whose negative gradients give the classic update rules
 b_u += lr * (e - reg * b_u), p_u += lr * (e * q_i - reg * p_u), etc.
 With factors=0 the model degenerates to the global-mean-plus-biases predictor.
+
+Each epoch visits the samples in one seeded shuffle and is applied as a
+wavefront: a sample's update reads and writes only its user's and its item's
+parameters, so samples that share no user and no item commute exactly.
+:func:`~.base.wavefronts` groups the shuffle into levels of such samples,
+keeping every sample after the earlier ones it shares a user or an item with,
+and each level is one vectorised update that reads (b_u, b_i, p_u, q_i) of all
+its samples before writing any. Row dot products go through
+:func:`~.base.row_dots`, the kernel of ``p_u @ q_i``. The factors, biases and
+epoch objectives are therefore bit for bit those of the sequential loop over
+the same shuffle.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import DivergenceError
-from .base import RecommenderModel, TrainMatrix
+from .base import RecommenderModel, TrainMatrix, row_dots, wavefronts
 
 
 def predict_one(mu: float, b_u: float, b_i: float, p_u: np.ndarray, q_i: np.ndarray) -> float:
@@ -41,12 +52,14 @@ def sample_gradients(mu, b_u, b_i, p_u, q_i, rating, reg):
     )
 
 
-def training_objective(mu, b_user, b_item, p, q, samples, reg) -> float:
-    """Full-dataset objective: sum of squared errors plus the L2 penalty."""
-    total = 0.0
-    for u, i, r in samples:
-        e = r - predict_one(mu, b_user[u], b_item[i], p[u], q[i])
-        total += e * e
+def training_objective(mu, b_user, b_item, p, q, users, items, ratings, reg) -> float:
+    """Full-dataset objective: sum of squared errors plus the L2 penalty.
+
+    The squared errors are added in sample order from 0.0 (a cumulative sum
+    is sequential), as a per-sample loop with :func:`predict_one` adds them.
+    """
+    e = ratings - (mu + b_user[users] + b_item[items] + row_dots(p[users], q[items]))
+    total = np.cumsum(np.concatenate(([0.0], e * e)))[-1]
     penalty = float(b_user @ b_user + b_item @ b_item) + float((p * p).sum() + (q * q).sum())
     return total + reg * penalty
 
@@ -75,7 +88,7 @@ def train_biasedmf(
     reg: float = 0.02,
     seed: int = 0,
 ) -> BiasedMFModel:
-    """SGD over all observed ratings, one seeded shuffle per epoch."""
+    """SGD over all observed ratings, one seeded shuffle per epoch, applied in wavefronts."""
     if factors < 0 or epochs < 0:
         raise ValueError("factors and epochs must be >= 0")
     if lr <= 0 or reg < 0:
@@ -92,18 +105,20 @@ def train_biasedmf(
     p = rng.normal(0.0, 0.1, size=(matrix.n_users, factors))
     q = rng.normal(0.0, 0.1, size=(matrix.n_items, factors))
 
-    samples = list(zip(users.tolist(), items.tolist(), ratings.tolist()))
     objectives = []
     for _ in range(epochs):
-        for s in rng.permutation(n_samples):
-            u, i, r = samples[s]
-            e = r - (mu + b_user[u] + b_item[i] + p[u] @ q[i])
-            b_user[u] += lr * (e - reg * b_user[u])
-            b_item[i] += lr * (e - reg * b_item[i])
-            p_u = p[u].copy()
-            p[u] += lr * (e * q[i] - reg * p_u)
-            q[i] += lr * (e * p_u - reg * q[i])
-        objective = training_objective(mu, b_user, b_item, p, q, samples, reg)
+        shuffle = rng.permutation(n_samples)
+        for level in wavefronts(users[shuffle], items[shuffle, None], matrix.n_users, matrix.n_items):
+            s = shuffle[level]
+            u, i = users[s], items[s]
+            b_u, b_i, p_u, q_i = b_user[u], b_item[i], p[u], q[i]
+            e = ratings[s] - (mu + b_u + b_i + row_dots(p_u, q_i))
+            b_user[u] = b_u + lr * (e - reg * b_u)
+            b_item[i] = b_i + lr * (e - reg * b_i)
+            e = e[:, None]
+            p[u] = p_u + lr * (e * q_i - reg * p_u)
+            q[i] = q_i + lr * (e * p_u - reg * q_i)
+        objective = training_objective(mu, b_user, b_item, p, q, users, items, ratings, reg)
         if not np.isfinite(objective):
             raise DivergenceError(
                 f"biasedmf diverged (non-finite objective) at lr={lr}; lower the learning rate"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, read_id_rows
+from .data import Dataset, read_header, read_id_rows
 from .errors import SchemaError
 
 USER_FEATURE_NAMES = (
@@ -120,11 +120,14 @@ class UserFeatureTable:
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "UserFeatureTable":
-        """Read a ``to_csv`` file; ragged rows, repeated users and NaN/inf are SchemaErrors."""
+        """Read a ``to_csv`` file.
+
+        A wrong header, no rows, ragged rows, repeated users and NaN/inf are SchemaErrors.
+        """
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            if not header or header[0] != "user" or tuple(header[1:]) != USER_FEATURE_NAMES:
+            header = read_header(path, reader, "user")
+            if tuple(header[1:]) != USER_FEATURE_NAMES:
                 raise SchemaError(f"unexpected user-feature header in {path}")
             users, rows, _ = read_id_rows(path, reader, len(header))
         return cls(users, USER_FEATURE_NAMES, rows)

@@ -260,6 +260,7 @@ class TestCsv:
         ("pop,10,Popularity\npop,12,Popularity\n", "line 3 repeats algorithm 'pop'"),
         ("pop,10\n", "line 2 has 2 fields, the header has 3"),
         ("pop,10,Popularity,Counting\n", "line 2 has 4 fields"),
+        ("", "af.csv: no algorithm rows after the header"),
     ])
     def test_from_csv_rejects_malformed_rows(self, tmp_path, body, message):
         path = tmp_path / "af.csv"
@@ -270,7 +271,7 @@ class TestCsv:
     def test_header_must_start_with_algorithm(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("algo,sloc\npop,10\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(SchemaError, match="bad.csv: expected 'algorithm' as the first header column"):
             AlgorithmFeatureTable.from_csv(path)
 
 

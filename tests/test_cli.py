@@ -396,6 +396,34 @@ class TestEvaluateCommand:
         if corruption == "missing_algorithm":
             assert "'ease'" in err
 
+    @pytest.mark.parametrize("key, stage_out, name", [
+        ("performance_matrix", "gt_out", "performance_matrix.csv"),
+        ("user_features", "feat_out", "user_features.csv"),
+        ("algo_features", "feat_out", "algorithm_features.csv"),
+    ])
+    @pytest.mark.parametrize("corruption", ["wrong_first_column", "header_only", "empty_file"])
+    def test_bad_header_or_no_rows_exit_1_naming_the_file(
+        self, pipeline, tmp_path, capsys, key, stage_out, name, corruption
+    ):
+        with open(os.path.join(pipeline[stage_out], name), newline="") as fh:
+            rows = list(csv.reader(fh))
+        if corruption == "wrong_first_column":
+            rows[0][0] = "id"
+        else:
+            rows = rows[:1] if corruption == "header_only" else []
+        bad_table = tmp_path / name
+        with open(bad_table, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with open(pipeline["eval_cfg"]) as fh:
+            config = json.load(fh)
+        config[key] = str(bad_table)
+        cfg = write_config(str(tmp_path), "eval.json", config)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o"), "--mode", "user_algo"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad_table}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_required_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(str(tmp_path), "eval.json", {"user_features": "x.csv"})
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -140,7 +140,7 @@ class TestPerformanceMatrix:
     def test_from_csv_requires_user_header(self, tmp_path):
         path = tmp_path / "pm.csv"
         path.write_text("name,a\nu1,0.5\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError, match="pm.csv: expected 'user' as the first header column, found 'name'"):
             PerformanceMatrix.from_csv(path)
 
     @pytest.mark.parametrize("body, message", [
@@ -150,6 +150,7 @@ class TestPerformanceMatrix:
         ("u1,0.5,0.1\nu2,0.2\n", "fields"),
         ("u1,0.5,0.1,0.9\n", "fields"),
         ("u1,0.5,high\n", "could not convert"),
+        ("", "pm.csv: no user rows after the header"),
     ])
     def test_from_csv_rejects_malformed_rows(self, tmp_path, body, message):
         path = tmp_path / "pm.csv"

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from scipy.special import expit
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recselect.data import temporal_split_per_user
@@ -36,6 +37,7 @@ from recselect.recommenders import (
     train_portfolio,
 )
 from recselect.recommenders import biasedmf, bpr, ease, implicitmf, itemknn, pop, userknn
+from recselect.recommenders.base import wavefronts
 
 from conftest import make_dataset, random_dataset
 
@@ -205,6 +207,11 @@ class TestTopK:
         scores = np.array([[0.3, 0.1 + 0.2, 0.2]])  # 0.30000000000000004 at index 1
         np.testing.assert_array_equal(top_k(scores, 2), [[0, 1]])
         np.testing.assert_array_equal(top_k(scores[:, ::-1], 2), [[1, 2]])
+
+    def test_subnormal_noise_around_zero_keeps_the_tie(self):
+        tiny = np.nextafter(0.0, 1.0)  # one ulp above zero
+        for row in ([0.0, tiny], [-tiny, 0.0, 4 * tiny]):
+            np.testing.assert_array_equal(top_k(np.array([row]), len(row)), [np.arange(len(row))])
 
 
 class TestPopularity:
@@ -485,6 +492,143 @@ class TestBPR:
             bpr.train_bpr(m, lr=-0.1)
         with pytest.raises(ValueError):
             bpr.train_bpr(m, factors=0)
+
+
+def sequential_biasedmf(matrix, factors, epochs, lr, reg, seed):
+    """Per-sample SGD over each epoch's shuffle: the order the wavefront trainer must reproduce."""
+    coo = sp.coo_matrix(matrix.matrix)
+    samples = list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+    rng = np.random.default_rng(seed)
+    mu = float(coo.data.mean())
+    b_user, b_item = np.zeros(matrix.n_users), np.zeros(matrix.n_items)
+    p = rng.normal(0.0, 0.1, size=(matrix.n_users, factors))
+    q = rng.normal(0.0, 0.1, size=(matrix.n_items, factors))
+    objectives = []
+    for _ in range(epochs):
+        for s in rng.permutation(len(samples)):
+            u, i, r = samples[s]
+            e = r - (mu + b_user[u] + b_item[i] + p[u] @ q[i])
+            b_user[u] += lr * (e - reg * b_user[u])
+            b_item[i] += lr * (e - reg * b_item[i])
+            p_u = p[u].copy()
+            p[u] += lr * (e * q[i] - reg * p_u)
+            q[i] += lr * (e * p_u - reg * q[i])
+        total = 0.0
+        for u, i, r in samples:
+            e = r - biasedmf.predict_one(mu, b_user[u], b_item[i], p[u], q[i])
+            total += e * e
+        penalty = float(b_user @ b_user + b_item @ b_item) + float((p * p).sum() + (q * q).sum())
+        objectives.append(total + reg * penalty)
+    return b_user, b_item, p, q, objectives
+
+
+def sequential_bpr(matrix, factors, epochs, lr, reg, seed):
+    """Per-sample BPR SGD, negatives drawn inside the loop; users with no negative are skipped."""
+    coo = sp.coo_matrix(matrix.matrix)
+    seen_sets = [set(s.tolist()) for s in matrix.seen]
+    n_items = matrix.n_items
+    rng = np.random.default_rng(seed)
+    p = 0.01 * rng.standard_normal((matrix.n_users, factors))
+    q = 0.01 * rng.standard_normal((n_items, factors))
+    for _ in range(epochs):
+        for s in rng.permutation(coo.nnz):
+            u, i = int(coo.row[s]), int(coo.col[s])
+            seen = seen_sets[u]
+            if len(seen) >= n_items:
+                continue
+            j = int(rng.integers(n_items))
+            while j in seen:
+                j = int(rng.integers(n_items))
+            g = expit(-(p[u] @ (q[i] - q[j])))
+            p_u = p[u].copy()
+            p[u] += lr * (g * (q[i] - q[j]) - reg * p_u)
+            q[i] += lr * (g * p_u - reg * q[i])
+            q[j] += lr * (-g * p_u - reg * q[j])
+    return p, q
+
+
+@st.composite
+def rating_matrices(draw):
+    """Small user-item matrices with repeated users and items (deep wavefronts).
+
+    Hypothesis shrinks indices towards 0, so low users and items are hot. With
+    ``full`` one user rates every item: BPR has no negative for that user.
+    """
+    n_users, n_items = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1)),
+                         min_size=1, max_size=40))
+    if draw(st.booleans()):
+        pairs |= {(0, i) for i in range(n_items)}
+    rows = [(f"u{u}", f"i{i}", float(draw(st.integers(1, 5))), t) for t, (u, i) in enumerate(sorted(pairs))]
+    return build_train_matrix(make_dataset(rows))
+
+
+SINGLE_SAMPLE = build_train_matrix(make_dataset([("u0", "i0", 4.0, 0)]))
+# "full" has seen every item, so BPR draws no negative for it and skips its samples.
+FULL_USER = build_train_matrix(make_dataset([("full", "a", 1.0, 0), ("full", "b", 1.0, 1), ("other", "a", 1.0, 2)]))
+
+
+class TestWavefrontSGD:
+    """The wavefront trainers equal the sequential per-sample loops bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rating_matrices(), st.sampled_from([0, 1, 2, 3, 8, 17, 40]), st.integers(0, 3),
+           st.sampled_from([0.01, 0.2]), st.sampled_from([0.0, 0.05]), st.integers(0, 2**32 - 1))
+    @example(SINGLE_SAMPLE, 2, 3, 0.2, 0.05, 0)
+    @example(SINGLE_SAMPLE, 0, 2, 0.2, 0.05, 0)
+    def test_biasedmf_equals_the_sequential_loop(self, m, factors, epochs, lr, reg, seed):
+        model = biasedmf.train_biasedmf(m, factors=factors, epochs=epochs, lr=lr, reg=reg, seed=seed)
+        b_user, b_item, p, q, objectives = sequential_biasedmf(m, factors, epochs, lr, reg, seed)
+        for got, want in ((model.b_user, b_user), (model.b_item, b_item), (model.p, p), (model.q, q)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(model.epoch_objectives, objectives)
+        assert len(model.epoch_objectives) == epochs
+
+    @settings(max_examples=150, deadline=None)
+    @given(rating_matrices(), st.sampled_from([1, 2, 3, 8, 17, 40]), st.integers(0, 3),
+           st.sampled_from([0.05, 0.5]), st.sampled_from([0.0, 0.01]), st.integers(0, 2**32 - 1))
+    @example(SINGLE_SAMPLE, 3, 2, 0.5, 0.01, 0)
+    @example(FULL_USER, 2, 3, 0.5, 0.01, 4)
+    def test_bpr_equals_the_sequential_loop(self, m, factors, epochs, lr, reg, seed):
+        model = bpr.train_bpr(m, factors=factors, epochs=epochs, lr=lr, reg=reg, seed=seed)
+        p, q = sequential_bpr(m, factors, epochs, lr, reg, seed)
+        assert np.array_equal(model.p, p)
+        assert np.array_equal(model.q, q)
+
+    @pytest.mark.parametrize("n_users, n_items, power", [(100, 60, 3), (500, 4000, 1)])
+    def test_larger_matrices_equal_the_sequential_loops(self, n_users, n_items, power):
+        # power 3 makes low ids hot: 864 ratings in about 90 levels per epoch, and user 0
+        # has seen 55 of 60 items, so most of its negative draws are rejected;
+        # power 1 spreads 1,499 ratings thin: about 10 levels, rare rejections.
+        rng = np.random.default_rng(11)
+        users = (n_users * rng.random(1500) ** power).astype(int)
+        items = (n_items * rng.random(1500) ** power).astype(int)
+        pairs = sorted(set(zip(users.tolist(), items.tolist())))
+        m = build_train_matrix(make_dataset([(f"u{u}", f"i{i}", 1.0 + (u + i) % 5, t)
+                                             for t, (u, i) in enumerate(pairs)]))
+        model = biasedmf.train_biasedmf(m, factors=5, epochs=2, lr=0.05, seed=3)
+        assert np.array_equal(model.q, sequential_biasedmf(m, 5, 2, 0.05, 0.02, 3)[3])
+        model = bpr.train_bpr(m, factors=5, epochs=2, lr=0.1, seed=3)
+        assert np.array_equal(model.q, sequential_bpr(m, 5, 2, 0.1, 0.002, 3)[1])
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 5)), max_size=40))
+    def test_levels_share_nothing_and_keep_each_chain_in_order(self, samples):
+        samples = [(u, i, j) for u, i, j in samples if i != j]
+        users = np.array([s[0] for s in samples], dtype=np.int64)
+        items = np.array([s[1:] for s in samples], dtype=np.int64).reshape(-1, 2)
+        levels = wavefronts(users, items, 5, 6)
+        order = np.concatenate(levels)
+        assert sorted(order.tolist()) == list(range(len(samples)))
+        level_of = np.empty(len(samples), dtype=np.int64)
+        for depth, level in enumerate(levels):
+            assert np.all(np.diff(level) > 0)
+            assert len(set(users[level].tolist())) == level.size
+            assert len(set(items[level].ravel().tolist())) == 2 * level.size
+            level_of[level] = depth
+        for a in range(len(samples)):
+            for b in range(a + 1, len(samples)):
+                if users[a] == users[b] or set(items[a].tolist()) & set(items[b].tolist()):
+                    assert level_of[a] < level_of[b]
 
 
 class TestEase:

@@ -188,6 +188,19 @@ class TestTable:
         with pytest.raises(SchemaError):
             UserFeatureTable.from_csv(path)
 
+    @pytest.mark.parametrize("header, body, message", [
+        ("user", "", "uf.csv: no user rows after the header"),
+        ("id", "a" + ",1" * 15 + "\n", "uf.csv: expected 'user' as the first header column, found 'id'"),
+        ("user", "a" + ",1" * 14 + ",nan\n", "line 2 .* non-finite"),
+        ("user", "a" + ",1" * 14 + "\n", "line 2 has 15 fields, the header has 16"),
+        ("user", "a" + ",1" * 15 + "\na" + ",2" * 15 + "\n", "line 3 repeats user 'a'"),
+    ])
+    def test_from_csv_rejects_malformed_rows(self, tmp_path, header, body, message):
+        path = tmp_path / "uf.csv"
+        path.write_text(",".join((header,) + USER_FEATURE_NAMES) + "\n" + body)
+        with pytest.raises(SchemaError, match=message):
+            UserFeatureTable.from_csv(path)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_features_rejected(self):
         ds = make_dataset([("a", "x", float("inf"), 0)])
