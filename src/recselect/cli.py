@@ -33,6 +33,7 @@ from .data import (
     sample_users,
     temporal_split_per_user,
     write_interactions_csv,
+    write_json,
 )
 from .errors import ConfigError, RecselectError, SchemaError
 from .experiment import (
@@ -99,10 +100,7 @@ def _write_manifest(out_dir, command, config, seed, inputs, outputs, extra=None)
     }
     if extra:
         manifest.update(extra)
-    path = os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(manifest, os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json"))
 
 
 def _portfolio_from_config(raw) -> PortfolioConfig:
@@ -159,9 +157,7 @@ def cmd_ingest(config: dict, out_dir: str, seed: int | None) -> list[str]:
     clean_path = os.path.join(out_dir, f"{ingest_cfg.name}_clean.csv")
     write_interactions_csv(dataset, clean_path)
     stats_json = os.path.join(out_dir, f"{ingest_cfg.name}_stats.json")
-    with open(stats_json, "w", encoding="utf-8") as fh:
-        json.dump({"dataset": ingest_cfg.name, **stats.as_dict()}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json({"dataset": ingest_cfg.name, **stats.as_dict()}, stats_json)
     stats_csv = os.path.join(out_dir, f"{ingest_cfg.name}_stats.csv")
     with open(stats_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -206,9 +202,7 @@ def cmd_ground_truth(config: dict, out_dir: str, seed: int | None) -> list[str]:
         "column_mean_ndcg": dict(zip(pm.algorithms, pm.column_means().tolist())),
     }
     summary_path = os.path.join(out_dir, "ground_truth_summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(summary, summary_path)
 
     outputs = [pm_path, summary_path]
     if config.get("save_models", False):
@@ -307,9 +301,7 @@ def _load_eval_inputs(config: dict, need_algo: bool):
 
 def _write_report_files(out_dir: str, stem: str, report) -> list[str]:
     json_path = os.path.join(out_dir, f"{stem}.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(report.to_dict(), json_path)
     md_path = os.path.join(out_dir, f"{stem}.md")
     with open(md_path, "w", encoding="utf-8") as fh:
         fh.write(report.render_markdown())

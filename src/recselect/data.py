@@ -12,7 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -128,12 +128,6 @@ class IngestConfig:
             for event, weight in self.event_weights.items():
                 if not (math.isfinite(weight) and weight > 0):
                     raise ValueError(f"event weight for {event!r} must be finite and > 0")
-
-    @classmethod
-    def from_json(cls, path: str | os.PathLike) -> "IngestConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls(**raw)
 
 
 def _parse_rating(raw: str, weights: Mapping[str, float] | None, row_index: int) -> float:
@@ -367,8 +361,8 @@ def read_id_rows(
     return ids, np.asarray(rows), texts
 
 
-def stats_row(name: str, stats: DatasetStats) -> dict:
-    """One summary-table row as written by the ingest command."""
-    row = {"dataset": name}
-    row.update(stats.as_dict())
-    return row
+def write_json(obj, path: str | os.PathLike) -> None:
+    """Write ``obj`` as sorted, two-space-indented JSON ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")

@@ -1,28 +1,31 @@
 """Nested cross-validation of per-user algorithm selection.
 
-Outer folds partition users; per fold, random-search HPO (inner user folds,
-validation MSE of predicted vs. true per-algorithm NDCG) picks the meta-
-learner configuration, which is refit on the outer training users and applied
-to the held-out users in four steps: predict a (users, algorithms) score
-matrix, select each row's best-ranked algorithm, look up the realized NDCG in
-the performance matrix, and aggregate. SBA and VBA run through the same
-selection call with the tiled column means and the true rows as score
+Users are addressed by their row position in the performance matrix
+throughout: folds, meta-datasets and score matrices are all indexed by row.
+Outer folds partition the rows; per fold, the user features are standardized
+with the training rows' statistics, and random-search HPO (inner folds of the
+training rows, validation MSE of predicted vs. true per-algorithm NDCG) picks
+the meta-learner configuration. It is refit on the outer training rows and
+applied to the held-out rows in four steps: predict a (users, algorithms)
+score matrix, select each row's best-ranked algorithm, look up the realized
+NDCG in the performance matrix, and aggregate. SBA and VBA run through the
+same selection call with the tiled column means and the true rows as score
 matrices.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import stats
 
 from .algo_features import FEATURE_CATEGORIES, AlgorithmFeatureTable
+from .data import write_json
 from .errors import ConfigError, SearchError
 from .ground_truth import PerformanceMatrix, gap_closed, single_best_algorithm
 from .meta import (
@@ -52,23 +55,24 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest, "big") >> 1
 
 
-def make_user_folds(users: Sequence[str], n_folds: int, seed: int) -> list[list[str]]:
-    """Seeded shuffle then round-robin assignment; fold sizes differ by <= 1."""
+def make_user_folds(n_users: int, n_folds: int, seed: int) -> list[np.ndarray]:
+    """Row positions of ``n_users`` users, shuffled with ``seed`` and dealt round-robin.
+
+    Fold ``f`` is ``order[f::n_folds]`` of the seeded permutation, so fold sizes
+    differ by at most one and each fold keeps the dealing order.
+    """
     if n_folds < 2:
         raise ValueError("n_folds must be >= 2")
-    if n_folds > len(users):
-        raise ValueError(f"cannot make {n_folds} folds from {len(users)} users")
-    order = np.random.default_rng(seed).permutation(len(users))
-    folds: list[list[str]] = [[] for _ in range(n_folds)]
-    for position, user_idx in enumerate(order):
-        folds[position % n_folds].append(users[user_idx])
-    return folds
+    if n_folds > n_users:
+        raise ValueError(f"cannot make {n_folds} folds from {n_users} users")
+    order = np.random.default_rng(seed).permutation(n_users)
+    return [order[f::n_folds] for f in range(n_folds)]
 
 
-def assert_user_disjoint(folds: Sequence[Sequence[str]]) -> None:
-    seen: set[str] = set()
+def assert_user_disjoint(folds: Sequence[Sequence]) -> None:
+    seen: set = set()
     for fold in folds:
-        for user in fold:
+        for user in np.asarray(fold).tolist():
             if user in seen:
                 raise AssertionError(f"user {user!r} appears in more than one fold")
             seen.add(user)
@@ -264,31 +268,39 @@ def _fit_predictor(
     mode: str,
     params: GBDTParams,
     pm: PerformanceMatrix,
-    train_users: list[str],
-    eval_users: Sequence[str],
+    train: np.ndarray,
+    held_out: np.ndarray,
     x: np.ndarray,
     enc,
 ) -> np.ndarray:
-    """Fit one meta-learner on the training users and return the eval users' score matrix.
+    """Fit one meta-learner on the ``train`` rows and score the ``held_out`` rows.
 
-    ``x`` holds every user's feature row at the user's position in ``pm.users``;
-    the scores are (eval users, algorithms).
+    ``x`` holds every user's feature row in ``pm.users`` order; the scores are
+    (``held_out`` rows, algorithms).
     """
-    x_train = x[[pm.user_pos[u] for u in train_users]]
-    x_eval = x[[pm.user_pos[u] for u in eval_users]]
     if mode == "user_only":
-        wide = build_wide(pm, x_train, train_users, [])
-        return predict_scores_user_only(fit_multi_output_gbdt(wide.x, wide.y, params), x_eval)
-    long = build_long(pm, x_train, train_users, [], enc)
-    return predict_scores_user_algo(fit_gbdt(long.x, long.y, params), x_eval, enc, pm.algorithms)
+        x_fit, y_fit = build_wide(x[train], pm.values[train])
+        return predict_scores_user_only(fit_multi_output_gbdt(x_fit, y_fit, params), x[held_out])
+    x_fit, y_fit = build_long(x[train], pm.values[train], enc.aligned(pm.algorithms))
+    return predict_scores_user_algo(fit_gbdt(x_fit, y_fit, params), x[held_out], enc, pm.algorithms)
 
 
-def _scaled_user_rows(
-    feature_matrix: np.ndarray, pm: PerformanceMatrix, train_users: Sequence[str]
-) -> np.ndarray:
-    """Every user's feature row, standardized with training-user statistics only."""
-    scaler = standardize_fit(feature_matrix[[pm.user_pos[u] for u in train_users]])
-    return standardize_apply(scaler, feature_matrix)
+def _outer_folds(
+    pm: PerformanceMatrix, user_features: UserFeatureTable, n_folds: int, seed: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(fold index, training rows, test rows, x)`` for each outer fold.
+
+    Rows are positions in ``pm.users``. The training rows ascend; the test rows
+    keep the fold's dealing order. ``x`` holds every user's feature row,
+    standardized with the training rows' statistics only.
+    """
+    n_users = len(pm.users)
+    folds = make_user_folds(n_users, n_folds, seed)
+    assert_user_disjoint(folds)
+    features = user_features.subset(pm.users).matrix
+    for fold_idx, test in enumerate(folds):
+        train = np.setdiff1d(np.arange(n_users), test)
+        yield fold_idx, train, test, standardize_apply(standardize_fit(features[train]), features)
 
 
 def run_nested_cv(
@@ -316,10 +328,6 @@ def run_nested_cv(
         raise ConfigError("user_algo mode requires an algorithm feature table")
     space = space or DEFAULT_SPACE
 
-    users = list(pm.users)
-    folds = make_user_folds(users, n_folds, seed)
-    assert_user_disjoint(folds)
-
     sba_algorithm, _ = single_best_algorithm(pm)
     column_means = pm.column_means()
     enc = encode_algo_features(algo_table) if (mode == "user_algo" and algo_table is not None) else None
@@ -331,22 +339,18 @@ def run_nested_cv(
     }
     best_params_per_fold: list[dict] = []
 
-    feature_matrix = user_features.subset(users).matrix
-    for fold_idx, test_users in enumerate(folds):
-        test_set = set(test_users)
-        train_users = [u for u in users if u not in test_set]
-        x = _scaled_user_rows(feature_matrix, pm, train_users)
-        truth = pm.subset(test_users).values
-        sba_scores = np.tile(column_means, (len(test_users), 1))
+    for fold_idx, train, test, x in _outer_folds(pm, user_features, n_folds, seed):
+        truth = pm.values[test]
+        sba_scores = np.tile(column_means, (len(test), 1))
 
         if predictor == "oracle":
             best, scores = {}, truth
         elif predictor == "single_best":
             best, scores = {}, sba_scores
         else:
-            best = _random_search(pm, space, mode, train_users, x, enc, seed, fold_idx)
+            best = _random_search(pm, space, mode, train, x, enc, seed, fold_idx)
             params = GBDTParams(**best, seed=derive_seed(seed, "refit", fold_idx)).validate()
-            scores = _fit_predictor(mode, params, pm, train_users, test_users, x, enc)
+            scores = _fit_predictor(mode, params, pm, train, test, x, enc)
         best_params_per_fold.append(best)
 
         for name, method_scores in (("model", scores), ("sba", sba_scores), ("vba", truth)):
@@ -358,7 +362,7 @@ def run_nested_cv(
         algorithms=list(pm.algorithms),
         n_folds=n_folds,
         seed=seed,
-        n_users=len(users),
+        n_users=len(pm.users),
         sba_algorithm=sba_algorithm,
         methods=methods,
         best_params_per_fold=best_params_per_fold,
@@ -366,24 +370,24 @@ def run_nested_cv(
     )
 
 
-def _random_search(pm, space, mode, train_users, x, enc, seed, fold_idx) -> dict:
-    """Random search scored by inner-fold validation MSE; first best wins ties."""
+def _random_search(pm, space, mode, train, x, enc, seed, fold_idx) -> dict:
+    """Random search over inner folds of the ``train`` rows, scored by validation MSE.
+
+    The first candidate with the lowest MSE wins ties.
+    """
     rng = np.random.default_rng(derive_seed(seed, "hpo", fold_idx))
     candidates = [space.sample(rng) for _ in range(space.n_iter)]
-    inner = make_user_folds(train_users, space.inner_folds, derive_seed(seed, "inner", fold_idx))
-    train_set = list(train_users)
+    inner = make_user_folds(len(train), space.inner_folds, derive_seed(seed, "inner", fold_idx))
 
     best_params, best_mse = None, np.inf
     for c_idx, candidate in enumerate(candidates):
         fold_mses = []
-        for i_idx, val_users in enumerate(inner):
-            val_set = set(val_users)
-            fit_users = [u for u in train_set if u not in val_set]
+        for i_idx, val in enumerate(inner):
             params = GBDTParams(
                 **candidate, seed=derive_seed(seed, "inner-fit", fold_idx, c_idx, i_idx)
             ).validate()
-            pred = _fit_predictor(mode, params, pm, fit_users, val_users, x, enc)
-            fold_mses.append(np.mean(np.mean((pred - pm.subset(val_users).values) ** 2, axis=1)))
+            pred = _fit_predictor(mode, params, pm, np.delete(train, val), train[val], x, enc)
+            fold_mses.append(np.mean(np.mean((pred - pm.values[train[val]]) ** 2, axis=1)))
         mse = float(np.mean(fold_mses))
         if mse < best_mse:
             best_mse, best_params = mse, candidate
@@ -568,22 +572,16 @@ def run_importance(
     seed: int = 0,
 ) -> ImportanceReport:
     """Split-gain importance of the pair model, aggregated over folds."""
-    users = list(pm.users)
-    folds = make_user_folds(users, n_folds, seed)
-    assert_user_disjoint(folds)
     enc = encode_algo_features(algo_table)
-    feature_matrix = user_features.subset(users).matrix
+    algo_x = enc.aligned(pm.algorithms)
     base = params or GBDTParams()
 
     names = list(user_features.names) + list(enc.feature_names)
     vectors = []
-    for fold_idx, test_users in enumerate(folds):
-        test_set = set(test_users)
-        train_users = [u for u in users if u not in test_set]
-        x = _scaled_user_rows(feature_matrix, pm, train_users)
+    for fold_idx, train, _, x in _outer_folds(pm, user_features, n_folds, seed):
         fit_params = replace(base, seed=derive_seed(seed, "importance", fold_idx)).validate()
-        long = build_long(pm, x[[pm.user_pos[u] for u in train_users]], train_users, [], enc)
-        model = fit_gbdt(long.x, long.y, fit_params)
+        x_fit, y_fit = build_long(x[train], pm.values[train], algo_x)
+        model = fit_gbdt(x_fit, y_fit, fit_params)
         importance = model.feature_importance()
         total = importance.sum()
         if total > 0 and abs(total - 1.0) > 1e-6:
@@ -602,6 +600,4 @@ def run_importance(
 
 def report_to_json(report, path: str) -> None:
     """Serialize any report dataclass with a to_dict method, deterministically."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(report.to_dict(), path)

@@ -67,10 +67,6 @@ class PerformanceMatrix:
     def column_means(self) -> np.ndarray:
         return self.values.mean(axis=0)
 
-    def subset(self, users: Sequence[str]) -> "PerformanceMatrix":
-        rows = [self.user_pos[u] for u in users]
-        return PerformanceMatrix(list(users), list(self.algorithms), self.values[rows])
-
     def to_csv(self, path: str | os.PathLike) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -2,8 +2,6 @@
 
 from .formats import (
     EncodedAlgoFeatures,
-    LongMetaDataset,
-    WideMetaDataset,
     build_long,
     build_wide,
     encode_algo_features,
@@ -31,12 +29,10 @@ __all__ = [
     "BoostedEnsemble",
     "EncodedAlgoFeatures",
     "GBDTParams",
-    "LongMetaDataset",
     "MultiOutputGBDT",
     "OneHotMap",
     "RegressionTree",
     "ScalerParams",
-    "WideMetaDataset",
     "build_long",
     "build_wide",
     "encode_algo_features",

@@ -1,12 +1,14 @@
-"""Meta-learning dataset construction and the two selector predictors.
+"""Meta-learning datasets and the two selector predictors, as plain arrays.
 
-Wide format: one row per user, one target column per algorithm (multi-output
-regression). Long format: one row per (user, algorithm) pair whose features
-concatenate the user's features with the algorithm's encoded features and
-whose target is that pair's NDCG. Long rows are user-major, algorithm-minor.
-Algorithm feature rows are addressed by id, so the long format and the
-user+algorithm predictor are invariant to reordering the algorithm table.
-Both predictors score a batch: user rows in, one (users, algorithms) matrix out.
+Every function takes row arrays: ``user_x`` holds one feature row per user and
+``y`` the same users' (users, algorithms) NDCG rows, both in one order chosen by
+the caller. Wide format: ``(user_x, y)`` as they are, for multi-output
+regression. Long format: one row per (user, algorithm) pair, user-major and
+algorithm-minor, whose features are the user's row followed by the algorithm's
+encoded row and whose target is that pair's NDCG. The algorithm rows come from
+``EncodedAlgoFeatures.aligned``, which looks each algorithm up by id, so both
+formats and predictors are invariant to reordering the algorithm table. Both
+predictors score a batch: user rows in, one (users, algorithms) matrix out.
 """
 
 from __future__ import annotations
@@ -17,17 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from ..algo_features import AlgorithmFeatureTable
-from ..ground_truth import PerformanceMatrix
-from ..user_features import UserFeatureTable
 from .gbdt import BoostedEnsemble, MultiOutputGBDT
-from .preprocess import (
-    OneHotMap,
-    ScalerParams,
-    one_hot_apply,
-    one_hot_fit,
-    standardize_apply,
-    standardize_fit,
-)
+from .preprocess import OneHotMap, one_hot_apply, one_hot_fit, standardize_apply, standardize_fit
 
 
 @dataclass
@@ -45,27 +38,20 @@ class EncodedAlgoFeatures:
         return np.vstack([self.row(a) for a in order])
 
 
-def encode_algo_features(
-    table: AlgorithmFeatureTable,
-    scaler: ScalerParams | None = None,
-    one_hot: OneHotMap | None = None,
-) -> EncodedAlgoFeatures:
-    """Scale numeric columns and one-hot the categorical ones.
+def encode_algo_features(table: AlgorithmFeatureTable) -> EncodedAlgoFeatures:
+    """Scale numeric columns and one-hot the categorical ones, both fitted on the table.
 
-    Fitted parameters may be passed in (e.g. reused across folds); by default
-    both are fitted on the table itself, which is training-side data because
-    algorithm features never depend on evaluation users.
+    Fitting on the whole table is training-side: algorithm features never
+    depend on evaluation users.
     """
-    if scaler is None:
-        scaler = standardize_fit(table.numeric) if table.numeric.shape[1] else None
-    if one_hot is None:
-        one_hot = one_hot_fit(table.categorical) if table.categorical_names else OneHotMap(())
+    n = len(table.algorithms)
     numeric = (
-        standardize_apply(scaler, table.numeric)
-        if scaler is not None
-        else np.empty((len(table.algorithms), 0))
+        standardize_apply(standardize_fit(table.numeric), table.numeric)
+        if table.numeric.shape[1]
+        else np.empty((n, 0))
     )
-    cats = one_hot_apply(one_hot, table.categorical) if one_hot.width else np.empty((len(table.algorithms), 0))
+    one_hot = one_hot_fit(table.categorical) if table.categorical_names else OneHotMap(())
+    cats = one_hot_apply(one_hot, table.categorical) if one_hot.width else np.empty((n, 0))
     names = list(table.numeric_names) + one_hot.output_names(table.categorical_names)
     return EncodedAlgoFeatures(
         algorithms=list(table.algorithms),
@@ -74,56 +60,30 @@ def encode_algo_features(
     )
 
 
-@dataclass
-class WideMetaDataset:
-    """One row per user; targets are the full per-user NDCG vectors."""
-
-    users: list[str]
-    algorithms: list[str]
-    x: np.ndarray
-    y: np.ndarray
-    feature_names: list[str]
+def build_wide(user_x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row per user; the targets are the users' full NDCG rows."""
+    user_x = np.asarray(user_x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if user_x.shape[0] != y.shape[0]:
+        raise ValueError(f"{user_x.shape[0]} user feature rows do not match {y.shape[0]} target rows")
+    return user_x, y
 
 
-@dataclass
-class LongMetaDataset:
-    """One row per (user, algorithm) pair, user-major then algorithm-minor."""
-
-    pairs: list[tuple[str, str]]
-    users: list[str]
-    algorithms: list[str]
-    x: np.ndarray
-    y: np.ndarray
-    feature_names: list[str]
+def build_long(user_x: np.ndarray, y: np.ndarray, algo_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row per (user, algorithm) pair; ``algo_x`` has one row per column of ``y``."""
+    user_x, y = build_wide(user_x, y)
+    if y.shape[1] != algo_x.shape[0]:
+        raise ValueError(f"{y.shape[1]} target columns do not match {algo_x.shape[0]} algorithm rows")
+    return _pair_rows(user_x, algo_x), y.reshape(-1)
 
 
-def build_wide(pm: PerformanceMatrix, user_x: np.ndarray, users: Sequence[str], feature_names: Sequence[str]) -> WideMetaDataset:
-    if user_x.shape[0] != len(users):
-        raise ValueError("user feature rows do not match user list")
-    y = np.vstack([pm.row(u) for u in users])
-    return WideMetaDataset(list(users), list(pm.algorithms), np.asarray(user_x), y, list(feature_names))
-
-
-def build_long(
-    pm: PerformanceMatrix,
-    user_x: np.ndarray,
-    users: Sequence[str],
-    user_feature_names: Sequence[str],
-    algo: EncodedAlgoFeatures,
-) -> LongMetaDataset:
-    """Cross every user row with every algorithm row, keyed by algorithm id."""
-    if user_x.shape[0] != len(users):
-        raise ValueError("user feature rows do not match user list")
-    algo_block = algo.aligned(pm.algorithms)
-    n_algos = len(pm.algorithms)
-    x = np.hstack([
+def _pair_rows(user_x: np.ndarray, algo_x: np.ndarray) -> np.ndarray:
+    """Each user row joined to each algorithm row, user-major and algorithm-minor."""
+    n_users, n_algos = user_x.shape[0], algo_x.shape[0]
+    return np.hstack([
         np.repeat(np.asarray(user_x, dtype=np.float64), n_algos, axis=0),
-        np.tile(algo_block, (len(users), 1)),
+        np.tile(algo_x, (n_users, 1)),
     ])
-    y = pm.values[[pm.user_pos[u] for u in users]].reshape(-1)
-    pairs = [(user, algorithm) for user in users for algorithm in pm.algorithms]
-    names = list(user_feature_names) + list(algo.feature_names)
-    return LongMetaDataset(pairs, list(users), list(pm.algorithms), x, y, names)
 
 
 def predict_scores_user_only(model: MultiOutputGBDT, user_rows: np.ndarray) -> np.ndarray:
@@ -137,12 +97,7 @@ def predict_scores_user_algo(
     algo: EncodedAlgoFeatures,
     algorithms: Sequence[str],
 ) -> np.ndarray:
-    """Predicted NDCG, (users, algorithms), from concatenated pair features.
-
-    The pair rows are user-major, algorithm-minor, as ``build_long`` lays them out.
-    """
-    block = algo.aligned(algorithms)
-    n_users = user_rows.shape[0]
-    x = np.hstack([np.repeat(user_rows, block.shape[0], axis=0), np.tile(block, (n_users, 1))])
-    return model.predict(x).reshape(n_users, block.shape[0])
-
+    """Predicted NDCG, (users, algorithms), from the pair rows ``build_long`` lays out."""
+    return model.predict(_pair_rows(user_rows, algo.aligned(algorithms))).reshape(
+        len(user_rows), len(algorithms)
+    )

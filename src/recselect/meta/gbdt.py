@@ -19,7 +19,7 @@ the tree assigned while it was built instead of predicting the rows again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -273,13 +273,5 @@ def fit_multi_output_gbdt(x: np.ndarray, y: np.ndarray, params: GBDTParams) -> M
         raise ValueError("y must be 2-D (rows x outputs)")
     ensembles = []
     for j in range(y.shape[1]):
-        column_params = GBDTParams(
-            num_trees=params.num_trees,
-            learning_rate=params.learning_rate,
-            max_depth=params.max_depth,
-            min_samples_leaf=params.min_samples_leaf,
-            subsample=params.subsample,
-            seed=params.seed + j,
-        )
-        ensembles.append(fit_gbdt(x, y[:, j], column_params))
+        ensembles.append(fit_gbdt(x, y[:, j], replace(params, seed=params.seed + j)))
     return MultiOutputGBDT(ensembles, params)

@@ -106,27 +106,48 @@ class TestDeriveSeed:
 
 class TestFolds:
     def test_partition_and_balance(self):
-        users = [f"u{i}" for i in range(11)]
-        folds = make_user_folds(users, 3, seed=4)
-        assert sorted(u for f in folds for u in f) == sorted(users)
+        folds = make_user_folds(11, 3, seed=4)
+        assert sorted(int(r) for f in folds for r in f) == list(range(11))
         sizes = [len(f) for f in folds]
         assert max(sizes) - min(sizes) <= 1
 
     def test_seeded_determinism(self):
-        users = [f"u{i}" for i in range(9)]
-        assert make_user_folds(users, 3, 7) == make_user_folds(users, 3, 7)
-        assert make_user_folds(users, 3, 7) != make_user_folds(users, 3, 8)
+        same = zip(make_user_folds(9, 3, 7), make_user_folds(9, 3, 7))
+        assert all(np.array_equal(a, b) for a, b in same)
+        other = zip(make_user_folds(9, 3, 7), make_user_folds(9, 3, 8))
+        assert not all(np.array_equal(a, b) for a, b in other)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 60), st.integers(2, 12), st.integers(0, 2 ** 63 - 1))
+    def test_folds_deal_the_seeded_permutation_round_robin(self, n, k, seed):
+        """Report bytes depend on this exact order: test rows are scored in it."""
+        if k > n:
+            with pytest.raises(ValueError):
+                make_user_folds(n, k, seed)
+            return
+        folds = make_user_folds(n, k, seed)
+        assert len(folds) == k
+        assert sorted(int(r) for f in folds for r in f) == list(range(n))
+        sizes = [len(f) for f in folds]
+        assert max(sizes) - min(sizes) <= 1
+        dealt = [[] for _ in range(k)]
+        for position, row in enumerate(np.random.default_rng(seed).permutation(n)):
+            dealt[position % k].append(int(row))
+        assert [f.tolist() for f in folds] == dealt
 
     def test_bounds_are_enforced(self):
         with pytest.raises(ValueError):
-            make_user_folds(["a", "b"], 1, 0)
+            make_user_folds(2, 1, 0)
         with pytest.raises(ValueError):
-            make_user_folds(["a", "b"], 3, 0)
+            make_user_folds(2, 3, 0)
 
     def test_disjointness_guard_names_the_offender(self):
         assert_user_disjoint([["a", "b"], ["c"]])
         with pytest.raises(AssertionError, match="'b'"):
             assert_user_disjoint([["a", "b"], ["b"]])
+        assert_user_disjoint(make_user_folds(10, 3, 0))
+        with pytest.raises(AssertionError, match="user 4 "):
+            assert_user_disjoint([np.array([0, 4]), np.array([4, 1])])
 
 
 class TestCiHalfWidth:

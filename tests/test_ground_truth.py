@@ -118,12 +118,6 @@ class TestPerformanceMatrix:
         with pytest.raises(ValueError):
             PerformanceMatrix(["u1"], ["a", "b"], np.zeros((2, 2)))
 
-    def test_subset_preserves_rows(self):
-        pm = self.fixture_matrix()
-        sub = pm.subset(["u2"])
-        assert sub.users == ["u2"]
-        np.testing.assert_array_equal(sub.values, [[0.2, 0.8]])
-
     def test_csv_round_trip_is_close_to_ten_decimals(self, tmp_path):
         rng = np.random.default_rng(0)
         pm = PerformanceMatrix(

@@ -7,6 +7,8 @@ split search and the flat level-wise tree walk are checked bitwise against
 an argsort-per-node search and a recursive walk kept here as references.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,13 +135,6 @@ class TestEncoding:
         np.testing.assert_array_equal(enc.aligned(["z", "x"])[0], enc.row("z"))
         np.testing.assert_array_equal(enc.aligned(["z", "x"])[1], enc.row("x"))
 
-    def test_prefitted_scaler_is_respected(self):
-        table = synthetic_algo_table()
-        scaler = standardize_fit(table.numeric * 2.0)
-        enc = encode_algo_features(table, scaler=scaler)
-        want = standardize_apply(scaler, table.numeric)
-        np.testing.assert_allclose(enc.matrix[:, :4], want)
-
 
 def small_pm():
     return PerformanceMatrix(
@@ -153,38 +148,37 @@ class TestMetaDatasets:
     def test_wide_targets_are_matrix_rows(self):
         pm = small_pm()
         user_x = np.arange(6.0).reshape(3, 2)
-        wide = build_wide(pm, user_x, ["u0", "u1", "u2"], ["f0", "f1"])
-        np.testing.assert_array_equal(wide.y, pm.values)
-        np.testing.assert_array_equal(wide.x, user_x)
-        assert wide.algorithms == ["x", "y"]
+        x, y = build_wide(user_x, pm.values)
+        np.testing.assert_array_equal(y, pm.values)
+        np.testing.assert_array_equal(x, user_x)
 
     def test_wide_row_subset_follows_user_list(self):
         pm = small_pm()
-        wide = build_wide(pm, np.zeros((2, 1)), ["u2", "u0"], ["f0"])
-        np.testing.assert_array_equal(wide.y[0], pm.row("u2"))
-        np.testing.assert_array_equal(wide.y[1], pm.row("u0"))
+        rows = np.array([2, 0])
+        _, y = build_wide(np.zeros((2, 1)), pm.values[rows])
+        np.testing.assert_array_equal(y[0], pm.row("u2"))
+        np.testing.assert_array_equal(y[1], pm.row("u0"))
 
     def test_long_is_user_major_algorithm_minor(self):
         pm = small_pm()
         enc = EncodedAlgoFeatures(["x", "y"], ["a0"], np.array([[10.0], [20.0]]))
         user_x = np.array([[1.0], [2.0], [3.0]])
-        long = build_long(pm, user_x, ["u0", "u1", "u2"], ["f0"], enc)
-        assert long.pairs[:4] == [("u0", "x"), ("u0", "y"), ("u1", "x"), ("u1", "y")]
-        np.testing.assert_array_equal(long.x[0], [1.0, 10.0])
-        np.testing.assert_array_equal(long.x[1], [1.0, 20.0])
-        assert long.y[0] == pm.lookup("u0", "x")
-        assert long.y[1] == pm.lookup("u0", "y")
-        assert long.feature_names == ["f0", "a0"]
+        x, y = build_long(user_x, pm.values, enc.aligned(pm.algorithms))
+        assert x.shape == (6, 2)
+        np.testing.assert_array_equal(x[:4], [[1.0, 10.0], [1.0, 20.0], [2.0, 10.0], [2.0, 20.0]])
+        assert y[0] == pm.lookup("u0", "x")
+        assert y[1] == pm.lookup("u0", "y")
+        assert y[2] == pm.lookup("u1", "x")
 
     def test_long_invariant_to_algo_table_row_order(self):
         pm = small_pm()
         fwd = EncodedAlgoFeatures(["x", "y"], ["a0"], np.array([[10.0], [20.0]]))
         rev = EncodedAlgoFeatures(["y", "x"], ["a0"], np.array([[20.0], [10.0]]))
         user_x = np.array([[1.0], [2.0], [3.0]])
-        a = build_long(pm, user_x, ["u0", "u1", "u2"], ["f0"], fwd)
-        b = build_long(pm, user_x, ["u0", "u1", "u2"], ["f0"], rev)
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.y, b.y)
+        a = build_long(user_x, pm.values, fwd.aligned(pm.algorithms))
+        b = build_long(user_x, pm.values, rev.aligned(pm.algorithms))
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_long_equals_pair_by_pair_reference(self):
         rng = np.random.default_rng(4)
@@ -192,23 +186,26 @@ class TestMetaDatasets:
         algorithms = ["x", "y", "z"]
         pm = PerformanceMatrix(users, algorithms, rng.random((5, 3)))
         enc = EncodedAlgoFeatures(["z", "x", "y"], ["a0", "a1"], rng.normal(size=(3, 2)))
-        order = ["u3", "u0", "u4"]
+        rows = np.array([3, 0, 4])
         user_x = rng.normal(size=(3, 4))
-        long = build_long(pm, user_x, order, ["f0", "f1", "f2", "f3"], enc)
-        x, y, pairs = [], [], []
-        for ui, user in enumerate(order):
+        long_x, long_y = build_long(user_x, pm.values[rows], enc.aligned(algorithms))
+        x, y = [], []
+        for ui, row in enumerate(rows):
             for algorithm in algorithms:
                 x.append(np.concatenate([user_x[ui], enc.row(algorithm)]))
-                y.append(pm.lookup(user, algorithm))
-                pairs.append((user, algorithm))
-        assert long.x.tobytes() == np.array(x).tobytes()
-        assert long.y.tobytes() == np.array(y).tobytes()
-        assert long.pairs == pairs
+                y.append(pm.lookup(users[row], algorithm))
+        assert long_x.tobytes() == np.array(x).tobytes()
+        assert long_y.tobytes() == np.array(y).tobytes()
 
     def test_row_count_mismatch_rejected(self):
         pm = small_pm()
-        with pytest.raises(ValueError):
-            build_wide(pm, np.zeros((2, 1)), ["u0", "u1", "u2"], ["f0"])
+        algo_x = np.zeros((2, 1))
+        with pytest.raises(ValueError, match="2 user feature rows do not match 3 target rows"):
+            build_wide(np.zeros((2, 1)), pm.values)
+        with pytest.raises(ValueError, match="2 user feature rows do not match 3 target rows"):
+            build_long(np.zeros((2, 1)), pm.values, algo_x)
+        with pytest.raises(ValueError, match="2 target columns do not match 3 algorithm rows"):
+            build_long(np.zeros((3, 1)), pm.values, np.zeros((3, 1)))
 
 
 def brute_force_stump(x, y, min_samples_leaf=1):
@@ -541,6 +538,12 @@ class TestMultiOutput:
         with pytest.raises(ValueError):
             fit_multi_output_gbdt(np.ones((4, 2)), np.ones(4), GBDTParams())
 
+    def test_each_output_keeps_every_param_but_the_seed(self):
+        params = GBDTParams(num_trees=3, learning_rate=0.2, max_depth=2, min_samples_leaf=2,
+                            subsample=0.8, seed=5)
+        multi = fit_multi_output_gbdt(np.arange(20.0).reshape(10, 2), np.ones((10, 3)), params)
+        assert [e.params for e in multi.ensembles] == [replace(params, seed=5 + j) for j in range(3)]
+
 
 class TestParams:
     @pytest.mark.parametrize("bad", [
@@ -566,12 +569,9 @@ class TestPredictors:
         pm = small_pm()
         enc = EncodedAlgoFeatures(["x", "y"], ["a0"], np.array([[0.0], [1.0]]))
         user_x = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
-        users = ["u0", "u1", "u2"]
-        wide = build_wide(pm, user_x, users, ["f0", "f1"])
-        long = build_long(pm, user_x, users, ["f0", "f1"], enc)
         params = GBDTParams(num_trees=8, learning_rate=0.5, max_depth=2, seed=0)
-        multi = fit_multi_output_gbdt(wide.x, wide.y, params)
-        single = fit_gbdt(long.x, long.y, params)
+        multi = fit_multi_output_gbdt(*build_wide(user_x, pm.values), params)
+        single = fit_gbdt(*build_long(user_x, pm.values, enc.aligned(pm.algorithms)), params)
         return pm, enc, user_x, multi, single
 
     def test_user_only_scores_equal_direct_prediction(self):
