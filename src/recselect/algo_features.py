@@ -21,7 +21,7 @@ import numpy as np
 
 from .astgraph import AST_METRIC_NAMES, AstGraphMetrics, analyze_ast_file
 from .codemetrics import CODE_METRIC_NAMES, CodeMetrics, analyze_file
-from .data import SplitPair, read_header, read_id_rows
+from .data import SplitPair, open_table, read_header, read_id_rows
 from .errors import ConfigError
 from .ground_truth import evaluate_portfolio
 from .recommenders import TrainMatrix, algorithm_source_path, build_train_matrix, train_algorithm
@@ -220,8 +220,7 @@ class AlgorithmFeatureTable:
 
         A wrong header, no rows, ragged rows, repeated algorithms and bad numbers are SchemaErrors.
         """
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        with open_table(path) as reader:
             header = read_header(path, reader, "algorithm")
             names = header[1:]
             cat_start = len(names)

@@ -79,11 +79,14 @@ def _sha256(path: str) -> str:
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, found {type(config).__name__}")
+    return config
 
 
 def _write_manifest(out_dir, command, config, seed, inputs, outputs, extra=None):
@@ -117,9 +120,28 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _int_option(config: dict, key: str, default: int, minimum: int) -> int:
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"config key {key!r} must be an integer >= {minimum}, found {value!r}")
+    return value
+
+
+def _run_seed(config: dict, seed: int | None) -> int:
+    """The --seed override, else the config's ``seed`` (default 0)."""
+    return seed if seed is not None else _int_option(config, "seed", 0, 0)
+
+
+def _require_path(config: dict, key: str) -> str:
+    path = _require(config, key)
+    if not isinstance(path, str):
+        raise ConfigError(f"config key {key!r} must be a file path, found {path!r}")
+    return path
+
+
 def cmd_synth(config: dict, out_dir: str, seed: int | None) -> list[str]:
     datasets = _require(config, "datasets")
-    base_seed = seed if seed is not None else config.get("seed", 0)
+    base_seed = _run_seed(config, seed)
     outputs = []
     for entry in datasets:
         kind = _require(entry, "kind")
@@ -169,14 +191,14 @@ def cmd_ingest(config: dict, out_dir: str, seed: int | None) -> list[str]:
 
 
 def _split_from_config(config: dict):
-    dataset = read_interactions_csv(_require(config, "dataset"))
+    dataset = read_interactions_csv(_require_path(config, "dataset"))
     return temporal_split_per_user(dataset, config.get("test_fraction", 0.2))
 
 
 def cmd_ground_truth(config: dict, out_dir: str, seed: int | None) -> list[str]:
     split = _split_from_config(config)
     portfolio = _portfolio_from_config(config.get("portfolio"))
-    base_seed = seed if seed is not None else config.get("seed", 0)
+    base_seed = _run_seed(config, seed)
     for algo, params in portfolio.algorithms.items():
         if "seed" in _seedable_params(algo) and "seed" not in params:
             params["seed"] = derive_seed(base_seed, "train", algo)
@@ -226,7 +248,7 @@ def _seedable_params(algorithm_id: str) -> set[str]:
 def cmd_features(config: dict, out_dir: str, seed: int | None) -> list[str]:
     split = _split_from_config(config)
     portfolio = _portfolio_from_config(config.get("portfolio"))
-    base_seed = seed if seed is not None else config.get("seed", 0)
+    base_seed = _run_seed(config, seed)
 
     table = user_feature_table(split.train)
     user_path = os.path.join(out_dir, "user_features.csv")
@@ -269,15 +291,14 @@ def cmd_features(config: dict, out_dir: str, seed: int | None) -> list[str]:
 
 
 def _space_from_config(config: dict) -> SearchSpace:
-    raw = config.get("space")
-    return DEFAULT_SPACE if raw is None else SearchSpace.from_dict(raw)
+    return SearchSpace.from_dict(config["space"]) if "space" in config else DEFAULT_SPACE
 
 
 def _load_eval_inputs(config: dict, need_algo: bool):
     from .user_features import UserFeatureTable
 
-    pm = PerformanceMatrix.from_csv(_require(config, "performance_matrix"))
-    user_features = UserFeatureTable.from_csv(_require(config, "user_features"))
+    pm = PerformanceMatrix.from_csv(_require_path(config, "performance_matrix"))
+    user_features = UserFeatureTable.from_csv(_require_path(config, "user_features"))
     featured = set(user_features.users)
     missing = [u for u in pm.users if u not in featured]
     if missing:
@@ -289,7 +310,7 @@ def _load_eval_inputs(config: dict, need_algo: bool):
     if need_algo:
         from .algo_features import AlgorithmFeatureTable
 
-        algo_table = AlgorithmFeatureTable.from_csv(_require(config, "algo_features"))
+        algo_table = AlgorithmFeatureTable.from_csv(_require_path(config, "algo_features"))
         unfeatured = [a for a in pm.algorithms if a not in algo_table.algorithms]
         if unfeatured:
             raise SchemaError(
@@ -314,8 +335,8 @@ def cmd_evaluate(config: dict, out_dir: str, seed: int | None, mode: str) -> lis
     need_algo = mode in ("user_algo", "both")
     pm, user_features, algo_table = _load_eval_inputs(config, need_algo)
     space = _space_from_config(config)
-    run_seed = seed if seed is not None else config.get("seed", 0)
-    n_folds = config.get("folds", 10)
+    run_seed = _run_seed(config, seed)
+    n_folds = _int_option(config, "folds", 10, 2)
 
     if mode == "both":
         report = run_full_evaluation(pm, user_features, algo_table, n_folds, space, run_seed)
@@ -346,22 +367,22 @@ def cmd_evaluate(config: dict, out_dir: str, seed: int | None, mode: str) -> lis
 def cmd_ablate(config: dict, out_dir: str, seed: int | None) -> list[str]:
     pm, user_features, algo_table = _load_eval_inputs(config, need_algo=True)
     space = _space_from_config(config)
-    run_seed = seed if seed is not None else config.get("seed", 0)
+    run_seed = _run_seed(config, seed)
     sets = None
     if "category_sets" in config:
         sets = [frozenset(s) for s in config["category_sets"]]
     report = run_ablation(
-        pm, user_features, algo_table, sets, config.get("folds", 5), space, run_seed
+        pm, user_features, algo_table, sets, _int_option(config, "folds", 5, 2), space, run_seed
     )
     return _write_report_files(out_dir, "ablation", report)
 
 
 def cmd_importance(config: dict, out_dir: str, seed: int | None) -> list[str]:
     pm, user_features, algo_table = _load_eval_inputs(config, need_algo=True)
-    run_seed = seed if seed is not None else config.get("seed", 0)
+    run_seed = _run_seed(config, seed)
     params = GBDTParams.from_dict(config["params"]) if "params" in config else None
     report = run_importance(
-        pm, user_features, algo_table, config.get("folds", 5), params, run_seed
+        pm, user_features, algo_table, _int_option(config, "folds", 5, 2), params, run_seed
     )
     outputs = _write_report_files(out_dir, "importance", report)
     csv_path = os.path.join(out_dir, "importance.csv")
@@ -433,17 +454,17 @@ def main(argv: list[str] | None = None) -> int:
             outputs = cmd_evaluate(config, args.out, args.seed, args.mode)
         else:
             outputs = HANDLERS[args.command](config, args.out, args.seed)
-        extra = None
+        extra = {}
+        if args.command in ("ground-truth", "features"):
+            extra["unavailable_algorithms"] = _portfolio_from_config(config.get("portfolio")).unavailable
         if args.command == "features":
-            extra = {
-                "timing_mode": config.get("timing", "wall"),
-                "raw_timescale_features": list(RAW_TIMESCALE_FEATURES),
-            }
+            extra["timing_mode"] = config.get("timing", "wall")
+            extra["raw_timescale_features"] = list(RAW_TIMESCALE_FEATURES)
         _write_manifest(
             args.out,
             args.command,
             config,
-            args.seed if args.seed is not None else config.get("seed", 0),
+            _run_seed(config, args.seed),
             inputs,
             [os.path.basename(p) for p in outputs],
             extra,

@@ -7,6 +7,7 @@ normalized into that form by :func:`ingest_raw`.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -295,10 +296,20 @@ def write_interactions_csv(dataset: Dataset, path: str | os.PathLike) -> None:
             writer.writerow([it.user, it.item, repr(it.rating), it.timestamp])
 
 
+@contextlib.contextmanager
+def open_table(path: str | os.PathLike):
+    """A csv reader over ``path``; bytes that are not UTF-8, or a line the csv module
+    rejects (a NUL byte before Python 3.11), are a SchemaError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield csv.reader(fh)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
+
+
 def read_interactions_csv(path: str | os.PathLike, name: str | None = None) -> Dataset:
     """Read a canonical CSV produced by :func:`write_interactions_csv`."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open_table(path) as reader:
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CANONICAL_COLUMNS:
             raise SchemaError(f"expected header {','.join(CANONICAL_COLUMNS)!r} in {path}")
@@ -319,11 +330,15 @@ def read_interactions_csv(path: str | os.PathLike, name: str | None = None) -> D
 
 
 def read_header(path: str | os.PathLike, reader, first: str) -> list[str]:
-    """The header row of a csv reader; a SchemaError naming ``path`` unless it starts with ``first``."""
+    """The header row of a csv reader; a SchemaError naming ``path`` unless it starts with
+    ``first`` and names each column once."""
     header = next(reader, [])
     if not header or header[0] != first:
         found = repr(header[0]) if header else "an empty file"
         raise SchemaError(f"{path}: expected {first!r} as the first header column, found {found}")
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise SchemaError(f"{path}: the header repeats column {repeated[0]!r}")
     return header
 
 

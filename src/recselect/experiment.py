@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -113,17 +113,52 @@ class SearchSpace:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SearchSpace":
-        kwargs = {}
-        if "n_iter" in raw:
-            kwargs["n_iter"] = int(raw["n_iter"])
-        if "inner_folds" in raw:
-            kwargs["inner_folds"] = int(raw["inner_folds"])
-        if "distributions" in raw:
-            kwargs["distributions"] = raw["distributions"]
-        space = cls(**kwargs)
-        if space.n_iter < 1 or space.inner_folds < 2:
-            raise ConfigError("search space needs n_iter >= 1 and inner_folds >= 2")
+        """A validated space: every bad count, name, type or bound is a ConfigError."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"search space must be a JSON object, found {raw!r}")
+        space = cls(**{k: raw[k] for k in ("n_iter", "inner_folds", "distributions") if k in raw})
+        if not (_is_integer(space.n_iter) and space.n_iter >= 1
+                and _is_integer(space.inner_folds) and space.inner_folds >= 2):
+            raise ConfigError("search space needs integers n_iter >= 1 and inner_folds >= 2")
+        if not isinstance(space.distributions, dict):
+            raise ConfigError(f"search space distributions must be a JSON object, found {space.distributions!r}")
+        for name, spec in space.distributions.items():
+            _check_distribution(name, spec)
         return space
+
+
+_TUNABLE = tuple(f.name for f in fields(GBDTParams) if f.name != "seed")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_distribution(name, spec) -> None:
+    """ConfigError unless ``spec`` is a distribution ``SearchSpace.sample`` can draw ``name`` from."""
+    if name not in _TUNABLE:
+        raise ConfigError(f"search space tunes unknown parameter {name!r}; known: {list(_TUNABLE)}")
+    if not isinstance(spec, dict):
+        raise ConfigError(f"distribution of {name!r} must be a JSON object, found {spec!r}")
+    kind = spec.get("type")
+    if kind == "choice":
+        values = spec.get("values")
+        if not isinstance(values, list) or not values or not all(_is_number(v) for v in values):
+            raise ConfigError(f"choice distribution of {name!r} needs a non-empty list of numbers")
+        return
+    if kind not in ("int_range", "uniform", "log_uniform"):
+        raise ConfigError(f"unknown distribution type {kind!r} for {name!r}")
+    low, high = spec.get("low"), spec.get("high")
+    is_bound = _is_integer if kind == "int_range" else _is_number
+    if not (is_bound(low) and is_bound(high) and low <= high and (kind != "log_uniform" or low > 0)):
+        raise ConfigError(
+            f"{kind} distribution of {name!r} needs {'integer' if kind == 'int_range' else 'finite'} "
+            f"bounds low <= high{' and low > 0' if kind == 'log_uniform' else ''}, found {low!r} and {high!r}"
+        )
 
 
 DEFAULT_SPACE = SearchSpace()

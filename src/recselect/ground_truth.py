@@ -17,7 +17,7 @@ from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, SplitPair, read_header, read_id_rows
+from .data import Dataset, SplitPair, open_table, read_header, read_id_rows
 from .errors import EmptyDatasetError
 from .recommenders import RecommenderModel, TrainMatrix, build_train_matrix, top_k
 from .recommenders.base import checked_scores
@@ -80,8 +80,7 @@ class PerformanceMatrix:
 
         A wrong header, no rows, ragged rows, repeated users and NaN/inf are SchemaErrors.
         """
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        with open_table(path) as reader:
             header = read_header(path, reader, "user")
             algorithms = header[1:]
             users, rows, _ = read_id_rows(path, reader, len(header))

@@ -19,7 +19,7 @@ the tree assigned while it was built instead of predicting the rows again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -34,6 +34,14 @@ class GBDTParams:
     seed: int = 0
 
     def validate(self) -> "GBDTParams":
+        for name in ("num_trees", "max_depth", "min_samples_leaf", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, found {value!r}")
+        for name in ("learning_rate", "subsample"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.number)) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, found {value!r}")
         if self.num_trees < 0:
             raise ValueError("num_trees must be >= 0")
         if self.learning_rate <= 0:
@@ -48,6 +56,9 @@ class GBDTParams:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GBDTParams":
+        names = [f.name for f in fields(cls)]
+        if not isinstance(raw, dict) or not set(raw) <= set(names):
+            raise ValueError(f"GBDT params must be an object with keys from {names}, found {raw!r}")
         return cls(**raw).validate()
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, read_header, read_id_rows
+from .data import Dataset, open_table, read_header, read_id_rows
 from .errors import SchemaError
 
 USER_FEATURE_NAMES = (
@@ -124,8 +124,7 @@ class UserFeatureTable:
 
         A wrong header, no rows, ragged rows, repeated users and NaN/inf are SchemaErrors.
         """
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        with open_table(path) as reader:
             header = read_header(path, reader, "user")
             if tuple(header[1:]) != USER_FEATURE_NAMES:
                 raise SchemaError(f"unexpected user-feature header in {path}")

@@ -51,3 +51,11 @@ def random_dataset(rng, n_users=12, n_items=15, min_per_user=2, max_per_user=8, 
             rows.append((f"u{u:03d}", f"i{int(i):03d}", 1.0 + float(rng.integers(0, 5)), ts))
             ts += 1
     return make_dataset(rows, name=name)
+
+
+def dense_b(model):
+    """An EASE model's item weights as the dense n_items x n_items B its blocks make up."""
+    b = np.zeros((model.matrix.n_items, model.matrix.n_items))
+    for items, weights in model.blocks():
+        b[np.ix_(items, items)] = weights
+    return b

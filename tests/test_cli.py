@@ -5,18 +5,23 @@ evaluate -> ablate -> importance; the tests then assert on the artifacts,
 manifests, exit codes, and rerun determinism.
 """
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recselect.cli import main
 from recselect.ground_truth import PerformanceMatrix
 from recselect.user_features import RAW_TIMESCALE_FEATURES, USER_FEATURE_NAMES, UserFeatureTable
-from recselect.algo_features import AlgorithmFeatureTable
+from recselect.algo_features import CATEGORICAL_NAMES, AlgorithmFeatureTable
 
 LEAN_SPACE = {
     "n_iter": 2,
@@ -224,9 +229,10 @@ class TestGroundTruthCommand:
     def test_rerun_with_same_seed_is_byte_identical(self, pipeline, tmp_path):
         out2 = str(tmp_path / "gt2")
         assert main(["ground-truth", "--config", pipeline["gt_cfg"], "--out", out2]) == 0
-        a = open(os.path.join(pipeline["gt_out"], "performance_matrix.csv"), "rb").read()
-        b = open(os.path.join(out2, "performance_matrix.csv"), "rb").read()
-        assert a == b
+        for name in ("performance_matrix.csv", "manifest_ground_truth.json"):
+            a = open(os.path.join(pipeline["gt_out"], name), "rb").read()
+            b = open(os.path.join(out2, name), "rb").read()
+            assert a == b, name
 
     def test_seed_override_changes_seeded_training(self, pipeline, tmp_path):
         out3 = str(tmp_path / "gt3")
@@ -260,6 +266,18 @@ class TestGroundTruthCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("out_key, manifest", [("gt_out", "manifest_ground_truth.json"),
+                                                ("feat_out", "manifest_features.json")])
+def test_manifest_lists_the_unavailable_algorithms_with_their_reasons(pipeline, out_key, manifest):
+    with open(os.path.join(pipeline[out_key], manifest)) as fh:
+        unavailable = json.load(fh)["unavailable_algorithms"]
+    assert unavailable == {
+        "fism": "no reference implementation shipped",
+        "line": "no maintained implementation available",
+        "fpmc": "no maintained implementation available",
+    }
+
+
 class TestFeaturesCommand:
     def test_user_table_covers_all_users(self, pipeline):
         table = UserFeatureTable.from_csv(os.path.join(pipeline["feat_out"], "user_features.csv"))
@@ -287,10 +305,10 @@ class TestFeaturesCommand:
     def test_rerun_is_byte_identical_with_timing_off(self, pipeline, tmp_path):
         out2 = str(tmp_path / "features2")
         assert main(["features", "--config", pipeline["feat_cfg"], "--out", out2]) == 0
-        for name in ("user_features.csv", "algorithm_features.csv"):
+        for name in ("user_features.csv", "algorithm_features.csv", "manifest_features.json"):
             a = open(os.path.join(pipeline["feat_out"], name), "rb").read()
             b = open(os.path.join(out2, name), "rb").read()
-            assert a == b
+            assert a == b, name
 
 
 class TestEvaluateCommand:
@@ -434,6 +452,142 @@ class TestEvaluateCommand:
         assert len(manifest["inputs"]) == 3
 
 
+TABLES = {
+    "performance_matrix": ("gt_out", "performance_matrix.csv"),
+    "user_features": ("feat_out", "user_features.csv"),
+    "algo_features": ("feat_out", "algorithm_features.csv"),
+}
+NOT_FINITE_NUMBERS = ["", "abc", "nan", "inf", "-inf", "1e999", "0x1A", "1,5", "--2"]
+NOT_A_PATH = [None, 3, True, [], {"path": "x.csv"}]
+NOT_A_FOLD_COUNT = [None, True, "3", [3], {}, 2.5, -1, 0, 1, 10**6]
+NOT_A_SEED = [None, True, "seven", [1], {}, 0.5, -1]
+NOT_A_SPACE = [
+    None, "lean", 3, [],
+    {"n_iter": 0}, {"n_iter": "x"}, {"n_iter": [2]}, {"n_iter": 1.5},
+    {"inner_folds": 1}, {"inner_folds": None},
+    {"distributions": []}, {"distributions": {"num_trees": "many"}},
+    {"distributions": {"num_trees": {"type": "gamma", "low": 1, "high": 2}}},
+    {"distributions": {"depth": {"type": "int_range", "low": 2, "high": 3}}},
+    {"distributions": {"num_trees": {"type": "int_range", "low": 9}}},
+    {"distributions": {"num_trees": {"type": "int_range", "low": 9, "high": 2}}},
+    {"distributions": {"num_trees": {"type": "int_range", "low": "a", "high": 9}}},
+    {"distributions": {"learning_rate": {"type": "log_uniform", "low": 0, "high": 0.1}}},
+    {"distributions": {"subsample": {"type": "uniform", "low": None, "high": 1.0}}},
+    {"distributions": {"max_depth": {"type": "choice", "values": []}}},
+    {"distributions": {"max_depth": {"type": "choice", "values": 3}}},
+    {"distributions": {"max_depth": {"type": "choice", "values": [2.5]}}},
+    {"distributions": {"num_trees": {"type": "uniform", "low": 10, "high": 20}}},
+]
+
+
+@st.composite
+def corrupted_table(draw, pipeline):
+    """One of the three tables with a change that makes it invalid; returns (key, bytes)."""
+    key = draw(st.sampled_from(sorted(TABLES)))
+    stage_out, name = TABLES[key]
+    with open(os.path.join(pipeline[stage_out], name), newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    kinds = ["bad_number", "ragged", "repeated_id", "renamed_id_column", "repeated_column",
+             "header_only", "empty", "bad_utf8"]
+    if key != "performance_matrix":  # a matrix may leave users out
+        kinds.append("dropped_row")
+    kind = draw(st.sampled_from(kinds))
+    row = draw(st.integers(1, len(rows) - 1))
+    if kind == "bad_number":
+        n_numeric = len(rows[0]) - 1
+        if key == "algo_features":
+            n_numeric = min(i for i, n in enumerate(rows[0][1:] + list(CATEGORICAL_NAMES))
+                            if n in CATEGORICAL_NAMES)
+        rows[row][draw(st.integers(1, n_numeric))] = draw(st.sampled_from(NOT_FINITE_NUMBERS))
+    elif kind == "ragged":
+        target = rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.booleans()):
+            target.append("0.5")
+        else:
+            target.pop()
+    elif kind == "repeated_id":
+        other = draw(st.integers(1, len(rows) - 1).filter(lambda r: r != row))
+        rows[row][0] = rows[other][0]
+    elif kind == "renamed_id_column":
+        rows[0][0] = draw(st.sampled_from(["", "id", "users", "algorithms"]))
+    elif kind == "repeated_column":
+        a, b = draw(st.lists(st.integers(1, len(rows[0]) - 1), min_size=2, max_size=2, unique=True))
+        rows[0][a] = rows[0][b]
+    elif kind == "header_only":
+        rows = rows[:1]
+    elif kind == "empty":
+        rows = []
+    elif kind == "dropped_row":
+        del rows[row]
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    data = text.getvalue().encode("utf-8")
+    if kind == "bad_utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return key, data
+
+
+@st.composite
+def corrupted_config(draw, config):
+    """The evaluate config with one invalid value, key or text; returns its JSON text."""
+    config = dict(config)
+    kind = draw(st.sampled_from(["not_an_object", "truncated", "missing_key", "path",
+                                 "folds", "seed", "space"]))
+    if kind == "not_an_object":
+        return json.dumps(draw(st.sampled_from([[], [config], 3, "config", None, True])))
+    if kind == "truncated":
+        text = json.dumps(config)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "missing_key":
+        del config[draw(st.sampled_from(sorted(TABLES)))]
+    elif kind == "path":
+        key = draw(st.sampled_from(sorted(TABLES)))
+        config[key] = draw(st.sampled_from(NOT_A_PATH + [config[key] + ".missing"]))
+    elif kind == "folds":
+        config["folds"] = draw(st.sampled_from(NOT_A_FOLD_COUNT))
+    elif kind == "seed":
+        config["seed"] = draw(st.sampled_from(NOT_A_SEED))
+    else:
+        bad = draw(st.sampled_from(NOT_A_SPACE))
+        config["space"] = {**config["space"], **bad} if isinstance(bad, dict) else bad
+    return json.dumps(config)
+
+
+class TestEvaluateFuzz:
+    """Corrupted evaluate inputs end in one named error line and exit 1 or 2, never a traceback."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_corrupted_inputs_exit_with_one_error_line(self, pipeline, data):
+        with open(pipeline["eval_cfg"]) as fh:
+            config = json.load(fh)
+        with tempfile.TemporaryDirectory() as tmp:
+            bad_table = None
+            if data.draw(st.booleans(), label="corrupt a table"):
+                key, payload = data.draw(corrupted_table(pipeline))
+                bad_table = os.path.join(tmp, TABLES[key][1])
+                with open(bad_table, "wb") as fh:
+                    fh.write(payload)
+                config[key] = bad_table
+                text = json.dumps(config)
+            else:
+                text = data.draw(corrupted_config(config))
+            cfg = os.path.join(tmp, "eval.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["evaluate", "--config", cfg, "--out", os.path.join(tmp, "o"),
+                             "--mode", "user_algo"])
+        err = err.getvalue()
+        assert code in (1, 2), err
+        assert err.startswith("error: " if code == 1 else "config error: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        if bad_table is not None:
+            assert code == 1 and bad_table in err, err
+
+
 class TestAblateCommand:
     def test_entries_follow_requested_sets(self, pipeline):
         with open(os.path.join(pipeline["ablate_out"], "ablation.json")) as fh:
@@ -446,6 +600,16 @@ class TestAblateCommand:
 
 
 class TestImportanceCommand:
+    @pytest.mark.parametrize("params", [{"depth": 3}, "deep", {"num_trees": 2.5}, {"subsample": None}])
+    def test_bad_gbdt_params_exit_2_with_one_error_line(self, pipeline, tmp_path, capsys, params):
+        with open(os.path.join(pipeline["cfg_dir"], "importance.json")) as fh:
+            config = json.load(fh)
+        cfg = write_config(str(tmp_path), "importance.json", {**config, "params": params})
+        capsys.readouterr()
+        assert main(["importance", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_csv_lists_every_feature_with_importances(self, pipeline):
         with open(os.path.join(pipeline["imp_out"], "importance.csv")) as fh:
             rows = list(csv.reader(fh))

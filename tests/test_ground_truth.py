@@ -30,7 +30,7 @@ from recselect.recommenders import (
 from recselect.recommenders.ease import EaseModel
 from recselect.synth import planted_two_population
 
-from conftest import make_dataset, random_dataset
+from conftest import dense_b, make_dataset, random_dataset
 
 
 def brute_force_ndcg(ranking, relevant, k):
@@ -267,9 +267,9 @@ class TestEvaluatePortfolio:
         p = np.linalg.inv(x.T @ x + 10.0 * np.eye(matrix.n_items))
         b = -p / np.diag(p)[None, :]
         np.fill_diagonal(b, 0.0)
-        assert not np.array_equal(b, shipped.b)  # two numeric routes, not one
-        np.testing.assert_allclose(shipped.b, b, atol=1e-9)
-        reference = EaseModel(matrix, shipped.config, shipped.x, b)
+        assert not np.array_equal(b, dense_b(shipped))  # two numeric routes, not one
+        np.testing.assert_allclose(dense_b(shipped), b, atol=1e-9)
+        reference = EaseModel(matrix, shipped.config, shipped.x, b.ravel(), [np.arange(matrix.n_items)])
         got = evaluate_portfolio(matrix, split.test, {"ease": shipped}, k=10)
         want = evaluate_portfolio(matrix, split.test, {"ease": reference}, k=10)
         np.testing.assert_array_equal(got.values, want.values)

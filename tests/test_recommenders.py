@@ -39,7 +39,7 @@ from recselect.recommenders import (
 from recselect.recommenders import biasedmf, bpr, ease, implicitmf, itemknn, pop, userknn
 from recselect.recommenders.base import wavefronts
 
-from conftest import make_dataset, random_dataset
+from conftest import dense_b, make_dataset, random_dataset
 
 
 class _StubModel(RecommenderModel):
@@ -631,6 +631,30 @@ class TestWavefrontSGD:
                     assert level_of[a] < level_of[b]
 
 
+@st.composite
+def block_matrices(draw):
+    """Matrices whose item co-occurrence graph has several components.
+
+    Each group of users holds items of one group only; a group can be a single
+    item, and users can hold disjoint subsets of a group, which splits it.
+    Item and user ids are drawn as permutations, so the blocks' columns and
+    their users' rows interleave in the matrix.
+    """
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    item_names = draw(st.permutations(range(sum(sizes))))
+    users_per_group = [draw(st.integers(1, 4)) for _ in sizes]
+    user_names = iter(draw(st.permutations(range(sum(users_per_group)))))
+    rows, start = [], 0
+    for size, n_users in zip(sizes, users_per_group):
+        group = [f"i{item_names[start + k]:02d}" for k in range(size)]
+        start += size
+        for _ in range(n_users):
+            user = f"u{next(user_names):02d}"
+            for item in sorted(draw(st.sets(st.sampled_from(group), min_size=1))):
+                rows.append((user, item, float(draw(st.integers(1, 5))), len(rows)))
+    return build_train_matrix(make_dataset(rows))
+
+
 class TestEase:
     def kkt_residual(self, x_dense, b, l2):
         """Stationarity of min |X - XB|^2 + l2 |B|^2 with a zero diagonal.
@@ -668,7 +692,7 @@ class TestEase:
         m = small_matrix()
         model = ease.train_ease(m, l2=3.0)
         x = m.binarized().toarray()
-        np.testing.assert_allclose(model.score_users(np.arange(m.n_users)), x @ model.b, atol=1e-12)
+        np.testing.assert_allclose(model.score_users(np.arange(m.n_users)), x @ dense_b(model), atol=1e-12)
 
     def test_l2_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -687,10 +711,34 @@ class TestEase:
         p = np.linalg.inv(x.T @ x + 1.5 * np.eye(m.n_items))
         want = -p / np.diag(p)[None, :]
         np.fill_diagonal(want, 0.0)
-        assert isinstance(model.b, np.ndarray)
-        np.testing.assert_allclose(model.b, want, atol=1e-12)
-        assert not model.b[:2, 2:].any() and not model.b[2:, :2].any()
-        np.testing.assert_array_equal(model.b[:, m.item_index["F"]], np.zeros(m.n_items))
+        assert model.b.shape == (2**2 + 3**2,)  # F, a single-item component, stores nothing
+        b = dense_b(model)
+        np.testing.assert_allclose(b, want, atol=1e-12)
+        assert not b[:2, 2:].any() and not b[2:, :2].any()
+        np.testing.assert_array_equal(b[:, m.item_index["F"]], np.zeros(m.n_items))
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_matrices(), st.sampled_from([0.5, 2.0, 10.0]), st.booleans(), st.data())
+    def test_block_scores_equal_history_times_dense_b_bitwise(self, m, l2, binarize, data):
+        model = ease.train_ease(m, l2=l2, binarize=binarize)
+        idx = np.array(data.draw(st.lists(st.integers(0, m.n_users - 1), min_size=1, max_size=12)))
+        assert np.array_equal(model.score_users(idx), model.x[idx] @ dense_b(model))
+
+    def test_a_history_spanning_two_blocks_is_scored_from_both(self):
+        # Unbinarized ratings of opposite sign cancel in G[A, C], so {A, B} and {C, D} are two
+        # blocks although u1 and u2 hold items of both.
+        ds = make_dataset([
+            ("u1", "A", 1.0, 0), ("u1", "C", 1.0, 1), ("u2", "A", 1.0, 2), ("u2", "C", -1.0, 3),
+            ("u3", "A", 1.0, 4), ("u3", "B", 1.0, 5), ("u4", "C", 1.0, 6), ("u4", "D", 1.0, 7),
+        ])
+        m = build_train_matrix(ds)
+        model = ease.train_ease(m, l2=1.0, binarize=False)
+        assert sorted(sorted(m.item_ids[i] for i in items) for items in model.items) == [["A", "B"], ["C", "D"]]
+        everyone = np.arange(m.n_users)
+        scores = model.score_users(everyone)
+        assert np.array_equal(scores, model.x[everyone] @ dense_b(model))
+        assert scores[m.user_index["u1"], m.item_index["B"]] != 0
+        assert scores[m.user_index["u1"], m.item_index["D"]] != 0
 
     def test_non_positive_definite_block_raises_with_remedy(self):
         gram = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
@@ -714,7 +762,7 @@ def reference_rows(model, users):
         elif isinstance(model, (implicitmf.ImplicitMFModel, bpr.BPRModel)):
             rows.append(model.q @ model.p[u])
         else:
-            rows.append(np.asarray(model.x[u, :].todense()).ravel() @ model.b)
+            rows.append(np.asarray(model.x[u, :].todense()).ravel() @ dense_b(model))
     return np.vstack(rows)
 
 
@@ -818,9 +866,10 @@ class TestPortfolio:
         path = tmp_path / "ease.pkl"
         save_model(models["ease"], str(path))
         back = load_model(str(path))
-        rec_a = recommend_top_k(models["ease"], "a", k=2)
-        rec_b = recommend_top_k(back, "a", k=2)
-        assert rec_a == rec_b
+        everyone = np.arange(back.matrix.n_users)
+        assert np.array_equal(back.score_users(everyone), models["ease"].score_users(everyone))
+        blocks = list(back.blocks())  # views into the one stored ``b``, not copies of their own
+        assert blocks and all(np.shares_memory(weights, back.b) for _, weights in blocks)
 
     def test_load_rejects_tampered_config(self, tmp_path, toy_split):
         import pickle
