@@ -35,7 +35,6 @@ from .errors import (
 from .ground_truth import (
     PerformanceMatrix,
     evaluate_portfolio,
-    evaluate_split,
     gap_closed,
     ndcg_at_k,
     single_best_algorithm,
@@ -77,7 +76,6 @@ __all__ = [
     "build_train_matrix",
     "dataset_stats",
     "evaluate_portfolio",
-    "evaluate_split",
     "filter_min_interactions",
     "gap_closed",
     "ingest_raw",

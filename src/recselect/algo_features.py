@@ -73,10 +73,16 @@ def load_conceptual_map(
             raw = json.load(fh)
     else:
         raw = source
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"conceptual map must be an object, found {raw!r}")
     tags = {}
     for algo in algorithms:
         if algo not in raw:
             raise ConfigError(f"conceptual map has no entry for algorithm {algo!r}")
+        if not isinstance(raw[algo], (list, tuple)) or len(raw[algo]) != 3:
+            raise ConfigError(
+                f"conceptual map entry {algo!r} must be [family, paradigm, cold start], found {raw[algo]!r}"
+            )
         family, paradigm, cold = raw[algo]
         tags[algo] = ConceptualTags(family, paradigm, bool(cold))
     return tags

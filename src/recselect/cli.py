@@ -4,14 +4,16 @@ ablate, importance.
 Every command takes --config (JSON), --out (directory), and optionally --seed
 (overrides the config seed). Each run writes its artifacts plus a manifest
 recording the echoed config, the seeds actually used, and SHA-256 hashes of
-the inputs, which together reproduce the outputs exactly. Exit codes: 0 on
-success, 2 for configuration problems, 1 for runtime failures.
+every file the stage read, which together reproduce the outputs exactly.
+Exit codes: 0 on success, 2 for configuration problems, 1 for runtime
+failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -19,6 +21,7 @@ import sys
 
 from . import __version__
 from .algo_features import (
+    AlgorithmFeatureTable,
     assemble_algorithm_features,
     landmark_portfolio,
     load_conceptual_map,
@@ -55,7 +58,10 @@ from .meta import GBDTParams
 from .recommenders import (
     PortfolioConfig,
     build_train_matrix,
+    check_parameters,
+    keyword_defaults,
     save_model,
+    train_parameters,
     train_portfolio,
 )
 from .synth import (
@@ -63,7 +69,7 @@ from .synth import (
     planted_two_population,
     write_sample_event_log,
 )
-from .user_features import RAW_TIMESCALE_FEATURES, user_feature_table
+from .user_features import RAW_TIMESCALE_FEATURES, UserFeatureTable, user_feature_table
 
 DATASET_KINDS = {"planted": planted_two_population, **PROBE_GENERATORS}
 
@@ -89,7 +95,70 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _write_manifest(out_dir, command, config, seed, inputs, outputs, extra=None):
+class Stage:
+    """One command's config, output directory, seed and ``--mode``, and what it read.
+
+    Handlers name every file they open through ``path`` where they read it, so
+    ``inputs`` lists exactly the files the manifest hashes. ``manifest`` holds
+    the stage's extra deterministic manifest fields.
+    """
+
+    def __init__(self, config: dict, out_dir: str, seed: int | None, mode: str | None = None):
+        self.config = config
+        self.out_dir = out_dir
+        self.mode = mode
+        self.inputs: list[str] = []
+        self.manifest: dict = {}
+        self.seed = seed if seed is not None else self.integer("seed", 0, 0)
+
+    def require(self, key: str, entry: dict | None = None):
+        source = self.config if entry is None else entry
+        if key not in source:
+            raise ConfigError(f"config is missing required key {key!r}")
+        return source[key]
+
+    def string(self, key: str, entry: dict | None = None) -> str:
+        value = self.require(key, entry)
+        if not isinstance(value, str):
+            raise ConfigError(f"config key {key!r} must be a string, found {value!r}")
+        return value
+
+    def path(self, key: str, entry: dict | None = None) -> str:
+        """The file path under ``key``, recorded as an input of this stage."""
+        path = self.string(key, entry)
+        self.inputs.append(path)
+        return path
+
+    def integer(self, key: str, default: int, minimum: int, entry: dict | None = None) -> int:
+        value = (self.config if entry is None else entry).get(key, default)
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ConfigError(f"config key {key!r} must be an integer >= {minimum}, found {value!r}")
+        return value
+
+    def number(self, key: str, default: float, entry: dict | None = None) -> float:
+        value = (self.config if entry is None else entry).get(key, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"config key {key!r} must be a number, found {value!r}")
+        return value
+
+    def objects(self, key: str, default: list | None = None) -> list[dict]:
+        value = self.require(key) if default is None else self.config.get(key, default)
+        if not isinstance(value, list) or not all(isinstance(e, dict) for e in value):
+            raise ConfigError(f"config key {key!r} must be a list of objects, found {value!r}")
+        return value
+
+    def portfolio(self) -> PortfolioConfig:
+        """The ``portfolio`` given inline or as a file path, else the default one."""
+        raw = self.config.get("portfolio")
+        if isinstance(raw, str):
+            raw = _load_config(self.path("portfolio"))
+        portfolio = PortfolioConfig() if raw is None else PortfolioConfig.from_dict(raw)
+        self.manifest["unavailable_algorithms"] = portfolio.unavailable
+        return portfolio
+
+
+def _write_manifest(command: str, stage: Stage, outputs: list[str]) -> None:
+    config = stage.config
     manifest = {
         "command": command,
         "package_version": __version__,
@@ -97,90 +166,58 @@ def _write_manifest(out_dir, command, config, seed, inputs, outputs, extra=None)
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode("utf-8")
         ).hexdigest(),
-        "seed_used": seed,
-        "inputs": {p: _sha256(p) for p in inputs},
-        "outputs": sorted(outputs),
+        "seed_used": stage.seed,
+        "inputs": {p: _sha256(p) for p in stage.inputs},
+        "outputs": sorted(os.path.basename(p) for p in outputs),
+        **stage.manifest,
     }
-    if extra:
-        manifest.update(extra)
-    write_json(manifest, os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json"))
+    write_json(manifest, os.path.join(stage.out_dir, f"manifest_{command.replace('-', '_')}.json"))
 
 
-def _portfolio_from_config(raw) -> PortfolioConfig:
-    if raw is None:
-        return PortfolioConfig()
-    if isinstance(raw, str):
-        return PortfolioConfig.from_dict(_load_config(raw))
-    return PortfolioConfig.from_dict(raw)
+def _generate(stage: Stage, entry: dict, kind: str, generator, default_seed: int):
+    """``generator`` called with the entry's checked ``params`` and its ``seed``."""
+    defaults = keyword_defaults(generator)
+    del defaults["seed"]  # set by the entry's own ``seed``
+    params = check_parameters(f"kind {kind!r}", entry.get("params", {}), defaults)
+    return generator(seed=stage.integer("seed", default_seed, 0, entry), **params)
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return config[key]
-
-
-def _int_option(config: dict, key: str, default: int, minimum: int) -> int:
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"config key {key!r} must be an integer >= {minimum}, found {value!r}")
-    return value
-
-
-def _run_seed(config: dict, seed: int | None) -> int:
-    """The --seed override, else the config's ``seed`` (default 0)."""
-    return seed if seed is not None else _int_option(config, "seed", 0, 0)
-
-
-def _require_path(config: dict, key: str) -> str:
-    path = _require(config, key)
-    if not isinstance(path, str):
-        raise ConfigError(f"config key {key!r} must be a file path, found {path!r}")
-    return path
-
-
-def cmd_synth(config: dict, out_dir: str, seed: int | None) -> list[str]:
-    datasets = _require(config, "datasets")
-    base_seed = _run_seed(config, seed)
+def cmd_synth(stage: Stage) -> list[str]:
     outputs = []
-    for entry in datasets:
-        kind = _require(entry, "kind")
-        name = entry.get("name", kind)
-        entry_seed = entry.get("seed", derive_seed(base_seed, name))
-        params = dict(entry.get("params", {}))
+    for entry in stage.objects("datasets"):
+        kind = stage.string("kind", entry)
+        name = stage.string("name", entry) if "name" in entry else kind
+        path, seed = os.path.join(stage.out_dir, f"{name}.csv"), derive_seed(stage.seed, name)
         if kind == "event_log":
-            path = os.path.join(out_dir, f"{name}.csv")
-            write_sample_event_log(path, seed=entry_seed, **params)
+            _generate(stage, entry, kind, functools.partial(write_sample_event_log, path), seed)
         elif kind in DATASET_KINDS:
-            dataset = DATASET_KINDS[kind](seed=entry_seed, **params)
-            path = os.path.join(out_dir, f"{name}.csv")
-            write_interactions_csv(dataset, path)
+            write_interactions_csv(_generate(stage, entry, kind, DATASET_KINDS[kind], seed), path)
         else:
             raise ConfigError(f"unknown synth kind {kind!r}")
         outputs.append(path)
     return outputs
 
 
-def cmd_ingest(config: dict, out_dir: str, seed: int | None) -> list[str]:
-    path = _require(config, "path")
+def cmd_ingest(stage: Stage) -> list[str]:
+    config = stage.config
     ingest_cfg = IngestConfig(
-        name=_require(config, "name"),
-        user_col=_require(config, "user_col"),
-        item_col=_require(config, "item_col"),
+        name=stage.string("name"),
+        user_col=stage.string("user_col"),
+        item_col=stage.string("item_col"),
         rating_col=config.get("rating_col"),
         timestamp_col=config.get("timestamp_col"),
         event_weights=config.get("event_weights"),
         dedup=config.get("dedup", "sum"),
     )
-    dataset = ingest_raw(path, ingest_cfg)
-    dataset = filter_min_interactions(dataset, config.get("min_interactions", 10))
+    dataset = ingest_raw(stage.path("path"), ingest_cfg)
+    dataset = filter_min_interactions(dataset, stage.integer("min_interactions", 10, 1))
     stats = dataset_stats(dataset)
 
-    clean_path = os.path.join(out_dir, f"{ingest_cfg.name}_clean.csv")
+    clean_path = os.path.join(stage.out_dir, f"{ingest_cfg.name}_clean.csv")
     write_interactions_csv(dataset, clean_path)
-    stats_json = os.path.join(out_dir, f"{ingest_cfg.name}_stats.json")
+    stats_json = os.path.join(stage.out_dir, f"{ingest_cfg.name}_stats.json")
     write_json({"dataset": ingest_cfg.name, **stats.as_dict()}, stats_json)
-    stats_csv = os.path.join(out_dir, f"{ingest_cfg.name}_stats.csv")
+    stats_csv = os.path.join(stage.out_dir, f"{ingest_cfg.name}_stats.csv")
     with open(stats_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "users", "items", "interactions", "sparsity"])
@@ -190,24 +227,23 @@ def cmd_ingest(config: dict, out_dir: str, seed: int | None) -> list[str]:
     return [clean_path, stats_json, stats_csv]
 
 
-def _split_from_config(config: dict):
-    dataset = read_interactions_csv(_require_path(config, "dataset"))
-    return temporal_split_per_user(dataset, config.get("test_fraction", 0.2))
+def _split(stage: Stage, dataset, entry: dict | None = None):
+    return temporal_split_per_user(dataset, stage.number("test_fraction", 0.2, entry))
 
 
-def cmd_ground_truth(config: dict, out_dir: str, seed: int | None) -> list[str]:
-    split = _split_from_config(config)
-    portfolio = _portfolio_from_config(config.get("portfolio"))
-    base_seed = _run_seed(config, seed)
+def cmd_ground_truth(stage: Stage) -> list[str]:
+    k = stage.integer("k", 10, 1)
+    portfolio = stage.portfolio()
     for algo, params in portfolio.algorithms.items():
-        if "seed" in _seedable_params(algo) and "seed" not in params:
-            params["seed"] = derive_seed(base_seed, "train", algo)
+        if "seed" in train_parameters(algo) and "seed" not in params:
+            params["seed"] = derive_seed(stage.seed, "train", algo)
+    split = _split(stage, read_interactions_csv(stage.path("dataset")))
 
     matrix = build_train_matrix(split.train)
     models = train_portfolio(matrix, portfolio)
-    pm = evaluate_portfolio(matrix, split.test, models, k=config.get("k", 10))
+    pm = evaluate_portfolio(matrix, split.test, models, k=k)
 
-    pm_path = os.path.join(out_dir, "performance_matrix.csv")
+    pm_path = os.path.join(stage.out_dir, "performance_matrix.csv")
     pm.to_csv(pm_path)
     sba_algo, sba_mean = single_best_algorithm(pm)
     vba_mean = virtual_best_algorithm(pm)
@@ -223,12 +259,12 @@ def cmd_ground_truth(config: dict, out_dir: str, seed: int | None) -> list[str]:
         ),
         "column_mean_ndcg": dict(zip(pm.algorithms, pm.column_means().tolist())),
     }
-    summary_path = os.path.join(out_dir, "ground_truth_summary.json")
+    summary_path = os.path.join(stage.out_dir, "ground_truth_summary.json")
     write_json(summary, summary_path)
 
     outputs = [pm_path, summary_path]
-    if config.get("save_models", False):
-        models_dir = os.path.join(out_dir, "models")
+    if stage.config.get("save_models", False):
+        models_dir = os.path.join(stage.out_dir, "models")
         os.makedirs(models_dir, exist_ok=True)
         for algo, model in models.items():
             model_path = os.path.join(models_dir, f"{algo}.pkl")
@@ -237,86 +273,74 @@ def cmd_ground_truth(config: dict, out_dir: str, seed: int | None) -> list[str]:
     return outputs
 
 
-def _seedable_params(algorithm_id: str) -> set[str]:
-    import inspect
+def _probe_split(stage: Stage, entry: dict):
+    name = stage.string("name", entry)
+    if "path" in entry:
+        dataset = read_interactions_csv(stage.path("path", entry), name=name)
+    else:
+        kind = stage.string("kind", entry)
+        if kind not in PROBE_GENERATORS:
+            raise ConfigError(f"unknown probe kind {kind!r}")
+        dataset = _generate(stage, entry, kind, PROBE_GENERATORS[kind], derive_seed(stage.seed, "probe", name))
+    if "sample_users" in entry:
+        dataset = sample_users(
+            dataset,
+            stage.number("sample_users", 1.0, entry),
+            stage.integer("sample_seed", derive_seed(stage.seed, "sample", name), 0, entry),
+        )
+    return name, _split(stage, dataset, entry)
 
-    from .recommenders import _REGISTRY
 
-    return set(inspect.signature(_REGISTRY[algorithm_id][0]).parameters)
-
-
-def cmd_features(config: dict, out_dir: str, seed: int | None) -> list[str]:
-    split = _split_from_config(config)
-    portfolio = _portfolio_from_config(config.get("portfolio"))
-    base_seed = _run_seed(config, seed)
+def cmd_features(stage: Stage) -> list[str]:
+    k = stage.integer("k", 10, 1)
+    time_runs = stage.integer("time_runs", 3, 1)
+    timing = stage.config.get("timing", "wall")
+    portfolio = stage.portfolio()
+    split = _split(stage, read_interactions_csv(stage.path("dataset")))
 
     table = user_feature_table(split.train)
-    user_path = os.path.join(out_dir, "user_features.csv")
+    user_path = os.path.join(stage.out_dir, "user_features.csv")
     table.to_csv(user_path)
 
-    probes = {}
-    for entry in config.get("probes", []):
-        name = _require(entry, "name")
-        if "path" in entry:
-            probe_ds = read_interactions_csv(entry["path"], name=name)
-        else:
-            kind = _require(entry, "kind")
-            if kind not in PROBE_GENERATORS:
-                raise ConfigError(f"unknown probe kind {kind!r}")
-            probe_seed = entry.get("seed", derive_seed(base_seed, "probe", name))
-            probe_ds = PROBE_GENERATORS[kind](seed=probe_seed, **dict(entry.get("params", {})))
-        if "sample_users" in entry:
-            probe_ds = sample_users(
-                probe_ds, float(entry["sample_users"]), entry.get("sample_seed", derive_seed(base_seed, "sample", name))
-            )
-        probes[name] = temporal_split_per_user(probe_ds, entry.get("test_fraction", 0.2))
-
+    probes = dict(_probe_split(stage, entry) for entry in stage.objects("probes", []))
     algorithms = portfolio.ordered_ids()
     code, ast_metrics = static_metrics_for_portfolio(algorithms)
-    timing = config.get("timing", "wall")
-    landmarks = landmark_portfolio(
-        probes,
-        portfolio.algorithms,
-        k=config.get("k", 10),
-        timing=timing,
-        time_runs=config.get("time_runs", 3),
-    )
-    tags = load_conceptual_map(algorithms, config.get("conceptual_map"))
+    landmarks = landmark_portfolio(probes, portfolio.algorithms, k=k, timing=timing, time_runs=time_runs)
+    conceptual = stage.config.get("conceptual_map")
+    if isinstance(conceptual, str):
+        conceptual = stage.path("conceptual_map")
+    tags = load_conceptual_map(algorithms, conceptual)
     algo_table = assemble_algorithm_features(
         code, ast_metrics, landmarks, tags, algorithms, list(probes)
     )
-    algo_path = os.path.join(out_dir, "algorithm_features.csv")
+    algo_path = os.path.join(stage.out_dir, "algorithm_features.csv")
     algo_table.to_csv(algo_path)
+    stage.manifest["timing_mode"] = timing
+    stage.manifest["raw_timescale_features"] = list(RAW_TIMESCALE_FEATURES)
     return [user_path, algo_path]
 
 
-def _space_from_config(config: dict) -> SearchSpace:
-    return SearchSpace.from_dict(config["space"]) if "space" in config else DEFAULT_SPACE
+def _space(stage: Stage) -> SearchSpace:
+    return SearchSpace.from_dict(stage.config["space"]) if "space" in stage.config else DEFAULT_SPACE
 
 
-def _load_eval_inputs(config: dict, need_algo: bool):
-    from .user_features import UserFeatureTable
-
-    pm = PerformanceMatrix.from_csv(_require_path(config, "performance_matrix"))
-    user_features = UserFeatureTable.from_csv(_require_path(config, "user_features"))
-    featured = set(user_features.users)
-    missing = [u for u in pm.users if u not in featured]
+def _require_rows(kind: str, wanted: list[str], present: list[str], path: str) -> None:
+    present = set(present)
+    missing = [x for x in wanted if x not in present]
     if missing:
         raise SchemaError(
-            f"{len(missing)} user(s) of the performance matrix have no row in "
-            f"{config['user_features']}, first {missing[0]!r}"
+            f"{len(missing)} {kind}(s) of the performance matrix have no row in {path}, first {missing[0]!r}"
         )
+
+
+def _load_eval_inputs(stage: Stage, need_algo: bool = True):
+    pm = PerformanceMatrix.from_csv(stage.path("performance_matrix"))
+    user_features = UserFeatureTable.from_csv(stage.path("user_features"))
+    _require_rows("user", pm.users, user_features.users, stage.config["user_features"])
     algo_table = None
     if need_algo:
-        from .algo_features import AlgorithmFeatureTable
-
-        algo_table = AlgorithmFeatureTable.from_csv(_require_path(config, "algo_features"))
-        unfeatured = [a for a in pm.algorithms if a not in algo_table.algorithms]
-        if unfeatured:
-            raise SchemaError(
-                f"{len(unfeatured)} algorithm(s) of the performance matrix have no row in "
-                f"{config['algo_features']}, first {unfeatured[0]!r}"
-            )
+        algo_table = AlgorithmFeatureTable.from_csv(stage.path("algo_features"))
+        _require_rows("algorithm", pm.algorithms, algo_table.algorithms, stage.config["algo_features"])
     return pm, user_features, algo_table
 
 
@@ -329,63 +353,57 @@ def _write_report_files(out_dir: str, stem: str, report) -> list[str]:
     return [json_path, md_path]
 
 
-def cmd_evaluate(config: dict, out_dir: str, seed: int | None, mode: str) -> list[str]:
-    if mode not in ("user_only", "user_algo", "both"):
-        raise ConfigError(f"--mode must be user_only, user_algo, or both, got {mode!r}")
-    need_algo = mode in ("user_algo", "both")
-    pm, user_features, algo_table = _load_eval_inputs(config, need_algo)
-    space = _space_from_config(config)
-    run_seed = _run_seed(config, seed)
-    n_folds = _int_option(config, "folds", 10, 2)
+def cmd_evaluate(stage: Stage) -> list[str]:
+    mode = stage.mode
+    pm, user_features, algo_table = _load_eval_inputs(stage, need_algo=mode != "user_only")
+    space = _space(stage)
+    n_folds = stage.integer("folds", 10, 2)
 
-    if mode == "both":
-        report = run_full_evaluation(pm, user_features, algo_table, n_folds, space, run_seed)
-        outputs = _write_report_files(out_dir, "evaluation_both", report)
-        summary_csv = os.path.join(out_dir, "evaluation_both.csv")
-        with open(summary_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "mean_ndcg", "ci_ndcg", "top1_pct", "top3_pct", "gap_closed_pct"])
-            for label, rep in (("user_only", report.user_only), ("user_algo", report.user_algo)):
-                s = rep.methods["model"].summary()
-                writer.writerow(
-                    [
-                        rep.model_label,
-                        f"{s['mean_ndcg']:.6f}",
-                        "" if s["ci_ndcg"] is None else f"{s['ci_ndcg']:.6f}",
-                        f"{s['mean_top1_pct']:.3f}",
-                        f"{s['mean_top3_pct']:.3f}",
-                        "" if rep.gap_closed_pct() is None else f"{rep.gap_closed_pct():.3f}",
-                    ]
-                )
-        outputs.append(summary_csv)
-        return outputs
+    if mode != "both":
+        report = run_nested_cv(pm, user_features, algo_table, mode, n_folds, space, stage.seed)
+        return _write_report_files(stage.out_dir, f"evaluation_{mode}", report)
 
-    report = run_nested_cv(pm, user_features, algo_table, mode, n_folds, space, run_seed)
-    return _write_report_files(out_dir, f"evaluation_{mode}", report)
+    report = run_full_evaluation(pm, user_features, algo_table, n_folds, space, stage.seed)
+    outputs = _write_report_files(stage.out_dir, "evaluation_both", report)
+    summary_csv = os.path.join(stage.out_dir, "evaluation_both.csv")
+    with open(summary_csv, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["method", "mean_ndcg", "ci_ndcg", "top1_pct", "top3_pct", "gap_closed_pct"])
+        for rep in (report.user_only, report.user_algo):
+            s = rep.methods["model"].summary()
+            writer.writerow(
+                [
+                    rep.model_label,
+                    f"{s['mean_ndcg']:.6f}",
+                    "" if s["ci_ndcg"] is None else f"{s['ci_ndcg']:.6f}",
+                    f"{s['mean_top1_pct']:.3f}",
+                    f"{s['mean_top3_pct']:.3f}",
+                    "" if rep.gap_closed_pct() is None else f"{rep.gap_closed_pct():.3f}",
+                ]
+            )
+    outputs.append(summary_csv)
+    return outputs
 
 
-def cmd_ablate(config: dict, out_dir: str, seed: int | None) -> list[str]:
-    pm, user_features, algo_table = _load_eval_inputs(config, need_algo=True)
-    space = _space_from_config(config)
-    run_seed = _run_seed(config, seed)
+def cmd_ablate(stage: Stage) -> list[str]:
+    pm, user_features, algo_table = _load_eval_inputs(stage)
     sets = None
-    if "category_sets" in config:
-        sets = [frozenset(s) for s in config["category_sets"]]
+    if "category_sets" in stage.config:
+        sets = [frozenset(s) for s in stage.config["category_sets"]]
     report = run_ablation(
-        pm, user_features, algo_table, sets, _int_option(config, "folds", 5, 2), space, run_seed
+        pm, user_features, algo_table, sets, stage.integer("folds", 5, 2), _space(stage), stage.seed
     )
-    return _write_report_files(out_dir, "ablation", report)
+    return _write_report_files(stage.out_dir, "ablation", report)
 
 
-def cmd_importance(config: dict, out_dir: str, seed: int | None) -> list[str]:
-    pm, user_features, algo_table = _load_eval_inputs(config, need_algo=True)
-    run_seed = _run_seed(config, seed)
-    params = GBDTParams.from_dict(config["params"]) if "params" in config else None
+def cmd_importance(stage: Stage) -> list[str]:
+    pm, user_features, algo_table = _load_eval_inputs(stage)
+    params = GBDTParams.from_dict(stage.config["params"]) if "params" in stage.config else None
     report = run_importance(
-        pm, user_features, algo_table, _int_option(config, "folds", 5, 2), params, run_seed
+        pm, user_features, algo_table, stage.integer("folds", 5, 2), params, stage.seed
     )
-    outputs = _write_report_files(out_dir, "importance", report)
-    csv_path = os.path.join(out_dir, "importance.csv")
+    outputs = _write_report_files(stage.out_dir, "importance", report)
+    csv_path = os.path.join(stage.out_dir, "importance.csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "mean_importance", "std_importance"])
@@ -395,16 +413,15 @@ def cmd_importance(config: dict, out_dir: str, seed: int | None) -> list[str]:
     return outputs
 
 
-def _input_paths(command: str, config: dict) -> list[str]:
-    keys = {
-        "ingest": ["path"],
-        "ground-truth": ["dataset"],
-        "features": ["dataset"],
-        "evaluate": ["performance_matrix", "user_features", "algo_features"],
-        "ablate": ["performance_matrix", "user_features", "algo_features"],
-        "importance": ["performance_matrix", "user_features", "algo_features"],
-    }.get(command, [])
-    return [config[k] for k in keys if isinstance(config.get(k), str) and os.path.exists(config[k])]
+COMMANDS = {
+    "synth": cmd_synth,
+    "ingest": cmd_ingest,
+    "ground-truth": cmd_ground_truth,
+    "features": cmd_features,
+    "evaluate": cmd_evaluate,
+    "ablate": cmd_ablate,
+    "importance": cmd_importance,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,20 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Per-user recommender algorithm selection pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_mode in [
-        ("synth", False),
-        ("ingest", False),
-        ("ground-truth", False),
-        ("features", False),
-        ("evaluate", True),
-        ("ablate", False),
-        ("importance", False),
-    ]:
+    for name in COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to a JSON config file")
         cmd.add_argument("--out", required=True, help="output directory (created if absent)")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if needs_mode:
+        if name == "evaluate":
             cmd.add_argument(
                 "--mode", default="both", choices=["user_only", "user_algo", "both"],
                 help="which meta-learner variant(s) to evaluate",
@@ -434,48 +443,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-HANDLERS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "ground-truth": cmd_ground_truth,
-    "features": cmd_features,
-    "ablate": cmd_ablate,
-    "importance": cmd_importance,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
+        stage = Stage(_load_config(args.config), args.out, args.seed, getattr(args, "mode", None))
         os.makedirs(args.out, exist_ok=True)
-        inputs = _input_paths(args.command, config)
-        if args.command == "evaluate":
-            outputs = cmd_evaluate(config, args.out, args.seed, args.mode)
-        else:
-            outputs = HANDLERS[args.command](config, args.out, args.seed)
-        extra = {}
-        if args.command in ("ground-truth", "features"):
-            extra["unavailable_algorithms"] = _portfolio_from_config(config.get("portfolio")).unavailable
-        if args.command == "features":
-            extra["timing_mode"] = config.get("timing", "wall")
-            extra["raw_timescale_features"] = list(RAW_TIMESCALE_FEATURES)
-        _write_manifest(
-            args.out,
-            args.command,
-            config,
-            _run_seed(config, args.seed),
-            inputs,
-            [os.path.basename(p) for p in outputs],
-            extra,
-        )
+        outputs = COMMANDS[args.command](stage)
+        _write_manifest(args.command, stage, outputs)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except RecselectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RecselectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in outputs:

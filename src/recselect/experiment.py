@@ -25,7 +25,6 @@ import numpy as np
 from scipy import stats
 
 from .algo_features import FEATURE_CATEGORIES, AlgorithmFeatureTable
-from .data import write_json
 from .errors import ConfigError, SearchError
 from .ground_truth import PerformanceMatrix, gap_closed, single_best_algorithm
 from .meta import (
@@ -268,24 +267,12 @@ class EvaluationReport:
         }
 
     def render_markdown(self) -> str:
-        rows = [
-            ("SBA", self.methods["sba"]),
-            (self.model_label, self.methods["model"]),
-            ("VBA", self.methods["vba"]),
-        ]
-        lines = [
-            f"# Selection results ({self.model_label}, {self.n_folds}-fold, seed {self.seed})",
-            "",
-            "| Method | NDCG@10 | 95% CI | Top-1 % | Top-3 % |",
-            "|---|---|---|---|---|",
-        ]
-        for label, m in rows:
-            s = m.summary()
-            ci = f"±{s['ci_ndcg']:.3f}" if s["ci_ndcg"] is not None else "n/a"
-            lines.append(
-                f"| {label} | {s['mean_ndcg']:.3f} | {ci} | "
-                f"{s['mean_top1_pct']:.1f} | {s['mean_top3_pct']:.1f} |"
-            )
+        lines = _markdown_table(
+            f"Selection results ({self.model_label}, {self.n_folds}-fold, seed {self.seed})",
+            ["Method", "NDCG@10", "95% CI", "Top-1 %", "Top-3 %"],
+            [[label, *_method_cells(self.methods[key])]
+             for label, key in (("SBA", "sba"), (self.model_label, "model"), ("VBA", "vba"))],
+        )
         gap = self.gap_closed_pct()
         lines.append("")
         lines.append(
@@ -293,6 +280,23 @@ class EvaluationReport:
         )
         lines.append(f"Single best algorithm: {self.sba_algorithm}")
         return "\n".join(lines) + "\n"
+
+
+def _markdown_table(title: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
+    """A report's heading and markdown table, one line per row."""
+    header_lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    return [f"# {title}", "", *header_lines, *("| " + " | ".join(cells) + " |" for cells in rows)]
+
+
+def _method_cells(method: MethodResult) -> list[str]:
+    """NDCG@10, its 95% CI, top-1 % and top-3 % as table cells."""
+    s = method.summary()
+    ci = f"±{s['ci_ndcg']:.3f}" if s["ci_ndcg"] is not None else "n/a"
+    return [f"{s['mean_ndcg']:.3f}", ci, f"{s['mean_top1_pct']:.1f}", f"{s['mean_top3_pct']:.1f}"]
+
+
+def _gap_cell(gap: float | None) -> str:
+    return f"{gap:.1f}" if gap is not None else "-"
 
 
 def _mode_label(mode: str) -> str:
@@ -451,20 +455,11 @@ class CombinedReport:
             ("M(User+Algo)", ua.methods["model"], ua.gap_closed_pct()),
             ("VBA", uo.methods["vba"], None),
         ]
-        lines = [
-            f"# Per-user algorithm selection ({uo.n_folds}-fold, seed {uo.seed})",
-            "",
-            "| Method | NDCG@10 | 95% CI | Top-1 % | Top-3 % | Gap closed % |",
-            "|---|---|---|---|---|---|",
-        ]
-        for label, m, gap in rows:
-            s = m.summary()
-            ci = f"±{s['ci_ndcg']:.3f}" if s["ci_ndcg"] is not None else "n/a"
-            gap_text = f"{gap:.1f}" if gap is not None else "-"
-            lines.append(
-                f"| {label} | {s['mean_ndcg']:.3f} | {ci} | {s['mean_top1_pct']:.1f} | "
-                f"{s['mean_top3_pct']:.1f} | {gap_text} |"
-            )
+        lines = _markdown_table(
+            f"Per-user algorithm selection ({uo.n_folds}-fold, seed {uo.seed})",
+            ["Method", "NDCG@10", "95% CI", "Top-1 %", "Top-3 %", "Gap closed %"],
+            [[label, *_method_cells(m), _gap_cell(gap)] for label, m, gap in rows],
+        )
         lines.append("")
         lines.append(f"Single best algorithm: {uo.sba_algorithm}")
         return "\n".join(lines) + "\n"
@@ -516,18 +511,12 @@ class AblationReport:
         }
 
     def render_markdown(self) -> str:
-        lines = [
-            f"# Feature-category ablation ({self.n_folds}-fold, seed {self.seed})",
-            "",
-            "| Features | NDCG@10 | 95% CI | Gap closed % |",
-            "|---|---|---|---|",
-        ]
-        for label, report in self.entries.items():
-            s = report.methods["model"].summary()
-            ci = f"±{s['ci_ndcg']:.3f}" if s["ci_ndcg"] is not None else "n/a"
-            gap = report.gap_closed_pct()
-            gap_text = f"{gap:.1f}" if gap is not None else "-"
-            lines.append(f"| {label} | {s['mean_ndcg']:.3f} | {ci} | {gap_text} |")
+        lines = _markdown_table(
+            f"Feature-category ablation ({self.n_folds}-fold, seed {self.seed})",
+            ["Features", "NDCG@10", "95% CI", "Gap closed %"],
+            [[label, *_method_cells(report.methods["model"])[:2], _gap_cell(report.gap_closed_pct())]
+             for label, report in self.entries.items()],
+        )
         return "\n".join(lines) + "\n"
 
 
@@ -587,14 +576,12 @@ class ImportanceReport:
         }
 
     def render_markdown(self) -> str:
-        lines = [
-            f"# Feature importance ({self.n_folds}-fold, seed {self.seed})",
-            "",
-            "| Rank | Feature | Mean importance | Std |",
-            "|---|---|---|---|",
-        ]
-        for rank, (name, mean, std) in enumerate(self.top(20), start=1):
-            lines.append(f"| {rank} | {name} | {mean:.4f} | {std:.4f} |")
+        lines = _markdown_table(
+            f"Feature importance ({self.n_folds}-fold, seed {self.seed})",
+            ["Rank", "Feature", "Mean importance", "Std"],
+            [[str(rank), name, f"{mean:.4f}", f"{std:.4f}"]
+             for rank, (name, mean, std) in enumerate(self.top(20), start=1)],
+        )
         return "\n".join(lines) + "\n"
 
 
@@ -631,8 +618,3 @@ def run_importance(
         n_folds=n_folds,
         seed=seed,
     )
-
-
-def report_to_json(report, path: str) -> None:
-    """Serialize any report dataclass with a to_dict method, deterministically."""
-    write_json(report.to_dict(), path)

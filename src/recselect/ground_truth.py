@@ -17,9 +17,9 @@ from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, SplitPair, open_table, read_header, read_id_rows
+from .data import Dataset, open_table, read_header, read_id_rows
 from .errors import EmptyDatasetError
-from .recommenders import RecommenderModel, TrainMatrix, build_train_matrix, top_k
+from .recommenders import RecommenderModel, TrainMatrix, top_k
 from .recommenders.base import checked_scores
 
 logger = logging.getLogger(__name__)
@@ -95,19 +95,18 @@ def evaluate_portfolio(
     test: Dataset,
     models: Mapping[str, RecommenderModel],
     k: int = 10,
-    exclude_seen: bool = True,
 ) -> PerformanceMatrix:
     """NDCG@k of every model for every test user trainable and testable.
 
     Users absent from the training matrix (or with empty relevant sets, which
     cannot occur for datasets produced by the splitter) are skipped; the count
     is logged and recorded on the returned matrix. Each model scores blocks of
-    users with ``score_users`` and ranks them with ``top_k``. Its snapped tie
-    rule keeps a cell from depending on how the scores were summed (block
-    size, BLAS kernel, EASE solve route), and each cell is ``ndcg_at_k`` of
-    the user's list, as with per-user ``recommend_top_k`` calls. A NaN or
-    infinite score raises NonFiniteScoresError naming the algorithm and the
-    first such user.
+    users with ``score_users`` and ranks them with ``top_k``, leaving out each
+    user's training items. Its snapped tie rule keeps a cell from depending on
+    how the scores were summed (block size, BLAS kernel, EASE solve route),
+    and each cell is ``ndcg_at_k`` of the user's list, as with per-user
+    ``recommend_top_k`` calls. A NaN or infinite score raises
+    NonFiniteScoresError naming the algorithm and the first such user.
     """
     if not models:
         raise ValueError("models mapping must not be empty")
@@ -129,25 +128,14 @@ def evaluate_portfolio(
         block_users = users[start:start + _USER_BLOCK]
         block = idx[start:start + _USER_BLOCK]
         exclude = np.zeros((block.size, matrix.n_items), dtype=bool)
-        if exclude_seen:
-            for row, u in enumerate(block):
-                exclude[row, matrix.seen[u]] = True
+        for row, u in enumerate(block):
+            exclude[row, matrix.seen[u]] = True
         for col, algo in enumerate(algorithms):
             scores = checked_scores(models[algo], block, block_users)
             for row, ranked in enumerate(top_k(scores, k, exclude)):
                 items = [matrix.item_ids[j] for j in ranked if j >= 0]
                 values[start + row, col] = ndcg_at_k(items, relevant_by_user[block_users[row]], k=k)
     return PerformanceMatrix(users, algorithms, values, skipped_users=skipped)
-
-
-def evaluate_split(
-    split: SplitPair,
-    models: Mapping[str, RecommenderModel],
-    k: int = 10,
-    exclude_seen: bool = True,
-) -> PerformanceMatrix:
-    """Convenience wrapper building the training matrix from a split."""
-    return evaluate_portfolio(build_train_matrix(split.train), split.test, models, k, exclude_seen)
 
 
 def single_best_algorithm(pm: PerformanceMatrix) -> tuple[str, float]:

@@ -9,6 +9,8 @@ dropped.
 
 from __future__ import annotations
 
+import inspect
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -58,6 +60,35 @@ def algorithm_source_path(algorithm_id: str) -> str:
     return _REGISTRY[algorithm_id][1].__file__
 
 
+def keyword_defaults(fn) -> dict[str, object]:
+    """The parameters of ``fn`` that have a default, mapped to that default."""
+    params = inspect.signature(fn).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+def train_parameters(algorithm_id: str) -> dict[str, object]:
+    """The keyword names of an algorithm's trainer other than ``matrix``, with their defaults."""
+    if algorithm_id not in _REGISTRY:
+        raise ConfigError(f"algorithm {algorithm_id!r} is not available; known: {sorted(_REGISTRY)}")
+    return keyword_defaults(_REGISTRY[algorithm_id][0])
+
+
+def check_parameters(owner: str, params, defaults: dict[str, object]) -> dict:
+    """A copy of ``params`` once each name is in ``defaults`` and each value has its default's type.
+
+    An int also passes where the default is a float, and a float must be finite.
+    """
+    if not isinstance(params, dict):
+        raise ConfigError(f"{owner} params must be an object, found {params!r}")
+    for name, value in params.items():
+        if name not in defaults:
+            raise ConfigError(f"{owner} takes no parameter {name!r}; known: {sorted(defaults)}")
+        kind = type(defaults[name])
+        if type(value) not in ((int, float) if kind is float else (kind,)) or not math.isfinite(value):
+            raise ConfigError(f"{owner} parameter {name!r} must be of type {kind.__name__}, found {value!r}")
+    return dict(params)
+
+
 @dataclass
 class PortfolioConfig:
     """Enabled algorithms with per-algorithm hyperparameter overrides."""
@@ -66,27 +97,37 @@ class PortfolioConfig:
     unavailable: dict[str, str] = field(default_factory=lambda: dict(UNAVAILABLE))
 
     def __post_init__(self):
-        for algo in self.algorithms:
-            if algo not in _REGISTRY:
-                raise ConfigError(
-                    f"algorithm {algo!r} is not available; known: {sorted(_REGISTRY)}"
-                )
+        self.algorithms = {
+            algo: check_parameters(f"algorithm {algo!r}", params, train_parameters(algo))
+            for algo, params in self.algorithms.items()
+        }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "PortfolioConfig":
+    def from_dict(cls, raw) -> "PortfolioConfig":
+        """Parse ``{"algorithms": [...]}``, each entry a name or a ``name``/``params``/``status``/``reason`` object."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"portfolio must be an object, found {raw!r}")
+        entries = raw.get("algorithms", [])
+        if not isinstance(entries, list):
+            raise ConfigError(f"portfolio 'algorithms' must be a list, found {entries!r}")
         algorithms = {}
         unavailable = dict(UNAVAILABLE)
-        for entry in raw.get("algorithms", []):
+        for entry in entries:
             if isinstance(entry, str):
-                name, params, status = entry, {}, "enabled"
-            else:
-                name = entry["name"]
-                params = dict(entry.get("params", {}))
-                status = entry.get("status", "enabled")
+                entry = {"name": entry}
+            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+                raise ConfigError(
+                    f"portfolio entry must be a name or an object with a string 'name', found {entry!r}"
+                )
+            name, status = entry["name"], entry.get("status", "enabled")
             if status == "unavailable":
-                unavailable[name] = entry.get("reason", "unavailable") if isinstance(entry, dict) else "unavailable"
-                continue
-            algorithms[name] = params
+                unavailable[name] = entry.get("reason", "unavailable")
+            elif status == "enabled":
+                algorithms[name] = entry.get("params", {})
+            else:
+                raise ConfigError(
+                    f"portfolio entry {name!r} has status {status!r}; expected 'enabled' or 'unavailable'"
+                )
         if not algorithms:
             raise ConfigError("portfolio config enables no algorithms")
         return cls(algorithms=algorithms, unavailable=unavailable)
@@ -123,10 +164,13 @@ __all__ = [
     "UNAVAILABLE",
     "algorithm_source_path",
     "build_train_matrix",
+    "check_parameters",
+    "keyword_defaults",
     "load_model",
     "recommend_top_k",
     "save_model",
     "top_k",
     "train_algorithm",
+    "train_parameters",
     "train_portfolio",
 ]

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from recselect.cli import main
 from recselect.ground_truth import PerformanceMatrix
 from recselect.user_features import RAW_TIMESCALE_FEATURES, USER_FEATURE_NAMES, UserFeatureTable
-from recselect.algo_features import CATEGORICAL_NAMES, AlgorithmFeatureTable
+from recselect.algo_features import CATEGORICAL_NAMES, DEFAULT_CONCEPTUAL, AlgorithmFeatureTable
 
 LEAN_SPACE = {
     "n_iter": 2,
@@ -175,6 +175,17 @@ class TestSynthCommand:
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        {"kind": 3}, {"kind": "planted", "name": ["bench"]}, {"kind": "planted", "seed": "s"},
+        {"kind": "uniform_sparse", "params": {"users": 5}}, {"kind": "uniform_sparse", "params": {"seed": 5}},
+        {"kind": "uniform_sparse", "params": {"n_users": "5"}}, {"kind": "event_log", "params": []},
+    ])
+    def test_bad_dataset_entry_exits_2_with_one_config_error_line(self, tmp_path, capsys, entry):
+        cfg = write_config(str(tmp_path), "bad.json", {"datasets": [entry]})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestIngestCommand:
     def test_outputs_exist(self, pipeline):
@@ -276,6 +287,59 @@ def test_manifest_lists_the_unavailable_algorithms_with_their_reasons(pipeline, 
         "line": "no maintained implementation available",
         "fpmc": "no maintained implementation available",
     }
+
+
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def rerun_config(pipeline, cfg_key, changes, tmp_path):
+    """The pipeline's config for one stage with ``changes`` applied, written under tmp_path."""
+    with open(pipeline[cfg_key]) as fh:
+        config = {**json.load(fh), **changes}
+    return write_config(str(tmp_path), os.path.basename(pipeline[cfg_key]), config)
+
+
+@pytest.mark.parametrize("command", ["features", "ground-truth", "evaluate"])
+def test_manifest_inputs_are_exactly_the_files_the_stage_read(pipeline, tmp_path, command):
+    probe_csv = os.path.join(pipeline["synth_out"], "probe_csv.csv")
+    if command == "features":
+        cmap = write_config(str(tmp_path), "conceptual.json", DEFAULT_CONCEPTUAL)
+        changes = {"portfolio": {"algorithms": ["pop"]}, "conceptual_map": cmap,
+                   "probes": [{"name": "fromfile", "path": probe_csv}]}
+        cfg, read, args = "feat_cfg", [pipeline["bench_csv"], probe_csv, cmap], []
+    elif command == "ground-truth":
+        portfolio = write_config(str(tmp_path), "portfolio.json", {"algorithms": ["pop", "itemknn"]})
+        cfg, read, args = "gt_cfg", [pipeline["bench_csv"], portfolio], []
+        changes = {"portfolio": portfolio, "save_models": False}
+    else:
+        changes = {"folds": 2}
+        read = [os.path.join(pipeline["gt_out"], "performance_matrix.csv"),
+                os.path.join(pipeline["feat_out"], "user_features.csv")]
+        cfg, args = "eval_cfg", ["--mode", "user_only"]
+    out = str(tmp_path / "o")
+    assert main([command, "--config", rerun_config(pipeline, cfg, changes, tmp_path),
+                 "--out", out, *args]) == 0
+    with open(os.path.join(out, f"manifest_{command.replace('-', '_')}.json")) as fh:
+        inputs = json.load(fh)["inputs"]
+    assert inputs == {path: sha256_of(path) for path in read}
+
+
+@pytest.mark.parametrize("command, changes", [
+    ("ground-truth", {"portfolio": {"algorithms": ["pop", {"params": {"neighbors": 5}}]}}),
+    ("ground-truth", {"test_fraction": "x"}),
+    ("ground-truth", {"k": "ten"}),
+    ("ground-truth", {"portfolio": {"algorithms": [{"name": "ease", "params": {"lambda": 2.0}}]}}),
+    ("features", {"portfolio": {"algorithms": [{"name": "ease", "params": {"lambda": 2.0}}]}}),
+    ("ground-truth", {"portfolio": 5}),
+])
+def test_bad_stage_config_exits_2_with_one_config_error_line(pipeline, tmp_path, capsys, command, changes):
+    cfg = rerun_config(pipeline, "gt_cfg" if command == "ground-truth" else "feat_cfg", changes, tmp_path)
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestFeaturesCommand:
@@ -586,6 +650,95 @@ class TestEvaluateFuzz:
         assert err.count("\n") == 1 and "Traceback" not in err, err
         if bad_table is not None:
             assert code == 1 and bad_table in err, err
+
+
+NOT_A_FRACTION = [None, True, "x", "0.2", [0.2], {}, 0, 1, 1.5, -0.1, float("nan")]
+NOT_A_COUNT = [None, True, "ten", [10], {}, 2.5, 0, -3]
+NOT_A_TIMING = [None, True, 3, "fast", "Wall", ["wall"], {"mode": "off"}]
+NOT_A_PORTFOLIO = [5, True, [], ["pop"], "missing_portfolio.json", {}, {"algorithms": "pop"},
+                   {"algorithms": {"pop": {}}}, {"algorithms": []}, {"algorithms": None}]
+NOT_A_PORTFOLIO_ENTRY = [
+    3, None, ["pop"], {}, {"params": {}}, {"name": 3}, {"name": None}, {"name": "svd"},
+    {"name": "fism"}, {"name": "pop", "status": "disabled"}, {"name": "pop", "status": None},
+]
+NOT_PARAMS = ["x", [], 3, None, {"lambda": 2.0}, {"Neighbors": 5}]
+BAD_PARAM_VALUES = {
+    "itemknn": [{"neighbors": "10"}, {"neighbors": 2.5}, {"neighbors": None}, {"binarize": 1}],
+    "bpr": [{"factors": [4]}, {"epochs": 5.0}, {"lr": "fast"}, {"seed": "s"}, {"seed": True}],
+    "ease": [{"l2": None}, {"l2": "big"}, {"l2": True}, {"l2": float("inf")}],
+}
+NOT_A_CONCEPTUAL_MAP = [
+    5, True, [], ["pop"], "missing_map.json", {}, {**DEFAULT_CONCEPTUAL, "pop": 3},
+    {**DEFAULT_CONCEPTUAL, "pop": "PCT"}, {**DEFAULT_CONCEPTUAL, "pop": ["Popularity", "Counting"]},
+    {**DEFAULT_CONCEPTUAL, "pop": ["Deep", "Counting", True]},
+]
+GENERATED = {"name": "p", "kind": "uniform_sparse", "params": {"n_users": 10, "n_items": 12, "per_user": 4}}
+NOT_A_PROBE = [
+    3, None, "skewed", [], {}, {"kind": "uniform_sparse"}, {"name": 3, "kind": "uniform_sparse"},
+    {"name": "p"}, {"name": "p", "kind": "fractal"}, {"name": "p", "kind": ["uniform_sparse"]},
+    {"name": "p", "path": 3}, {"name": "p", "path": "missing_probe.csv"},
+    {**GENERATED, "params": "big"}, {**GENERATED, "params": {"n_users": "20"}},
+    {**GENERATED, "params": {"seed": 3}}, {**GENERATED, "params": {"users": 20}},
+    {**GENERATED, "seed": "s"}, {**GENERATED, "seed": -1},
+    {**GENERATED, "sample_users": "half"}, {**GENERATED, "sample_users": 0},
+    {**GENERATED, "sample_users": 1.5}, {**GENERATED, "sample_users": 0.5, "sample_seed": 0.5},
+    {**GENERATED, "test_fraction": 1}, {**GENERATED, "test_fraction": None},
+]
+
+
+@st.composite
+def corrupted_stage_config(draw, config, features):
+    """A ground-truth or features config with one invalid value; returns its JSON text."""
+    config = json.loads(json.dumps(config))
+    kinds = ["portfolio", "entry", "params", "test_fraction", "k"]
+    if features:
+        kinds += ["probe", "probes", "time_runs", "timing", "conceptual_map"]
+    kind = draw(st.sampled_from(kinds))
+    entries = config["portfolio"]["algorithms"]
+    if kind == "portfolio":
+        config["portfolio"] = draw(st.sampled_from(NOT_A_PORTFOLIO))
+    elif kind == "entry":
+        at = draw(st.integers(0, len(entries)))
+        entries[at:at + 1] = [draw(st.sampled_from(NOT_A_PORTFOLIO_ENTRY))]
+    elif kind == "params":
+        algo = draw(st.sampled_from(sorted(BAD_PARAM_VALUES)))
+        entry = next(e for e in entries if isinstance(e, dict) and e["name"] == algo)
+        entry["params"] = draw(st.sampled_from(NOT_PARAMS + BAD_PARAM_VALUES[algo]))
+    elif kind == "probe":
+        at = draw(st.integers(0, len(config["probes"])))
+        config["probes"][at:at + 1] = [draw(st.sampled_from(NOT_A_PROBE))]
+    elif kind == "probes":
+        config["probes"] = draw(st.sampled_from(["skewed", {}, 3, [["skewed"]]]))
+    elif kind == "timing":
+        config["timing"] = draw(st.sampled_from(NOT_A_TIMING))
+    elif kind == "conceptual_map":
+        config["conceptual_map"] = draw(st.sampled_from(NOT_A_CONCEPTUAL_MAP))
+    else:
+        config[kind] = draw(st.sampled_from(NOT_A_FRACTION if kind == "test_fraction" else NOT_A_COUNT))
+    return json.dumps(config)
+
+
+class TestStageFuzz:
+    """Corrupted ground-truth and features configs end in one named error line, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_corrupted_configs_exit_with_one_error_line(self, pipeline, data):
+        command = data.draw(st.sampled_from(["ground-truth", "features"]), label="command")
+        with open(pipeline["gt_cfg" if command == "ground-truth" else "feat_cfg"]) as fh:
+            config = json.load(fh)
+        text = data.draw(corrupted_stage_config(config, command == "features"))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "stage.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", cfg, "--out", os.path.join(tmp, "o")])
+        err = err.getvalue()
+        assert code in (1, 2), err
+        assert err.startswith("error: " if code == 1 else "config error: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
 class TestAblateCommand:

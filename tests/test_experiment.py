@@ -16,6 +16,7 @@ from scipy import stats
 
 import recselect.experiment as experiment
 from recselect.algo_features import AlgorithmFeatureTable, FEATURE_CATEGORIES
+from recselect.data import write_json
 from recselect.errors import ConfigError, SearchError
 from recselect.experiment import (
     DEFAULT_ABLATION_SETS,
@@ -25,7 +26,6 @@ from recselect.experiment import (
     ci_half_width,
     derive_seed,
     make_user_folds,
-    report_to_json,
     run_ablation,
     run_full_evaluation,
     run_importance,
@@ -464,8 +464,8 @@ class TestReportJson:
         pm, uf = planted_problem(n_users=12)
         report = run_nested_cv(pm, uf, None, "user_only", n_folds=2, seed=0, predictor="oracle")
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        report_to_json(report, str(a))
-        report_to_json(report, str(b))
+        write_json(report.to_dict(), str(a))
+        write_json(report.to_dict(), str(b))
         assert a.read_bytes() == b.read_bytes()
         payload = json.loads(a.read_text())
         assert payload["mode"] == "user_only"

@@ -14,7 +14,6 @@ from recselect.experiment import selector_fold_metrics
 from recselect.ground_truth import (
     PerformanceMatrix,
     evaluate_portfolio,
-    evaluate_split,
     gap_closed,
     ndcg_at_k,
     single_best_algorithm,
@@ -295,9 +294,14 @@ class TestEvaluatePortfolio:
         with pytest.raises(ValueError):
             evaluate_portfolio(toy_matrix, toy_split.test, {}, k=3)
 
-    def test_split_wrapper_agrees(self, toy_split, toy_matrix):
-        models = train_portfolio(toy_split.train, PortfolioConfig({"pop": {}}))
-        a = evaluate_portfolio(toy_matrix, toy_split.test, models, k=3)
-        b = evaluate_split(toy_split, models, k=3)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.users == b.users
+    def test_training_items_are_never_recommended(self):
+        # Popularity ranks a > b > c, so each user's one slot holds its only unseen item.
+        ds = make_dataset([
+            ("u0", "a", 1, 0), ("u0", "b", 1, 1), ("u0", "c", 1, 2),
+            ("u1", "a", 1, 0), ("u1", "b", 1, 1), ("u1", "c", 1, 2),
+            ("u2", "a", 1, 0), ("u2", "c", 1, 1), ("u2", "b", 1, 2),
+        ])
+        split = temporal_split_per_user(ds, 0.2)
+        models = train_portfolio(split.train, PortfolioConfig({"pop": {}}))
+        pm = evaluate_portfolio(build_train_matrix(split.train), split.test, models, k=1)
+        np.testing.assert_array_equal(pm.values, np.ones((3, 1)))
