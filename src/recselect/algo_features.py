@@ -22,7 +22,7 @@ import numpy as np
 from .astgraph import AST_METRIC_NAMES, AstGraphMetrics, analyze_ast_file
 from .codemetrics import CODE_METRIC_NAMES, CodeMetrics, analyze_file
 from .data import SplitPair, open_table, read_header, read_id_rows
-from .errors import ConfigError
+from .errors import ConfigError, RecselectError
 from .ground_truth import evaluate_portfolio
 from .recommenders import TrainMatrix, algorithm_source_path, build_train_matrix, train_algorithm
 
@@ -109,8 +109,10 @@ def landmark_portfolio(
 
     ``timing="wall"`` records median-of-``time_runs`` wall-clock seconds for
     training and for scoring all test users; ``timing="off"`` writes 0.0 so
-    repeated runs are bit-identical. A training or evaluation failure yields
-    a zeroed, flagged result instead of aborting the sweep.
+    repeated runs are bit-identical. A training or evaluation failure (a
+    ``RecselectError`` such as ``DivergenceError``) yields a zeroed, flagged
+    result instead of aborting the sweep; any other error, such as the
+    ``ValueError`` of an out-of-range parameter, propagates.
     """
     if timing not in ("wall", "off"):
         raise ConfigError(f"timing must be 'wall' or 'off', got {timing!r}")
@@ -125,7 +127,7 @@ def landmark_portfolio(
                 results[algo][probe_name] = _landmark_one(
                     matrix, split, algo, params, k, timing, time_runs
                 )
-            except Exception:
+            except RecselectError:
                 logger.warning("landmark failed: algorithm=%s probe=%s", algo, probe_name, exc_info=True)
                 results[algo][probe_name] = ProbeResult(0.0, 0.0, 0.0, failed=True)
     return results

@@ -16,6 +16,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -123,6 +124,21 @@ class Stage:
             raise ConfigError(f"config key {key!r} must be a string, found {value!r}")
         return value
 
+    def optional_string(self, key: str) -> str | None:
+        value = self.config.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"config key {key!r} must be null or a string, found {value!r}")
+        return value
+
+    def weights(self, key: str) -> dict[str, float] | None:
+        """Null, or an object whose values are all finite numbers."""
+        value = self.config.get(key)
+        if value is not None and not (isinstance(value, dict) and all(
+            not isinstance(w, bool) and isinstance(w, (int, float)) and math.isfinite(w) for w in value.values()
+        )):
+            raise ConfigError(f"config key {key!r} must be null or an object of finite numbers, found {value!r}")
+        return value
+
     def path(self, key: str, entry: dict | None = None) -> str:
         """The file path under ``key``, recorded as an input of this stage."""
         path = self.string(key, entry)
@@ -199,15 +215,14 @@ def cmd_synth(stage: Stage) -> list[str]:
 
 
 def cmd_ingest(stage: Stage) -> list[str]:
-    config = stage.config
     ingest_cfg = IngestConfig(
         name=stage.string("name"),
         user_col=stage.string("user_col"),
         item_col=stage.string("item_col"),
-        rating_col=config.get("rating_col"),
-        timestamp_col=config.get("timestamp_col"),
-        event_weights=config.get("event_weights"),
-        dedup=config.get("dedup", "sum"),
+        rating_col=stage.optional_string("rating_col"),
+        timestamp_col=stage.optional_string("timestamp_col"),
+        event_weights=stage.weights("event_weights"),
+        dedup=stage.config.get("dedup", "sum"),  # IngestConfig checks it against DEDUP_MODES
     )
     dataset = ingest_raw(stage.path("path"), ingest_cfg)
     dataset = filter_min_interactions(dataset, stage.integer("min_interactions", 10, 1))

@@ -8,13 +8,33 @@ every admissible threshold is computed; the best (gain, then lowest split
 position, then lowest feature index) wins. Feature importance is the total
 split gain accumulated per feature, normalized to sum to one.
 
-Each tree sorts its rows once, at the root, as the exact greedy method of
-XGBoost does (Chen & Guestrin, KDD 2016); a child's sorted order is its
-parent's with the other child's rows filtered out, so the scans, gains and
-tie rules are those of a fresh stable sort at every node. A fitted tree is a
-set of flat node arrays and predicts a whole batch level by level. Without
-subsampling, boosting updates its running predictions from the leaf values
-the tree assigned while it was built instead of predicting the rows again.
+A fit sorts its rows once, as the exact greedy method of XGBoost does (Chen
+& Guestrin, KDD 2016), and every tree of the fit reuses that work:
+
+- Rank classes. Exact search reads a column only through its stable sorted
+  order, its ties (where adjacent sorted values strictly rise) and the two
+  values around the chosen threshold. Columns whose orders and rises are
+  equal over the fit's rows keep them equal over every subset of those rows,
+  so they admit the same split positions with bit-identical gains. The fit
+  searches only the first column of each such class: the lowest-feature tie
+  rule could never choose a later one, and column 0, whose order gives a
+  node's SSE, always stays. Trees record the columns' own indices in ``x``,
+  so predictions and importances see every column.
+- Node cache. Every tree grows on ids into the fit's rows (a subsampled tree
+  from its subsample), and the fit maps each node's ascending row ids to the
+  node's search state: its sorted order, filtered from the parent's the first
+  time that row set appears, and its admissible (position, column)
+  candidates. Because the ids ascend, a filtered order equals a fresh stable
+  argsort of the node's rows, so the cumsums, gains and tie rules are those
+  of a per-node sort. Boosting keeps searching the same row sets, so most
+  searches only gather the current targets, run two cumsums and score the
+  gains. The cache lives as long as the ``fit_gbdt`` call.
+
+Both rest on ``<`` ordering the values, so ``x`` must be finite. A fitted tree
+is a set of flat node arrays and predicts a whole batch level by level.
+Without subsampling, boosting updates its running predictions from the leaf
+values the tree assigned while it was built instead of predicting the rows
+again.
 """
 
 from __future__ import annotations
@@ -69,19 +89,21 @@ class RegressionTree:
     (-1 at a leaf), ``threshold``, ``left``, ``right`` (child node ids, -1 at
     a leaf), ``value`` (the node's target mean) and ``gain`` are numpy arrays,
     ``depth`` is the deepest leaf's level and ``fitted_values`` holds the leaf
-    value of every training row.
+    value of every row the tree was grown on.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "value", "gain", "depth", "fitted_values")
 
     def fit(self, x: np.ndarray, y: np.ndarray, max_depth: int, min_samples_leaf: int) -> "RegressionTree":
+        """Grow one tree on every row of ``x``, the way ``fit_gbdt`` grows each of its trees."""
+        return self._grow(_SortedFit(x, max_depth, min_samples_leaf), y, np.arange(y.shape[0]))
+
+    def _grow(self, fit: "_SortedFit", y: np.ndarray, rows: np.ndarray) -> "RegressionTree":
+        """Grow the tree on ``rows`` (ascending ids into the fit's rows) against targets ``y``."""
         self.feature, self.threshold, self.left, self.right, self.value, self.gain = [], [], [], [], [], []
         self.depth = 0
         self.fitted_values = np.empty(y.shape[0])
-        # One stable sort per tree, feature-major: order[f] lists the rows by x[:, f].
-        order = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
-        member = np.zeros(y.shape[0], dtype=bool)
-        self._build(x, y, np.arange(y.shape[0]), order, member, 0, max_depth, min_samples_leaf)
+        self._build(fit, y, rows, 0, fit.search_state(rows, 0, fit.order))
         self.feature = np.asarray(self.feature, dtype=np.intp)
         self.threshold = np.asarray(self.threshold, dtype=np.float64)
         self.left = np.asarray(self.left, dtype=np.intp)
@@ -99,23 +121,15 @@ class RegressionTree:
         self.gain.append(0.0)
         return len(self.feature) - 1
 
-    def _build(self, x, y, idx, order, member, depth, max_depth, min_samples_leaf) -> int:
-        """Grow the subtree over rows ``idx`` (ascending); ``order`` is their presort.
-
-        A child's order is the parent's filtered by the child's row mask. Since
-        ``idx`` is ascending, that equals a stable argsort of ``x[idx]`` mapped
-        back to row ids, so every cumsum and gain matches a per-node sort.
-        ``member`` is an all-False mask over the tree's rows, reused by every split.
-        """
+    def _build(self, fit, y, idx, depth, state) -> int:
+        """Grow the subtree over rows ``idx`` (ascending); ``state`` is its search state or None."""
         mean = float(y[idx].sum()) / idx.shape[0]  # np.mean's arithmetic, without its overhead
         node = self._new_node(mean)
         self.depth = max(self.depth, depth)
-        split = None
-        if depth < max_depth and idx.shape[0] >= 2 * min_samples_leaf:
-            split = _best_split(x, y, order, min_samples_leaf)
+        split = None if state is None else fit.best_split(y, state)
         if split is not None:
             feature, threshold, gain = split
-            go_left = x[idx, feature] <= threshold
+            go_left = fit.x[idx, feature] <= threshold
             if np.count_nonzero(go_left) in (0, idx.shape[0]):
                 split = None  # midpoint rounded onto a sample value; keep the leaf
         if split is None:
@@ -124,18 +138,12 @@ class RegressionTree:
         self.feature[node] = feature
         self.threshold[node] = threshold
         self.gain[node] = gain
-        left_rows = idx[go_left]
-        member[left_rows] = True
-        in_left = member[order]
-        member[left_rows] = False
-        n_features = order.shape[0]
-        left_order = order[in_left].reshape(n_features, -1)
-        right_order = order[~in_left].reshape(n_features, -1)
+        order, left_rows, right_rows = state[0], idx[go_left], idx[~go_left]
         self.left[node] = self._build(
-            x, y, left_rows, left_order, member, depth + 1, max_depth, min_samples_leaf
+            fit, y, left_rows, depth + 1, fit.search_state(left_rows, depth + 1, order)
         )
         self.right[node] = self._build(
-            x, y, idx[~go_left], right_order, member, depth + 1, max_depth, min_samples_leaf
+            fit, y, right_rows, depth + 1, fit.search_state(right_rows, depth + 1, order)
         )
         return node
 
@@ -155,47 +163,114 @@ class RegressionTree:
         np.add.at(totals, self.feature[inner], self.gain[inner])  # in node order
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, order: np.ndarray, min_samples_leaf: int):
-    """Exact greedy search over all features at once.
+# Bound on one fit's node cache. Fits without subsampling at the benchmark's
+# sizes stay under 5 MB; subsampled trees rarely repeat a row set, and deep
+# wide fits would otherwise hold 100 MB or more.
+NODE_CACHE_BYTES = 8 * 2**20
 
-    ``order`` is the node's presort, shape (features, rows >= 2): ``order[f]``
-    holds the node's row ids sorted stably by ``x[:, f]``. Returns (feature,
-    threshold, gain) or None when no admissible split has strictly positive
-    gain. Split positions s place the first s sorted rows on the left; a
-    position is admissible when it falls between two distinct values and
-    leaves ``min_samples_leaf`` rows on each side, and gains are evaluated at
-    admissible positions only. Position order breaks gain ties before feature
-    order does (the candidates are listed s-major and the first maximum wins).
+
+class _SortedFit:
+    """The rows of one fit, sorted once, with the search state of every node row set.
+
+    ``features`` holds the first column of each rank class, ascending, and
+    ``order[k]`` the fit's rows sorted stably by ``x[:, features[k]]``. Two
+    columns share a rank class when their stable orders are equal and so are
+    their sorted values' strict rises. ``nodes`` maps a node's ascending row
+    ids (``idx.tobytes()``) to its search state, shared by every tree of the
+    fit: the node's presort over the kept columns and its admissible split
+    candidates, or None when it has none. It holds at most
+    ``NODE_CACHE_BYTES`` and empties when full.
     """
-    n_features, n = order.shape
-    if n_features == 0:
-        return None
-    x_sorted = x[order, np.arange(n_features)[:, None]]
-    lo, hi = min_samples_leaf - 1, n - min_samples_leaf  # left = sorted rows 0..j, lo <= j < hi
-    j, feature = np.nonzero((x_sorted[:, lo:hi] < x_sorted[:, lo + 1:hi + 1]).T)
-    if j.size == 0:
-        return None
-    j += lo
 
-    y_sorted = y[order]
-    cum = y_sorted.cumsum(axis=1)
-    cum_sq = (y_sorted * y_sorted).cumsum(axis=1)
-    sse_node = float(cum_sq[0, -1] - cum[0, -1] * cum[0, -1] / n)
+    def __init__(self, x: np.ndarray, max_depth: int, min_samples_leaf: int):
+        if not np.isfinite(x).all():
+            raise ValueError("x must hold only finite values")
+        order = np.argsort(x, axis=0, kind="stable")
+        x_sorted = np.take_along_axis(x, order, axis=0)
+        rises = (x_sorted[:-1] < x_sorted[1:]).T
+        order = order.T
+        first: dict[bytes, int] = {}
+        for f in range(x.shape[1]):
+            first.setdefault(order[f].tobytes() + rises[f].tobytes(), f)
+        self.features = np.array(list(first.values()), dtype=np.intp)
+        self.order = np.ascontiguousarray(order[self.features])
+        self.x = x
+        self.max_depth = max_depth
+        self.min_samples_leaf = min_samples_leaf
+        self.member = np.zeros(x.shape[0], dtype=bool)  # all False between calls
+        self.nodes: dict[bytes, tuple | None] = {}
+        self.cached_bytes = 0
 
-    total, total_sq = cum[feature, -1], cum_sq[feature, -1]
-    left_sum, left_sq = cum[feature, j], cum_sq[feature, j]
-    counts = j + 1.0
-    right_sum, right_sq = total - left_sum, total_sq - left_sq
-    sse = (left_sq - left_sum * left_sum / counts) + (right_sq - right_sum * right_sum / (n - counts))
-    gains = sse_node - sse
+    def search_state(self, rows: np.ndarray, depth: int, parent_order: np.ndarray):
+        """The search state of the node over ``rows``, or None when it cannot split.
 
-    best = int(gains.argmax())
-    best_gain = float(gains[best])
-    if not np.isfinite(best_gain) or best_gain <= 1e-12:
-        return None
-    f, last = int(feature[best]), int(j[best])
-    threshold = float(0.5 * (x_sorted[f, last] + x_sorted[f, last + 1]))
-    return f, threshold, best_gain
+        On the row set's first appearance its presort is ``parent_order`` (any
+        presort whose rows include ``rows``) filtered down to ``rows``. Since
+        ``rows`` ascend, that equals a stable argsort of the node's own values.
+        """
+        if depth >= self.max_depth or rows.shape[0] < 2 * self.min_samples_leaf:
+            return None
+        key = rows.tobytes()
+        if key not in self.nodes:
+            self.member[rows] = True
+            order = parent_order[self.member[parent_order]].reshape(self.features.size, rows.shape[0])
+            self.member[rows] = False
+            state = self._candidates(order)
+            size = len(key) + (0 if state is None else sum(a.nbytes for a in state))
+            if self.cached_bytes + size > NODE_CACHE_BYTES:
+                self.nodes.clear()  # start over with the row sets the latest trees search
+                self.cached_bytes = 0
+            self.nodes[key] = state
+            self.cached_bytes += size
+        return self.nodes[key]
+
+    def _candidates(self, order: np.ndarray):
+        """(order, left ends, totals, left counts, right counts) of every admissible split.
+
+        Split positions s place the first s sorted rows on the left; a
+        position is admissible when it falls between two distinct values and
+        leaves ``min_samples_leaf`` rows on each side. Candidates are listed
+        s-major, so a gain tie goes to the lowest position, then the lowest
+        column. Left ends and totals are flat positions in the node's
+        (class, sorted row) cumsums: the last left row and the last row.
+        """
+        n = order.shape[1]
+        x_sorted = self.x[order, self.features[:, None]]
+        lo, hi = self.min_samples_leaf - 1, n - self.min_samples_leaf  # left = sorted rows 0..j
+        j, k = np.nonzero((x_sorted[:, lo:hi] < x_sorted[:, lo + 1:hi + 1]).T)
+        if j.size == 0:
+            return None
+        j += lo
+        counts = j + 1.0
+        return order, k * n + j, k * n + (n - 1), counts, n - counts
+
+    def best_split(self, y: np.ndarray, state: tuple):
+        """Exact greedy search of one node: (feature, threshold, gain) or None.
+
+        Only ``y`` is gathered; the gains are those of a fresh stable sort of
+        the node's rows over every column, and None means no admissible split
+        has strictly positive gain.
+        """
+        order, left_end, total, counts, right_counts = state
+        n = order.shape[1]
+        y_sorted = y.take(order)
+        cum = y_sorted.cumsum(axis=1)
+        cum_sq = (y_sorted * y_sorted).cumsum(axis=1)
+        sse_node = float(cum_sq[0, -1] - cum[0, -1] * cum[0, -1] / n)  # column 0 is always kept
+
+        left_sum, left_sq = cum.take(left_end), cum_sq.take(left_end)
+        right_sum, right_sq = cum.take(total) - left_sum, cum_sq.take(total) - left_sq
+        sse = (left_sq - left_sum * left_sum / counts) + (right_sq - right_sum * right_sum / right_counts)
+        gains = sse_node - sse
+
+        best = int(gains.argmax())
+        best_gain = float(gains[best])
+        if not np.isfinite(best_gain) or best_gain <= 1e-12:
+            return None
+        c, last = divmod(int(left_end[best]), n)
+        feature = int(self.features[c])
+        threshold = float(0.5 * (self.x[order[c, last], feature] + self.x[order[c, last + 1], feature]))
+        return feature, threshold, best_gain
 
 
 class BoostedEnsemble:
@@ -224,7 +299,7 @@ class BoostedEnsemble:
 
 
 def fit_gbdt(x: np.ndarray, y: np.ndarray, params: GBDTParams) -> BoostedEnsemble:
-    """Fit one squared-loss boosted ensemble."""
+    """Fit one squared-loss boosted ensemble; ``x`` must be finite."""
     params.validate()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -237,6 +312,8 @@ def fit_gbdt(x: np.ndarray, y: np.ndarray, params: GBDTParams) -> BoostedEnsembl
     rng = np.random.default_rng(params.seed) if params.subsample < 1.0 else None
     current = np.full(n, float(y.mean()))
     ensemble = BoostedEnsemble(params, float(y.mean()), [], x.shape[1])
+    fit = _SortedFit(x, params.max_depth, params.min_samples_leaf)
+    every_row = np.arange(n)
 
     for _ in range(params.num_trees):
         residual = y - current
@@ -244,12 +321,10 @@ def fit_gbdt(x: np.ndarray, y: np.ndarray, params: GBDTParams) -> BoostedEnsembl
             size = max(1, int(round(params.subsample * n)))
             rows = np.sort(rng.choice(n, size=size, replace=False))
         else:
-            rows = slice(None)
-        tree = RegressionTree().fit(
-            x[rows], residual[rows], params.max_depth, params.min_samples_leaf
-        )
+            rows = every_row
+        tree = RegressionTree()._grow(fit, residual, rows)
         ensemble.trees.append(tree)
-        # Without subsampling the tree was fit on every row and already knows
+        # Without subsampling the tree was grown on every row and already knows
         # each row's leaf value. The ensemble keeps no per-row arrays.
         fitted = tree.predict(x) if rng is not None else tree.fitted_values
         tree.fitted_values = None

@@ -131,19 +131,29 @@ class TestLandmarks:
             landmark_portfolio({}, {}, time_runs=0)
 
     def test_training_failure_is_flagged_not_fatal(self, caplog):
-        algos = {"pop": {}, "ease": {"l2": -1.0}}
+        algos = {"pop": {}, "biasedmf": DIVERGING}
         with caplog.at_level(logging.WARNING):
             landmarks = landmark_portfolio({"p0": probe_split()}, algos, timing="off")
-        bad = landmarks["ease"]["p0"]
+        bad = landmarks["biasedmf"]["p0"]
         assert bad.failed
         assert (bad.perf, bad.train_seconds, bad.pred_seconds) == (0.0, 0.0, 0.0)
         assert not landmarks["pop"]["p0"].failed
         assert any("landmark failed" in r.message for r in caplog.records)
 
+    def test_out_of_range_parameter_is_not_absorbed(self):
+        with pytest.raises(ValueError, match="l2 must be > 0"):
+            landmark_portfolio({"p0": probe_split()}, {"pop": {}, "ease": {"l2": -1.0}}, timing="off")
+
+
+# biasedmf's SGD overflows at this learning rate: a DivergenceError, a genuine training failure.
+DIVERGING = {"lr": 1e3, "epochs": 3}
+
 
 def small_table(with_failure=False):
     split = probe_split()
-    algos = {"pop": {}, "ease": {"l2": -1.0 if with_failure else 2.0}}
+    algos = {"pop": {}, "ease": {"l2": 2.0}}
+    if with_failure:
+        algos["biasedmf"] = DIVERGING
     code, ast_metrics = static_metrics_for_portfolio(list(algos))
     landmarks = landmark_portfolio({"p0": split, "p1": split}, algos, timing="off")
     tags = load_conceptual_map(list(algos))
@@ -172,7 +182,8 @@ class TestAssembly:
         flagged = small_table(with_failure=True)
         assert "landmark_failed_on_p0" in flagged.numeric_names
         col = flagged.numeric_names.index("landmark_failed_on_p0")
-        assert flagged.numeric[flagged.row_index("ease"), col] == 1.0
+        assert flagged.numeric[flagged.row_index("biasedmf"), col] == 1.0
+        assert flagged.numeric[flagged.row_index("ease"), col] == 0.0
         assert flagged.numeric[flagged.row_index("pop"), col] == 0.0
 
     def test_cold_start_flag_is_numeric(self):

@@ -142,7 +142,7 @@ def pipeline(tmp_path_factory):
     return {
         "root": str(root), "cfg_dir": cfg_dir,
         "synth_out": synth_out, "synth_cfg": synth_cfg,
-        "ingest_out": ingest_out,
+        "ingest_out": ingest_out, "ingest_cfg": ingest_cfg,
         "gt_out": gt_out, "gt_cfg": gt_cfg,
         "feat_out": feat_out, "feat_cfg": feat_cfg,
         "eval_out": eval_out, "eval_cfg": eval_cfg,
@@ -289,6 +289,9 @@ def test_manifest_lists_the_unavailable_algorithms_with_their_reasons(pipeline, 
     }
 
 
+STAGE_CONFIGS = {"ingest": "ingest_cfg", "ground-truth": "gt_cfg", "features": "feat_cfg"}
+
+
 def sha256_of(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -333,9 +336,12 @@ def test_manifest_inputs_are_exactly_the_files_the_stage_read(pipeline, tmp_path
     ("ground-truth", {"portfolio": {"algorithms": [{"name": "ease", "params": {"lambda": 2.0}}]}}),
     ("features", {"portfolio": {"algorithms": [{"name": "ease", "params": {"lambda": 2.0}}]}}),
     ("ground-truth", {"portfolio": 5}),
+    ("features", {"portfolio": {"algorithms": ["pop", {"name": "ease", "params": {"l2": -1.0}}]}}),
+    ("ingest", {"event_weights": 3}),
+    ("ingest", {"timestamp_col": ["server_ts"]}),
 ])
 def test_bad_stage_config_exits_2_with_one_config_error_line(pipeline, tmp_path, capsys, command, changes):
-    cfg = rerun_config(pipeline, "gt_cfg" if command == "ground-truth" else "feat_cfg", changes, tmp_path)
+    cfg = rerun_config(pipeline, STAGE_CONFIGS[command], changes, tmp_path)
     capsys.readouterr()
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -663,9 +669,9 @@ NOT_A_PORTFOLIO_ENTRY = [
 ]
 NOT_PARAMS = ["x", [], 3, None, {"lambda": 2.0}, {"Neighbors": 5}]
 BAD_PARAM_VALUES = {
-    "itemknn": [{"neighbors": "10"}, {"neighbors": 2.5}, {"neighbors": None}, {"binarize": 1}],
-    "bpr": [{"factors": [4]}, {"epochs": 5.0}, {"lr": "fast"}, {"seed": "s"}, {"seed": True}],
-    "ease": [{"l2": None}, {"l2": "big"}, {"l2": True}, {"l2": float("inf")}],
+    "itemknn": [{"neighbors": "10"}, {"neighbors": 2.5}, {"neighbors": None}, {"binarize": 1}, {"neighbors": 0}],
+    "bpr": [{"factors": [4]}, {"epochs": 5.0}, {"lr": "fast"}, {"seed": "s"}, {"seed": True}, {"lr": -0.1}],
+    "ease": [{"l2": None}, {"l2": "big"}, {"l2": True}, {"l2": float("inf")}, {"l2": -1.0}],
 }
 NOT_A_CONCEPTUAL_MAP = [
     5, True, [], ["pop"], "missing_map.json", {}, {**DEFAULT_CONCEPTUAL, "pop": 3},
@@ -684,6 +690,32 @@ NOT_A_PROBE = [
     {**GENERATED, "sample_users": 1.5}, {**GENERATED, "sample_users": 0.5, "sample_seed": 0.5},
     {**GENERATED, "test_fraction": 1}, {**GENERATED, "test_fraction": None},
 ]
+
+
+NOT_EVENT_WEIGHTS = [
+    3, True, "view", [1.0], {}, {"view": "1"}, {"view": None}, {"view": True}, {"view": [1.0]},
+    {"view": float("inf")}, {"view": float("nan")}, {"view": 0.0}, {"view": -1.0},
+]
+NOT_A_COLUMN = [3, True, [], {}, ["server_ts"], "no_such_column"]
+NOT_A_DEDUP = [None, 3, True, "max", "Sum", ["sum"], {}]
+INGEST_CORRUPTIONS = {
+    "event_weights": NOT_EVENT_WEIGHTS,
+    "rating_col": NOT_A_COLUMN,
+    "timestamp_col": NOT_A_COLUMN,
+    "user_col": [None] + NOT_A_COLUMN,
+    "item_col": [None] + NOT_A_COLUMN,
+    "dedup": NOT_A_DEDUP,
+    "name": [None, 3, [], {}],
+    "path": [None, 3, [], "missing_raw.csv"],
+    "min_interactions": NOT_A_COUNT,
+}
+
+
+@st.composite
+def corrupted_ingest_config(draw, config):
+    """An ingest config with one invalid value; returns its JSON text."""
+    key = draw(st.sampled_from(sorted(INGEST_CORRUPTIONS)))
+    return json.dumps({**config, key: draw(st.sampled_from(INGEST_CORRUPTIONS[key]))})
 
 
 @st.composite
@@ -719,15 +751,18 @@ def corrupted_stage_config(draw, config, features):
 
 
 class TestStageFuzz:
-    """Corrupted ground-truth and features configs end in one named error line, never a traceback."""
+    """Corrupted ingest, ground-truth and features configs end in one named error line, never a traceback."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=250, deadline=None)
     @given(st.data())
     def test_corrupted_configs_exit_with_one_error_line(self, pipeline, data):
-        command = data.draw(st.sampled_from(["ground-truth", "features"]), label="command")
-        with open(pipeline["gt_cfg" if command == "ground-truth" else "feat_cfg"]) as fh:
+        command = data.draw(st.sampled_from(sorted(STAGE_CONFIGS)), label="command")
+        with open(pipeline[STAGE_CONFIGS[command]]) as fh:
             config = json.load(fh)
-        text = data.draw(corrupted_stage_config(config, command == "features"))
+        if command == "ingest":
+            text = data.draw(corrupted_ingest_config(config))
+        else:
+            text = data.draw(corrupted_stage_config(config, command == "features"))
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "stage.json")
             with open(cfg, "w", encoding="utf-8") as fh:

@@ -8,10 +8,11 @@ an argsort-per-node search and a recursive walk kept here as references.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recselect.algo_features import AlgorithmFeatureTable
 from recselect.ground_truth import PerformanceMatrix
@@ -23,11 +24,12 @@ from recselect.meta.formats import (
     predict_scores_user_algo,
     predict_scores_user_only,
 )
+from recselect.meta import gbdt
 from recselect.meta.gbdt import (
     BoostedEnsemble,
     GBDTParams,
     RegressionTree,
-    _best_split,
+    _SortedFit,
     fit_gbdt,
     fit_multi_output_gbdt,
 )
@@ -404,11 +406,9 @@ class TestFlatTrees:
         rows = np.flatnonzero(keep)  # a node's rows: any ascending subset of two or more
         if rows.size < 2:
             rows = np.arange(len(y))
-        member = np.zeros(len(y), dtype=bool)
-        member[rows] = True
-        root_order = np.argsort(x, axis=0, kind="stable").T
-        node_order = root_order[member[root_order]].reshape(x.shape[1], -1)
-        got = _best_split(x, y, node_order, min_samples_leaf)
+        fit = _SortedFit(x, 1, min_samples_leaf)
+        state = fit.search_state(rows, 0, fit.order)
+        got = None if state is None else fit.best_split(y, state)
         want = argsort_per_node_split(x[rows], y[rows], min_samples_leaf)
         assert got == want
 
@@ -543,6 +543,212 @@ class TestMultiOutput:
                             subsample=0.8, seed=5)
         multi = fit_multi_output_gbdt(np.arange(20.0).reshape(10, 2), np.ones((10, 3)), params)
         assert [e.params for e in multi.ensembles] == [replace(params, seed=5 + j) for j in range(3)]
+
+
+def reference_tree(x, y, max_depth, min_samples_leaf):
+    """Reference tree: one stable argsort of every column, children filtered from the parent's order.
+
+    Returns the node arrays in depth-first preorder, the deepest leaf's level
+    and each row's leaf value, as flat attributes ``recursive_walk`` can read.
+    """
+    n_rows, n_features = x.shape
+    nodes = []  # [feature, threshold, left, right, value, gain]
+    fitted = np.empty(n_rows)
+    deepest = [0]
+
+    def best_split(order):
+        n = order.shape[1]
+        if n_features == 0:
+            return None
+        x_sorted = x[order, np.arange(n_features)[:, None]]
+        lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+        j, feature = np.nonzero((x_sorted[:, lo:hi] < x_sorted[:, lo + 1:hi + 1]).T)
+        if j.size == 0:
+            return None
+        j += lo
+        y_sorted = y[order]
+        cum = y_sorted.cumsum(axis=1)
+        cum_sq = (y_sorted * y_sorted).cumsum(axis=1)
+        sse_node = float(cum_sq[0, -1] - cum[0, -1] * cum[0, -1] / n)
+        total, total_sq = cum[feature, -1], cum_sq[feature, -1]
+        left_sum, left_sq = cum[feature, j], cum_sq[feature, j]
+        counts = j + 1.0
+        right_sum, right_sq = total - left_sum, total_sq - left_sq
+        sse = (left_sq - left_sum * left_sum / counts) + (right_sq - right_sum * right_sum / (n - counts))
+        gains = sse_node - sse
+        best = int(gains.argmax())
+        if not np.isfinite(gains[best]) or gains[best] <= 1e-12:
+            return None
+        f, last = int(feature[best]), int(j[best])
+        return f, float(0.5 * (x_sorted[f, last] + x_sorted[f, last + 1])), float(gains[best])
+
+    def grow(idx, order, depth):
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, float(y[idx].sum()) / idx.shape[0], 0.0])
+        deepest[0] = max(deepest[0], depth)
+        split = None
+        if depth < max_depth and idx.shape[0] >= 2 * min_samples_leaf:
+            split = best_split(order)
+        if split is not None:
+            go_left = x[idx, split[0]] <= split[1]
+            if np.count_nonzero(go_left) in (0, idx.shape[0]):
+                split = None
+        if split is None:
+            fitted[idx] = nodes[node][4]
+            return node
+        nodes[node][0], nodes[node][1], nodes[node][5] = split
+        member = np.zeros(n_rows, dtype=bool)
+        member[idx[go_left]] = True
+        in_left = member[order]
+        nodes[node][2] = grow(idx[go_left], order[in_left].reshape(n_features, -1), depth + 1)
+        nodes[node][3] = grow(idx[~go_left], order[~in_left].reshape(n_features, -1), depth + 1)
+        return node
+
+    grow(np.arange(n_rows), np.argsort(x, axis=0, kind="stable").T, 0)
+    columns = list(zip(*nodes))
+    dtypes = [np.intp, np.float64, np.intp, np.intp, np.float64, np.float64]
+    names = ["feature", "threshold", "left", "right", "value", "gain"]
+    tree = SimpleNamespace(**{name: np.array(col, dtype=dt) for name, col, dt in zip(names, columns, dtypes)})
+    tree.depth, tree.fitted_values = deepest[0], fitted
+    return tree
+
+
+def reference_gbdt(x, y, params):
+    """Reference boosting: each tree on ``x[rows]`` with its own argsort.
+
+    Returns (trees, train_mse_trace, feature_importance).
+    """
+    n = x.shape[0]
+    rng = np.random.default_rng(params.seed) if params.subsample < 1.0 else None
+    current = np.full(n, float(y.mean()))
+    trees, trace = [], []
+    for _ in range(params.num_trees):
+        residual = y - current
+        rows = slice(None)
+        if rng is not None:
+            size = max(1, int(round(params.subsample * n)))
+            rows = np.sort(rng.choice(n, size=size, replace=False))
+        tree = reference_tree(x[rows], residual[rows], params.max_depth, params.min_samples_leaf)
+        trees.append(tree)
+        if rng is not None:
+            fitted = np.array([recursive_walk(tree, row) for row in x])
+        else:
+            fitted = tree.fitted_values
+        current += params.learning_rate * fitted
+        trace.append(float(np.mean((y - current) ** 2)))
+    totals = np.zeros(x.shape[1])
+    for tree in trees:
+        inner = tree.feature >= 0
+        np.add.at(totals, tree.feature[inner], tree.gain[inner])
+    s = totals.sum()
+    return trees, trace, totals / s if s > 0 else totals
+
+
+@st.composite
+def ranked_columns(draw):
+    """An x whose columns often share a rank class, and full-precision targets.
+
+    Each column is drawn fresh (grid or float values), copied, held constant,
+    mapped through a strictly increasing function, or given an earlier
+    column's stable order with other ties (adjacent rows in that order merge
+    into one value only where their row ids ascend, so the order survives).
+    """
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(0, 6))
+    cell = st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10, allow_nan=False, width=32))
+    columns = []
+    for c in range(d):
+        kind = draw(st.sampled_from(["fresh", "copy", "constant", "monotone", "retie"] if c else
+                                    ["fresh", "constant"]))
+        if kind == "fresh":
+            col = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=np.float64)
+        elif kind == "constant":
+            col = np.full(n, draw(cell))
+        else:
+            source = columns[draw(st.integers(0, c - 1))]
+            if kind == "copy":
+                col = source.copy()
+            elif kind == "monotone":
+                col = np.arctan(source) * 2.0 + 1.0
+            else:
+                order = np.argsort(source, kind="stable")
+                merge = np.array(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)), dtype=bool)
+                merge &= order[:-1] < order[1:]
+                col = np.empty(n)
+                col[order] = np.concatenate([[0.0], np.cumsum(~merge)])
+        columns.append(col)
+    x = np.column_stack(columns) if columns else np.empty((n, 0))
+    y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, 2))
+    y *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    params = GBDTParams(
+        num_trees=draw(st.integers(1, 5)),
+        learning_rate=draw(st.sampled_from([0.1, 0.3, 1.0])),
+        max_depth=draw(st.integers(1, 4)),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        subsample=draw(st.sampled_from([1.0, 1.0, 0.5, 0.8])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return x, y, params
+
+
+def assert_same_ensemble(model, trees, trace, importance):
+    """Every tree array, depth, the MSE trace and the importances, bit for bit."""
+    assert len(model.trees) == len(trees)
+    for got, want in zip(model.trees, trees):
+        for name in ("feature", "threshold", "left", "right", "value", "gain"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.depth == want.depth
+    assert np.array(model.train_mse_trace).tobytes() == np.array(trace).tobytes()
+    assert model.feature_importance().tobytes() == importance.tobytes()
+
+
+# A constant column 0 still gives every node's SSE through its order (the rows'
+# own); column 1 sums the targets in another order, so the last bits differ.
+CONSTANT_FIRST_COLUMN = (
+    np.column_stack([np.ones(9), [3.0, -1.0, 2.0, 0.5, -2.0, 1.5, 4.0, -0.5, 2.5]]),
+    np.random.default_rng(5).normal(size=(9, 2)),
+    GBDTParams(num_trees=3, learning_rate=0.3, max_depth=2, seed=0),
+)
+
+
+class TestExactFit:
+    """Sorting once, rank classes and the node cache leave every fitted bit as a presort per tree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ranked_columns())
+    @example(CONSTANT_FIRST_COLUMN)
+    def test_fit_gbdt_equals_a_presort_per_tree(self, problem):
+        x, y, params = problem
+        assert_same_ensemble(fit_gbdt(x, y[:, 0], params), *reference_gbdt(x, y[:, 0], params))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ranked_columns())
+    def test_multi_output_equals_a_presort_per_tree(self, problem):
+        x, y, params = problem
+        multi = fit_multi_output_gbdt(x, y, params)
+        importances = []
+        for j, model in enumerate(multi.ensembles):
+            want = reference_gbdt(x, y[:, j], replace(params, seed=params.seed + j))
+            assert_same_ensemble(model, *want)
+            importances.append(want[2])
+        assert multi.feature_importance().tobytes() == np.mean(importances, axis=0).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(ranked_columns(), st.sampled_from([0, 2048]))
+    def test_a_full_node_cache_starts_over_without_changing_a_bit(self, problem, budget):
+        x, y, params = problem
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gbdt, "NODE_CACHE_BYTES", budget)
+            model = fit_gbdt(x, y[:, 0], params)
+        assert_same_ensemble(model, *reference_gbdt(x, y[:, 0], params))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_rejected(self, bad):
+        x = np.arange(8.0).reshape(4, 2)
+        x[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_gbdt(x, np.arange(4.0), GBDTParams(num_trees=2))
 
 
 class TestParams:
