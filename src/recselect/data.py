@@ -124,6 +124,8 @@ class IngestConfig:
         if self.dedup not in DEDUP_MODES:
             raise ValueError(f"dedup must be one of {DEDUP_MODES}, got {self.dedup!r}")
         if self.event_weights is not None:
+            if self.rating_col is None:
+                raise ValueError("event_weights need a rating_col naming the event column they map")
             if not self.event_weights:
                 raise ValueError("event_weights must not be empty when given")
             for event, weight in self.event_weights.items():

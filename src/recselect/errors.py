@@ -4,7 +4,19 @@ from __future__ import annotations
 
 
 class RecselectError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    An error pickles as its arguments and attributes and unpickles without
+    calling ``__init__``, so a subclass whose ``__init__`` takes its own fields
+    comes back intact from a worker process.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args), self.__dict__
+
+
+def _rebuild(cls, args):
+    return cls.__new__(cls, *args)  # sets ``args``; pickle then restores the attributes
 
 
 class SchemaError(RecselectError):

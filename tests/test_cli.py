@@ -72,6 +72,7 @@ def pipeline(tmp_path_factory):
         "name": "retail",
         "user_col": "visitor_id",
         "item_col": "item_sku",
+        "rating_col": "event",
         "timestamp_col": "server_ts",
         "event_weights": {"view": 1.0, "addtocart": 2.0, "transaction": 4.0},
         "dedup": "sum",
@@ -204,6 +205,16 @@ class TestIngestCommand:
         assert rows[0] == ["dataset", "users", "items", "interactions", "sparsity"]
         assert int(rows[1][1]) == stats["users"]
 
+    def test_event_weights_become_the_ratings(self, pipeline, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("visitor_id,event,item_sku,server_ts\n"
+                       "v1,view,s1,10\nv1,addtocart,s2,20\nv1,transaction,s3,30\n")
+        cfg = rerun_config(pipeline, "ingest_cfg", {"path": str(raw), "min_interactions": 1}, tmp_path)
+        assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "retail_clean.csv") as fh:
+            ratings = {row["item"]: float(row["rating"]) for row in csv.DictReader(fh)}
+        assert ratings == {"s1": 1.0, "s2": 2.0, "s3": 4.0}
+
     def test_manifest_hashes_the_raw_input(self, pipeline):
         with open(os.path.join(pipeline["ingest_out"], "manifest_ingest.json")) as fh:
             manifest = json.load(fh)
@@ -289,7 +300,7 @@ def test_manifest_lists_the_unavailable_algorithms_with_their_reasons(pipeline, 
     }
 
 
-STAGE_CONFIGS = {"ingest": "ingest_cfg", "ground-truth": "gt_cfg", "features": "feat_cfg"}
+STAGE_CONFIGS = {"synth": "synth_cfg", "ingest": "ingest_cfg", "ground-truth": "gt_cfg", "features": "feat_cfg"}
 
 
 def sha256_of(path):
@@ -339,6 +350,7 @@ def test_manifest_inputs_are_exactly_the_files_the_stage_read(pipeline, tmp_path
     ("features", {"portfolio": {"algorithms": ["pop", {"name": "ease", "params": {"l2": -1.0}}]}}),
     ("ingest", {"event_weights": 3}),
     ("ingest", {"timestamp_col": ["server_ts"]}),
+    ("ingest", {"rating_col": None}),  # event weights with no event column to map
 ])
 def test_bad_stage_config_exits_2_with_one_config_error_line(pipeline, tmp_path, capsys, command, changes):
     cfg = rerun_config(pipeline, STAGE_CONFIGS[command], changes, tmp_path)
@@ -693,7 +705,7 @@ NOT_A_PROBE = [
 
 
 NOT_EVENT_WEIGHTS = [
-    3, True, "view", [1.0], {}, {"view": "1"}, {"view": None}, {"view": True}, {"view": [1.0]},
+    3, True, "view", [1.0], {}, {"view": 1.0}, {"view": "1"}, {"view": None}, {"view": True}, {"view": [1.0]},
     {"view": float("inf")}, {"view": float("nan")}, {"view": 0.0}, {"view": -1.0},
 ]
 NOT_A_COLUMN = [3, True, [], {}, ["server_ts"], "no_such_column"]
@@ -716,6 +728,40 @@ def corrupted_ingest_config(draw, config):
     """An ingest config with one invalid value; returns its JSON text."""
     key = draw(st.sampled_from(sorted(INGEST_CORRUPTIONS)))
     return json.dumps({**config, key: draw(st.sampled_from(INGEST_CORRUPTIONS[key]))})
+
+
+NOT_A_DATASET_ENTRY = [
+    3, None, "planted", ["planted"], {}, {"kind": None}, {"kind": 3}, {"kind": ["planted"]},
+    {"kind": "fractal"}, {"kind": "Planted"}, {"kind": "planted", "name": 3},
+]
+NOT_A_SEED = [None, True, "s", "17", 1.5, 17.0, -1, [17], {}]
+NOT_SYNTH_PARAMS = {
+    "planted": [{"users": 5}, {"users_per_group": "5"}, {"users_per_group": 2.5}, {"seed": 3},
+                {"head_items": None}],
+    "uniform_sparse": [{"n_users": "80"}, {"per_user": [12]}, {"n_items": True}, {"items": 120}],
+    "event_log": [{"n_rows": "600"}, {"rows": 600}, {"n_rows": 6.0}],
+}
+
+
+@st.composite
+def corrupted_synth_config(draw, config):
+    """A synth config with one invalid dataset entry, entry seed, params or seed; returns its JSON text."""
+    config = json.loads(json.dumps(config))
+    entries = config["datasets"]
+    kind = draw(st.sampled_from(["entry", "datasets", "params", "entry_seed", "seed"]))
+    if kind == "entry":
+        at = draw(st.integers(0, len(entries)))
+        entries[at:at + 1] = [draw(st.sampled_from(NOT_A_DATASET_ENTRY))]
+    elif kind == "datasets":
+        config["datasets"] = draw(st.sampled_from([None, 3, "bench", {}, {"kind": "planted"}]))
+    elif kind == "params":
+        entry = draw(st.sampled_from(entries))
+        entry["params"] = draw(st.sampled_from(NOT_PARAMS + NOT_SYNTH_PARAMS[entry["kind"]]))
+    elif kind == "entry_seed":
+        draw(st.sampled_from(entries))["seed"] = draw(st.sampled_from(NOT_A_SEED))
+    else:
+        config["seed"] = draw(st.sampled_from(NOT_A_SEED))
+    return json.dumps(config)
 
 
 @st.composite
@@ -751,15 +797,17 @@ def corrupted_stage_config(draw, config, features):
 
 
 class TestStageFuzz:
-    """Corrupted ingest, ground-truth and features configs end in one named error line, never a traceback."""
+    """Corrupted synth, ingest, ground-truth and features configs end in one named error line, never a traceback."""
 
-    @settings(max_examples=250, deadline=None)
+    @settings(max_examples=330, deadline=None)
     @given(st.data())
     def test_corrupted_configs_exit_with_one_error_line(self, pipeline, data):
         command = data.draw(st.sampled_from(sorted(STAGE_CONFIGS)), label="command")
         with open(pipeline[STAGE_CONFIGS[command]]) as fh:
             config = json.load(fh)
-        if command == "ingest":
+        if command == "synth":
+            text = data.draw(corrupted_synth_config(config))
+        elif command == "ingest":
             text = data.draw(corrupted_ingest_config(config))
         else:
             text = data.draw(corrupted_stage_config(config, command == "features"))

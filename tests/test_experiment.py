@@ -7,6 +7,10 @@ against selection-plumbing bugs (leakage, fold drift, misaligned lookups).
 
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -283,12 +287,19 @@ class TestSelectorFoldMetrics:
             row_metrics([0.5, 0.4], [np.nan, np.nan])
 
 
+def force_workers(monkeypatch, n_workers):
+    """Run outer folds on ``n_workers`` processes (at most one per fold) whatever the CPU count."""
+    monkeypatch.setattr(experiment, "_worker_count", lambda n_jobs: min(n_workers, n_jobs))
+
+
 class TestNestedCv:
-    def test_non_finite_targets_name_the_failed_search(self):
+    def test_non_finite_targets_name_the_failed_search(self, monkeypatch):
+        force_workers(monkeypatch, 2)
         pm, uf = planted_problem()
         pm.values[3, 1] = np.nan  # from_csv rejects this; the constructor does not
         with pytest.raises(SearchError, match="finite validation MSE"):
             run_nested_cv(pm, uf, None, "user_only", 3, LEAN_SPACE, seed=0)
+        assert multiprocessing.active_children() == []
 
     def test_oracle_predictor_reproduces_vba_exactly(self):
         pm, uf = planted_problem()
@@ -377,6 +388,82 @@ class TestNestedCv:
         method = payload["methods"]["model"]
         for key in ("mean_ndcg", "ci_ndcg", "mean_top1_pct", "ci_top1_pct", "fold_ndcg"):
             assert key in method
+
+
+def _sleep_then_echo(job):
+    """Sleep ``job[1]`` seconds, then return ``job[0]``, or raise for a negative one."""
+    index, seconds = job
+    time.sleep(seconds)
+    if index < 0:
+        raise ValueError(f"job {index} failed")
+    return index
+
+
+def _sigterm_state(job):
+    """Whether SIGTERM has its default action here, and whether it is blocked."""
+    return (signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+            signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, []))
+
+
+class TestParallelFolds:
+    @staticmethod
+    def reports(monkeypatch, n_workers):
+        force_workers(monkeypatch, n_workers)
+        pm, uf = planted_problem(n_users=18)
+        table = synthetic_algo_table()
+        return (
+            run_full_evaluation(pm, uf, table, n_folds=3, space=LEAN_SPACE, seed=3).to_dict(),
+            run_ablation(pm, uf, table, [frozenset(), frozenset({"Code"})], 3, LEAN_SPACE, 4).to_dict(),
+            run_importance(pm, uf, table, 3, GBDTParams(num_trees=10, max_depth=2), 6).to_dict(),
+        )
+
+    def test_pool_and_serial_give_the_same_reports(self, monkeypatch):
+        assert self.reports(monkeypatch, 2) == self.reports(monkeypatch, 1)
+
+    def test_results_follow_job_order_not_finishing_order(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        # One worker sleeps on job 0 while the other finishes jobs 1-3.
+        jobs = [(0, 0.5), (1, 0.0), (2, 0.0), (3, 0.0)]
+        assert experiment._map_folds(_sleep_then_echo, jobs) == [0, 1, 2, 3]
+
+    def test_first_failing_job_in_job_order_raises(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        # Job -2 fails first in time; a serial loop would have stopped at job -1.
+        with pytest.raises(ValueError, match="job -1 failed"):
+            experiment._map_folds(_sleep_then_echo, [(0, 0.0), (-1, 0.3), (-2, 0.0)])
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_run(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        pm, uf = planted_problem()
+        report = run_nested_cv(pm, uf, None, "user_only", 3, LEAN_SPACE, seed=1)
+        assert len(report.best_params_per_fold) == 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("handler", [signal.SIG_DFL, lambda signum, frame: None], ids=["default", "python"])
+    def test_workers_take_sigterm_with_the_default_action(self, monkeypatch, handler):
+        # Pool.terminate stops workers with SIGTERM; a Python handler inherited from
+        # the caller could miss it and leave terminate waiting forever.
+        force_workers(monkeypatch, 2)
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            assert experiment._map_folds(_sigterm_state, [0, 1, 2]) == [(True, False)] * 3
+            assert signal.getsignal(signal.SIGTERM) is handler
+            assert _sigterm_state(None)[1] is False
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_worker_count_is_capped_at_jobs_and_usable_cpus(self, monkeypatch):
+        usable = experiment._worker_count(10**6)
+        assert 1 <= usable <= (os.cpu_count() or 1)
+        assert [experiment._worker_count(n) for n in (0, 1, 2, 3)] == [1, 1, min(2, usable), min(3, usable)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert [experiment._worker_count(n) for n in (2, 3, 50)] == [2, 3, 3]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert [experiment._worker_count(n) for n in (2, 50)] == [2, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiment._worker_count(50) == 1
 
 
 class TestFullEvaluation:
