@@ -13,7 +13,6 @@ import csv
 import json
 import logging
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -24,7 +23,7 @@ from .codemetrics import CODE_METRIC_NAMES, CodeMetrics, analyze_file
 from .data import SplitPair, open_table, read_header, read_id_rows
 from .errors import ConfigError, RecselectError
 from .ground_truth import evaluate_portfolio
-from .recommenders import TrainMatrix, algorithm_source_path, build_train_matrix, train_algorithm
+from .recommenders import algorithm_source_path, build_train_matrix, stored_values, train_algorithm
 
 logger = logging.getLogger(__name__)
 
@@ -90,11 +89,16 @@ def load_conceptual_map(
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Landmark outcome of one algorithm on one probe dataset."""
+    """Landmark outcome of one algorithm on one probe dataset.
+
+    ``train_ops`` is the model's ``train_ops``; ``pred_ops`` is its
+    ``stored_values`` times the probe's scored users. Both are counts, so a
+    landmark does not depend on the machine or its load.
+    """
 
     perf: float
-    train_seconds: float
-    pred_seconds: float
+    train_ops: int
+    pred_ops: int
     failed: bool = False
 
 
@@ -102,61 +106,29 @@ def landmark_portfolio(
     probes: Mapping[str, SplitPair],
     algorithms: Mapping[str, dict],
     k: int = 10,
-    timing: str = "wall",
-    time_runs: int = 3,
 ) -> dict[str, dict[str, ProbeResult]]:
-    """Train and evaluate every algorithm on every probe split.
+    """Train and evaluate every algorithm once on every probe split.
 
-    ``timing="wall"`` records median-of-``time_runs`` wall-clock seconds for
-    training and for scoring all test users; ``timing="off"`` writes 0.0 so
-    repeated runs are bit-identical. A training or evaluation failure (a
-    ``RecselectError`` such as ``DivergenceError``) yields a zeroed, flagged
-    result instead of aborting the sweep; any other error, such as the
-    ``ValueError`` of an out-of-range parameter, propagates.
+    A training or evaluation failure (a ``RecselectError`` such as
+    ``DivergenceError``) yields a zeroed, flagged result instead of aborting
+    the sweep; any other error, such as the ``ValueError`` of an out-of-range
+    parameter, propagates.
     """
-    if timing not in ("wall", "off"):
-        raise ConfigError(f"timing must be 'wall' or 'off', got {timing!r}")
-    if time_runs < 1:
-        raise ConfigError("time_runs must be >= 1")
-
     results: dict[str, dict[str, ProbeResult]] = {a: {} for a in algorithms}
     for probe_name, split in probes.items():
         matrix = build_train_matrix(split.train)
         for algo, params in algorithms.items():
             try:
-                results[algo][probe_name] = _landmark_one(
-                    matrix, split, algo, params, k, timing, time_runs
-                )
+                model = train_algorithm(algo, matrix, params)
+                pm = evaluate_portfolio(matrix, split.test, {algo: model}, k=k)
             except RecselectError:
                 logger.warning("landmark failed: algorithm=%s probe=%s", algo, probe_name, exc_info=True)
-                results[algo][probe_name] = ProbeResult(0.0, 0.0, 0.0, failed=True)
+                results[algo][probe_name] = ProbeResult(0.0, 0, 0, failed=True)
+                continue
+            results[algo][probe_name] = ProbeResult(
+                float(pm.column_means()[0]), model.train_ops, stored_values(model) * len(pm.users)
+            )
     return results
-
-
-def _landmark_one(
-    matrix: TrainMatrix,
-    split: SplitPair,
-    algo: str,
-    params: dict,
-    k: int,
-    timing: str,
-    time_runs: int,
-) -> ProbeResult:
-    model = train_algorithm(algo, matrix, params)
-    pm = evaluate_portfolio(matrix, split.test, {algo: model}, k=k)
-    perf = float(pm.column_means()[0])
-    if timing == "off":
-        return ProbeResult(perf, 0.0, 0.0)
-
-    train_times = [model.train_seconds]
-    for _ in range(time_runs - 1):
-        train_times.append(train_algorithm(algo, matrix, params).train_seconds)
-    pred_times = []
-    for _ in range(time_runs):
-        started = time.perf_counter()
-        evaluate_portfolio(matrix, split.test, {algo: model}, k=k)
-        pred_times.append(time.perf_counter() - started)
-    return ProbeResult(perf, float(np.median(train_times)), float(np.median(pred_times)))
 
 
 def group_for_column(name: str) -> str:
@@ -276,7 +248,7 @@ def assemble_algorithm_features(
             if probe not in landmarks[algo]:
                 raise ConfigError(f"missing landmark for algorithm {algo!r} on probe {probe!r}")
             res = landmarks[algo][probe]
-            row += [res.perf, res.train_seconds, res.pred_seconds]
+            row += [res.perf, res.train_ops, res.pred_ops]
             if any_failure:
                 row.append(1.0 if res.failed else 0.0)
         row.append(1.0 if tags[algo].handles_cold_start else 0.0)

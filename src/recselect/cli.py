@@ -308,8 +308,6 @@ def _probe_split(stage: Stage, entry: dict):
 
 def cmd_features(stage: Stage) -> list[str]:
     k = stage.integer("k", 10, 1)
-    time_runs = stage.integer("time_runs", 3, 1)
-    timing = stage.config.get("timing", "wall")
     portfolio = stage.portfolio()
     split = _split(stage, read_interactions_csv(stage.path("dataset")))
 
@@ -320,7 +318,7 @@ def cmd_features(stage: Stage) -> list[str]:
     probes = dict(_probe_split(stage, entry) for entry in stage.objects("probes", []))
     algorithms = portfolio.ordered_ids()
     code, ast_metrics = static_metrics_for_portfolio(algorithms)
-    landmarks = landmark_portfolio(probes, portfolio.algorithms, k=k, timing=timing, time_runs=time_runs)
+    landmarks = landmark_portfolio(probes, portfolio.algorithms, k=k)
     conceptual = stage.config.get("conceptual_map")
     if isinstance(conceptual, str):
         conceptual = stage.path("conceptual_map")
@@ -330,7 +328,6 @@ def cmd_features(stage: Stage) -> list[str]:
     )
     algo_path = os.path.join(stage.out_dir, "algorithm_features.csv")
     algo_table.to_csv(algo_path)
-    stage.manifest["timing_mode"] = timing
     stage.manifest["raw_timescale_features"] = list(RAW_TIMESCALE_FEATURES)
     return [user_path, algo_path]
 

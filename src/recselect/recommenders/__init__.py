@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import time
 from dataclasses import dataclass, field
 
 from ..data import Dataset
@@ -31,6 +30,7 @@ from .base import (
     load_model,
     recommend_top_k,
     save_model,
+    stored_values,
     top_k,
 )
 
@@ -137,14 +137,10 @@ class PortfolioConfig:
 
 
 def train_algorithm(algorithm_id: str, matrix: TrainMatrix, params: dict | None = None) -> RecommenderModel:
-    """Train one algorithm by id; wall time lands on ``model.train_seconds``."""
+    """Train one algorithm by id; its work count lands on ``model.train_ops``."""
     if algorithm_id not in _REGISTRY:
         raise ConfigError(f"unknown algorithm {algorithm_id!r}")
-    train_fn = _REGISTRY[algorithm_id][0]
-    started = time.perf_counter()
-    model = train_fn(matrix, **(params or {}))
-    model.train_seconds = time.perf_counter() - started
-    return model
+    return _REGISTRY[algorithm_id][0](matrix, **(params or {}))
 
 
 def train_portfolio(train: Dataset | TrainMatrix, config: PortfolioConfig | None = None) -> dict[str, RecommenderModel]:
@@ -169,6 +165,7 @@ __all__ = [
     "load_model",
     "recommend_top_k",
     "save_model",
+    "stored_values",
     "top_k",
     "train_algorithm",
     "train_parameters",

@@ -121,18 +121,28 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class RecommenderModel:
-    """Base class: a trained model bound to its training matrix ids."""
+    """Base class: a trained model bound to its training matrix ids.
+
+    ``train_ops`` is the trainer's count of the work its training did, a
+    function of the matrix's shape and nnz and of the hyperparameters alone.
+    """
 
     algorithm_id: str = "base"
 
     def __init__(self, matrix: TrainMatrix, config: dict):
         self.matrix = matrix
         self.config = dict(config)
-        self.train_seconds = 0.0
+        self.train_ops = 0
 
     def score_users(self, idx: np.ndarray) -> np.ndarray:
         """Scores of the users at matrix rows ``idx``: shape (len(idx), n_items)."""
         raise NotImplementedError
+
+
+def stored_values(model: RecommenderModel) -> int:
+    """Values the model scores from: the sizes of its ndarray attributes plus the nnz of its sparse ones."""
+    return sum(v.size if isinstance(v, np.ndarray) else v.nnz
+               for v in vars(model).values() if isinstance(v, np.ndarray) or sp.issparse(v))
 
 
 @dataclass(frozen=True)

@@ -126,4 +126,6 @@ def train_biasedmf(
         objectives.append(objective)
 
     config = {"factors": factors, "epochs": epochs, "lr": lr, "reg": reg, "seed": seed}
-    return BiasedMFModel(matrix, config, mu, b_user, b_item, p, q, objectives)
+    model = BiasedMFModel(matrix, config, mu, b_user, b_item, p, q, objectives)
+    model.train_ops = n_samples * (factors + 1) * epochs  # a factor row and a bias per side and sample
+    return model

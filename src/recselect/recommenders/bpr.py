@@ -125,4 +125,6 @@ def train_bpr(
             raise DivergenceError(f"bpr diverged (non-finite factors) at lr={lr}")
 
     config = {"factors": factors, "epochs": epochs, "lr": lr, "reg": reg, "seed": seed}
-    return BPRModel(matrix, config, p, q)
+    model = BPRModel(matrix, config, p, q)
+    model.train_ops = n_pos * factors * epochs
+    return model

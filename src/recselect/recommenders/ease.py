@@ -112,4 +112,5 @@ def train_ease(matrix: TrainMatrix, l2: float = 10.0, binarize: bool = True) -> 
     model = EaseModel(matrix, {"l2": l2, "binarize": binarize}, x, b, items)
     for c, weights in model.blocks():
         weights[...] = ease_weights(gram[c][:, c].toarray(), l2)
+    model.train_ops = sum(c.size**3 for c in items)
     return model

@@ -112,4 +112,7 @@ def train_implicitmf(
         "alpha": alpha,
         "seed": seed,
     }
-    return ImplicitMFModel(matrix, config, p, q)
+    model = ImplicitMFModel(matrix, config, p, q)
+    # Per iteration: a k x k outer product per stored entry and side, a k^3 solve per row.
+    model.train_ops = iterations * (2 * csr.nnz * factors**2 + (matrix.n_users + matrix.n_items) * factors**3)
+    return model

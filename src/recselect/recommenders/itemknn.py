@@ -78,5 +78,8 @@ def train_itemknn(matrix: TrainMatrix, neighbors: int = 50, binarize: bool = Tru
     if neighbors < 1:
         raise ValueError("neighbors must be >= 1")
     x = matrix.binarized() if binarize else matrix.matrix
-    sims = truncate_columns(cosine_similarity_columns(x), neighbors).tocsr()
-    return ItemKnnModel(matrix, {"neighbors": neighbors, "binarize": binarize}, sims)
+    sims = cosine_similarity_columns(x)
+    model = ItemKnnModel(matrix, {"neighbors": neighbors, "binarize": binarize},
+                         truncate_columns(sims, neighbors).tocsr())
+    model.train_ops = sims.nnz  # similarities computed, before truncation
+    return model

@@ -21,5 +21,6 @@ class PopularityModel(RecommenderModel):
 
 def train_pop(matrix: TrainMatrix) -> PopularityModel:
     """Count interactions per item; counts are the scores for every user."""
-    scores = matrix.item_counts.astype(np.float64)
-    return PopularityModel(matrix, config={}, item_scores=scores)
+    model = PopularityModel(matrix, config={}, item_scores=matrix.item_counts.astype(np.float64))
+    model.train_ops = matrix.matrix.nnz  # one count per stored rating
+    return model

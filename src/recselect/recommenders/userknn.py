@@ -32,5 +32,8 @@ def train_userknn(matrix: TrainMatrix, neighbors: int = 50, binarize: bool = Tru
     x = matrix.binarized() if binarize else matrix.matrix
     # User-user similarity is the column similarity of the transposed matrix;
     # truncating its columns keeps each user's own top neighbours.
-    sims = truncate_columns(cosine_similarity_columns(x.T.tocsr()), neighbors).T.tocsr()
-    return UserKnnModel(matrix, {"neighbors": neighbors, "binarize": binarize}, sims, x.tocsr())
+    sims = cosine_similarity_columns(x.T.tocsr())
+    model = UserKnnModel(matrix, {"neighbors": neighbors, "binarize": binarize},
+                         truncate_columns(sims, neighbors).T.tocsr(), x.tocsr())
+    model.train_ops = sims.nnz  # similarities computed, before truncation
+    return model

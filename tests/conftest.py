@@ -7,6 +7,18 @@ from recselect.data import Dataset, Interaction, temporal_split_per_user
 from recselect.recommenders import build_train_matrix
 
 
+# Every available algorithm with parameters small enough for test-size matrices.
+SMALL_PARAMS = {
+    "pop": {},
+    "itemknn": {"neighbors": 3},
+    "userknn": {"neighbors": 3},
+    "biasedmf": {"factors": 3, "epochs": 4},
+    "implicitmf": {"factors": 3, "iterations": 3},
+    "bpr": {"factors": 3, "epochs": 4},
+    "ease": {"l2": 2.0},
+}
+
+
 def make_dataset(rows, name="toy"):
     """Build a Dataset from (user, item, rating, timestamp) tuples."""
     return Dataset(name, tuple(Interaction(u, i, float(r), int(t)) for u, i, r, t in rows))

@@ -77,7 +77,7 @@ def planted():
     ufeats = user_feature_table(split.train)
     code, astm = static_metrics_for_portfolio(list(PORTFOLIO))
     probes = {n: temporal_split_per_user(d, 0.2) for n, d in default_probes(seed=99).items()}
-    landmarks = landmark_portfolio(probes, PORTFOLIO, timing="off")
+    landmarks = landmark_portfolio(probes, PORTFOLIO)
     table = assemble_algorithm_features(
         code, astm, landmarks, load_conceptual_map(list(PORTFOLIO)), list(PORTFOLIO), list(probes)
     )
@@ -422,7 +422,7 @@ def test_criterion_7_protocol_hygiene(planted, tmp_path, monkeypatch):
         ]},
     })
     feat_cfg = cfg("features.json", {
-        "dataset": bench, "seed": 3, "timing": "off",
+        "dataset": bench, "seed": 3,
         "portfolio": {"algorithms": ["pop", {"name": "ease", "params": {"l2": 5.0}}]},
         "probes": [{"name": "skew", "kind": "popularity_skewed",
                     "params": {"n_users": 20, "n_items": 15, "per_user": 5}}],

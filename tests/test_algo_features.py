@@ -2,10 +2,12 @@
 
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from recselect import algo_features
 from recselect.algo_features import (
     AlgorithmFeatureTable,
     CATEGORICAL_NAMES,
@@ -23,7 +25,7 @@ from recselect.codemetrics import CODE_METRIC_NAMES
 from recselect.data import temporal_split_per_user
 from recselect.errors import ConfigError, SchemaError
 from recselect.ground_truth import evaluate_portfolio
-from recselect.recommenders import AVAILABLE_ALGORITHMS, build_train_matrix, train_algorithm
+from recselect.recommenders import AVAILABLE_ALGORITHMS, build_train_matrix, stored_values, train_algorithm
 
 from conftest import make_dataset
 
@@ -97,52 +99,61 @@ class TestLandmarks:
     def test_perf_matches_direct_evaluation(self):
         split = probe_split()
         algos = {"pop": {}, "ease": {"l2": 2.0}}
-        landmarks = landmark_portfolio({"p0": split}, algos, k=10, timing="off")
+        landmarks = landmark_portfolio({"p0": split}, algos, k=10)
         matrix = build_train_matrix(split.train)
         for algo, params in algos.items():
             model = train_algorithm(algo, matrix, params)
             pm = evaluate_portfolio(matrix, split.test, {algo: model}, k=10)
             assert landmarks[algo]["p0"].perf == pytest.approx(pm.column_means()[0])
 
-    def test_timing_off_zeroes_both_clocks(self):
-        landmarks = landmark_portfolio({"p0": probe_split()}, {"pop": {}}, timing="off")
-        res = landmarks["pop"]["p0"]
-        assert (res.train_seconds, res.pred_seconds) == (0.0, 0.0)
-        assert not res.failed
-
     def test_timing_off_is_bit_reproducible(self):
+        """Landmarks count work instead of timing it, so every run is as reproducible as timing off was."""
         algos = {"pop": {}, "bpr": {"factors": 4, "epochs": 3, "seed": 5}}
-        one = landmark_portfolio({"p0": probe_split()}, algos, timing="off")
-        two = landmark_portfolio({"p0": probe_split()}, algos, timing="off")
+        one = landmark_portfolio({"p0": probe_split()}, algos)
+        two = landmark_portfolio({"p0": probe_split()}, algos)
         assert one == two
 
-    def test_wall_timing_records_positive_medians(self):
-        landmarks = landmark_portfolio(
-            {"p0": probe_split()}, {"pop": {}}, timing="wall", time_runs=1
-        )
-        res = landmarks["pop"]["p0"]
-        assert res.train_seconds > 0
-        assert res.pred_seconds > 0
+    def test_costs_are_the_models_counts(self):
+        split = probe_split()
+        algos = {"pop": {}, "itemknn": {"neighbors": 2}, "ease": {"l2": 2.0}}
+        landmarks = landmark_portfolio({"p0": split}, algos)
+        matrix = build_train_matrix(split.train)
+        for algo, params in algos.items():
+            model = train_algorithm(algo, matrix, params)
+            users = len(evaluate_portfolio(matrix, split.test, {algo: model}, k=10).users)
+            res = landmarks[algo]["p0"]
+            assert (res.train_ops, res.pred_ops) == (model.train_ops, stored_values(model) * users)
+            assert res.train_ops > 0 and res.pred_ops > 0
 
-    def test_invalid_timing_mode_rejected(self):
-        with pytest.raises(ConfigError, match="timing"):
-            landmark_portfolio({}, {}, timing="cpu")
-        with pytest.raises(ConfigError, match="time_runs"):
-            landmark_portfolio({}, {}, time_runs=0)
+    def test_each_landmark_trains_and_scores_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(algo_features, "train_algorithm", counted("train", algo_features.train_algorithm))
+        monkeypatch.setattr(algo_features, "evaluate_portfolio",
+                            counted("score", algo_features.evaluate_portfolio))
+        algos = {"pop": {}, "itemknn": {"neighbors": 2}, "ease": {"l2": 2.0}}
+        landmark_portfolio({"p0": probe_split(), "p1": probe_split()}, algos)
+        assert calls == {"train": 6, "score": 6}
 
     def test_training_failure_is_flagged_not_fatal(self, caplog):
         algos = {"pop": {}, "biasedmf": DIVERGING}
         with caplog.at_level(logging.WARNING):
-            landmarks = landmark_portfolio({"p0": probe_split()}, algos, timing="off")
+            landmarks = landmark_portfolio({"p0": probe_split()}, algos)
         bad = landmarks["biasedmf"]["p0"]
         assert bad.failed
-        assert (bad.perf, bad.train_seconds, bad.pred_seconds) == (0.0, 0.0, 0.0)
+        assert (bad.perf, bad.train_ops, bad.pred_ops) == (0.0, 0, 0)
         assert not landmarks["pop"]["p0"].failed
         assert any("landmark failed" in r.message for r in caplog.records)
 
     def test_out_of_range_parameter_is_not_absorbed(self):
         with pytest.raises(ValueError, match="l2 must be > 0"):
-            landmark_portfolio({"p0": probe_split()}, {"pop": {}, "ease": {"l2": -1.0}}, timing="off")
+            landmark_portfolio({"p0": probe_split()}, {"pop": {}, "ease": {"l2": -1.0}})
 
 
 # biasedmf's SGD overflows at this learning rate: a DivergenceError, a genuine training failure.
@@ -155,7 +166,7 @@ def small_table(with_failure=False):
     if with_failure:
         algos["biasedmf"] = DIVERGING
     code, ast_metrics = static_metrics_for_portfolio(list(algos))
-    landmarks = landmark_portfolio({"p0": split, "p1": split}, algos, timing="off")
+    landmarks = landmark_portfolio({"p0": split, "p1": split}, algos)
     tags = load_conceptual_map(list(algos))
     return assemble_algorithm_features(
         code, ast_metrics, landmarks, tags, list(algos), ["p0", "p1"]
@@ -204,7 +215,7 @@ class TestAssembly:
         split = probe_split()
         algos = {"pop": {}}
         code, ast_metrics = static_metrics_for_portfolio(["pop"])
-        landmarks = landmark_portfolio({"p0": split}, algos, timing="off")
+        landmarks = landmark_portfolio({"p0": split}, algos)
         tags = load_conceptual_map(["pop"])
         with pytest.raises(ConfigError, match="missing"):
             assemble_algorithm_features({}, ast_metrics, landmarks, tags, ["pop"], ["p0"])

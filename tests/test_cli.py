@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -46,10 +47,8 @@ def run_cli(args, capsys=None):
     return code
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """Every CLI stage, run once, at miniature scale."""
-    root = tmp_path_factory.mktemp("cli")
+def run_pipeline(root):
+    """Every CLI stage, run once at miniature scale, with every config and output under ``root``."""
     cfg_dir = os.path.join(root, "configs")
     os.makedirs(cfg_dir)
 
@@ -101,7 +100,6 @@ def pipeline(tmp_path_factory):
     feat_cfg = write_config(cfg_dir, "features.json", {
         "dataset": bench_csv,
         "portfolio": portfolio,
-        "timing": "off",
         "seed": 1,
         "probes": [
             {"name": "skewed", "kind": "popularity_skewed",
@@ -151,6 +149,11 @@ def pipeline(tmp_path_factory):
         "imp_out": imp_out,
         "bench_csv": bench_csv,
     }
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    return run_pipeline(str(tmp_path_factory.mktemp("cli")))
 
 
 class TestSynthCommand:
@@ -374,23 +377,35 @@ class TestFeaturesCommand:
         for probe in ("skewed", "fromfile"):
             for prefix in ("perf_on_", "traintime_on_", "predtime_on_"):
                 assert f"{prefix}{probe}" in table.numeric_names
-        timing_cols = [n for n in table.numeric_names if n.startswith(("traintime", "predtime"))]
-        for col in timing_cols:
-            assert np.all(table.numeric[:, table.numeric_names.index(col)] == 0.0)
+        cost_cols = [n for n in table.numeric_names if n.startswith(("traintime", "predtime"))]
+        costs = table.numeric[:, [table.numeric_names.index(c) for c in cost_cols]]
+        assert len(cost_cols) == 4 and np.all(costs > 0) and np.all(costs == np.round(costs))
 
     def test_manifest_records_timing_and_flagged_features(self, pipeline):
         with open(os.path.join(pipeline["feat_out"], "manifest_features.json")) as fh:
             manifest = json.load(fh)
-        assert manifest["timing_mode"] == "off"
         assert manifest["raw_timescale_features"] == list(RAW_TIMESCALE_FEATURES)
 
-    def test_rerun_is_byte_identical_with_timing_off(self, pipeline, tmp_path):
-        out2 = str(tmp_path / "features2")
-        assert main(["features", "--config", pipeline["feat_cfg"], "--out", out2]) == 0
-        for name in ("user_features.csv", "algorithm_features.csv", "manifest_features.json"):
-            a = open(os.path.join(pipeline["feat_out"], name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
-            assert a == b, name
+    def test_whole_pipeline_rerun_is_byte_identical(self, tmp_path, monkeypatch):
+        """Two fresh runs of every stage give the same reports and manifests, byte for byte.
+
+        Each run works in its own directory under relative paths, so the
+        manifests, which echo the configs and key their hashes by path, can match.
+        """
+        reports = ["algorithm_features.csv", "evaluation_both.json", "evaluation_both.md", "evaluation_both.csv",
+                   "ablation.json", "ablation.md", "importance.json", "importance.csv", "importance.md"]
+        runs = []
+        for run in ("a", "b"):
+            os.makedirs(tmp_path / run)
+            monkeypatch.chdir(tmp_path / run)
+            dirs = [d for key, d in run_pipeline(".").items() if key.endswith("_out")]
+            runs.append({name: pathlib.Path(d, name).read_bytes()
+                         for d in dirs for name in os.listdir(d)
+                         if name in reports or name.startswith("manifest_")})
+        assert sorted(runs[0]) == sorted(reports + [f"manifest_{c}.json" for c in (
+            "synth", "ingest", "ground_truth", "features", "evaluate", "ablate", "importance")])
+        for name in runs[0]:
+            assert runs[0][name] == runs[1][name], name
 
 
 class TestEvaluateCommand:
@@ -672,7 +687,6 @@ class TestEvaluateFuzz:
 
 NOT_A_FRACTION = [None, True, "x", "0.2", [0.2], {}, 0, 1, 1.5, -0.1, float("nan")]
 NOT_A_COUNT = [None, True, "ten", [10], {}, 2.5, 0, -3]
-NOT_A_TIMING = [None, True, 3, "fast", "Wall", ["wall"], {"mode": "off"}]
 NOT_A_PORTFOLIO = [5, True, [], ["pop"], "missing_portfolio.json", {}, {"algorithms": "pop"},
                    {"algorithms": {"pop": {}}}, {"algorithms": []}, {"algorithms": None}]
 NOT_A_PORTFOLIO_ENTRY = [
@@ -770,7 +784,7 @@ def corrupted_stage_config(draw, config, features):
     config = json.loads(json.dumps(config))
     kinds = ["portfolio", "entry", "params", "test_fraction", "k"]
     if features:
-        kinds += ["probe", "probes", "time_runs", "timing", "conceptual_map"]
+        kinds += ["probe", "probes", "conceptual_map"]
     kind = draw(st.sampled_from(kinds))
     entries = config["portfolio"]["algorithms"]
     if kind == "portfolio":
@@ -787,8 +801,6 @@ def corrupted_stage_config(draw, config, features):
         config["probes"][at:at + 1] = [draw(st.sampled_from(NOT_A_PROBE))]
     elif kind == "probes":
         config["probes"] = draw(st.sampled_from(["skewed", {}, 3, [["skewed"]]]))
-    elif kind == "timing":
-        config["timing"] = draw(st.sampled_from(NOT_A_TIMING))
     elif kind == "conceptual_map":
         config["conceptual_map"] = draw(st.sampled_from(NOT_A_CONCEPTUAL_MAP))
     else:

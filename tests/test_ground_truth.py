@@ -29,7 +29,7 @@ from recselect.recommenders import (
 from recselect.recommenders.ease import EaseModel
 from recselect.synth import planted_two_population
 
-from conftest import dense_b, make_dataset, random_dataset
+from conftest import SMALL_PARAMS, dense_b, make_dataset, random_dataset
 
 
 def brute_force_ndcg(ranking, relevant, k):
@@ -272,6 +272,34 @@ class TestEvaluatePortfolio:
         got = evaluate_portfolio(matrix, split.test, {"ease": shipped}, k=10)
         want = evaluate_portfolio(matrix, split.test, {"ease": reference}, k=10)
         np.testing.assert_array_equal(got.values, want.values)
+
+    def test_matrix_is_pinned_against_last_bit_score_noise(self):
+        """Scores a few ulps off, as another BLAS build may sum them, give the same matrix bit for bit."""
+        split = temporal_split_per_user(planted_two_population(seed=17, users_per_group=50), 0.2)
+        matrix = build_train_matrix(split.train)
+        models = train_portfolio(matrix, PortfolioConfig(dict(SMALL_PARAMS)))
+        clean = evaluate_portfolio(matrix, split.test, models, k=10)
+        rng = np.random.default_rng(7)
+
+        def nudged(score_users):
+            def score(idx):
+                scores = np.array(score_users(idx), dtype=np.float64)
+                moved = rng.random(scores.shape) < 0.3
+                ulps = rng.integers(1, 5, size=scores.shape)
+                toward = np.where(rng.random(scores.shape) < 0.5, -np.inf, np.inf)
+                for step in range(1, 5):
+                    cells = moved & (ulps >= step)
+                    scores[cells] = np.nextafter(scores[cells], toward[cells])
+                return scores
+            return score
+
+        for model in models.values():
+            original = model.score_users
+            model.score_users = nudged(original)
+            assert not np.array_equal(model.score_users(np.arange(5)), original(np.arange(5)))
+        noisy = evaluate_portfolio(matrix, split.test, models, k=10)
+        assert noisy.users == clean.users and noisy.algorithms == list(SMALL_PARAMS)
+        np.testing.assert_array_equal(noisy.values, clean.values)
 
     def test_unknown_test_users_are_skipped_and_counted(self, toy_split, toy_matrix):
         models = train_portfolio(toy_split.train, PortfolioConfig({"pop": {}}))

@@ -39,7 +39,7 @@ from recselect.recommenders import (
 from recselect.recommenders import biasedmf, bpr, ease, implicitmf, itemknn, pop, userknn
 from recselect.recommenders.base import wavefronts
 
-from conftest import dense_b, make_dataset, random_dataset
+from conftest import SMALL_PARAMS, dense_b, make_dataset, random_dataset
 
 
 class _StubModel(RecommenderModel):
@@ -836,10 +836,38 @@ class TestPortfolio:
         with pytest.raises(ConfigError):
             PortfolioConfig(algorithms={"xgboostrec": {}})
 
-    def test_train_portfolio_records_wall_time(self, toy_split):
-        models = train_portfolio(toy_split.train, PortfolioConfig({"pop": {}, "ease": {"l2": 1.0}}))
-        assert set(models) == {"pop", "ease"}
-        assert all(m.train_seconds > 0 for m in models.values())
+    def test_train_portfolio_records_work_counts(self):
+        m = build_train_matrix(random_dataset(np.random.default_rng(31), n_users=8, n_items=10,
+                                              min_per_user=3, max_per_user=6))
+        config = PortfolioConfig(dict(SMALL_PARAMS))
+        models, again = train_portfolio(m, config), train_portfolio(m, config)
+        for algo, model in models.items():
+            assert type(model.train_ops) is int and model.train_ops > 0, algo
+            assert model.train_ops == again[algo].train_ops, algo
+
+    def test_train_ops_follow_their_formulas(self):
+        m = build_train_matrix(random_dataset(np.random.default_rng(32), n_users=9, n_items=12,
+                                              min_per_user=3, max_per_user=6))
+        nnz, n_rows = m.matrix.nnz, m.n_users + m.n_items
+        ops = {a: train_algorithm(a, m, p).train_ops for a, p in SMALL_PARAMS.items()}
+        x = m.binarized()
+        item_sims, user_sims = itemknn.cosine_similarity_columns(x), itemknn.cosine_similarity_columns(x.T.tocsr())
+        blocks = train_algorithm("ease", m, SMALL_PARAMS["ease"]).items
+        assert ops == {
+            "pop": nnz,
+            "itemknn": item_sims.nnz,
+            "userknn": user_sims.nnz,
+            "biasedmf": nnz * (3 + 1) * 4,
+            "implicitmf": 3 * (2 * nnz * 3**2 + n_rows * 3**3),
+            "bpr": nnz * 3 * 4,
+            "ease": sum(c.size**3 for c in blocks),
+        }
+
+    @pytest.mark.parametrize("algo, passes", [("biasedmf", "epochs"), ("bpr", "epochs"), ("implicitmf", "iterations")])
+    def test_train_ops_double_with_the_passes(self, algo, passes):
+        m = build_train_matrix(random_dataset(np.random.default_rng(33)))
+        once = train_algorithm(algo, m, {"factors": 3, passes: 2}).train_ops
+        assert train_algorithm(algo, m, {"factors": 3, passes: 4}).train_ops == 2 * once
 
     def test_seeded_training_is_bit_reproducible(self):
         rng = np.random.default_rng(31)
