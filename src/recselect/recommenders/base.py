@@ -65,7 +65,7 @@ def build_train_matrix(train: Dataset) -> TrainMatrix:
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=shape)
     matrix.sum_duplicates()
 
-    seen = [np.unique(cols[rows == u]) for u in range(shape[0])]
+    seen = np.split(matrix.indices.astype(np.int64), matrix.indptr[1:-1])  # canonical CSR: sorted, unique
     item_counts = np.bincount(cols, minlength=shape[1]).astype(np.int64)
     return TrainMatrix(
         matrix=matrix,
@@ -255,10 +255,14 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# Bumped whenever a model class's pickled attributes change (2: itemknn holds its binarized history).
+MODEL_FORMAT_VERSION = 2
+
+
 def save_model(model: RecommenderModel, path: str) -> None:
     """Serialize a trained model with its algorithm id and config hash."""
     payload = {
-        "format_version": 1,
+        "format_version": MODEL_FORMAT_VERSION,
         "algorithm_id": model.algorithm_id,
         "config": model.config,
         "config_hash": config_hash(model.config),
@@ -271,7 +275,7 @@ def save_model(model: RecommenderModel, path: str) -> None:
 def load_model(path: str) -> RecommenderModel:
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
-    if payload.get("format_version") != 1:
+    if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format in {path}")
     model = payload["model"]
     if config_hash(model.config) != payload["config_hash"]:

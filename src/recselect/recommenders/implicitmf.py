@@ -1,15 +1,18 @@
 """Implicit-feedback matrix factorization via alternating least squares.
 
 Observed interactions carry confidence c = 1 + alpha * r toward preference 1;
-every unobserved cell participates with confidence 1 toward preference 0. Each
-half-step solves the exact regularized normal equations for one side, using
-the rank-restricted update
+every unobserved cell participates with confidence 1 toward preference 0
+(Hu, Koren & Volinsky, ICDM 2008). Each half-step solves the exact regularized
+normal equations for one side, using the rank-restricted update
 
     A = Q^T Q + Q_s^T diag(c_s - 1) Q_s + reg * I,   b = Q_s^T c_s,
 
-where s indexes the user's observed items. A is symmetric positive definite
-for reg > 0, which the Cholesky factorization asserts on every solve. Each
-half-step solves all rows of one side in one batch (see :func:`solve_side`).
+where s indexes the user's observed items. The second term is a weighted sum
+of the outer products q_i q_i^T of the other side's rows, formed once per row
+of the other side rather than once per stored entry (see
+:func:`normal_equations`). A is symmetric positive definite for reg > 0, which
+the Cholesky factorization asserts on every solve. Each half-step solves the
+rows of one side in a few large batches (see :func:`solve_side`).
 """
 
 from __future__ import annotations
@@ -18,38 +21,61 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import DivergenceError
-from .base import RecommenderModel, TrainMatrix
+from .base import RecommenderModel, TrainMatrix, row_dots
+
+
+def normal_equations(factors_other: np.ndarray, csr: sp.csr_matrix, alpha: float, reg: float):
+    """The stacked systems ``A`` (rows, k, k) and ``b`` (rows, k) of one half-step.
+
+    Each sum over a row's stored entries is that row of a sparse product: the
+    CSR matrix of weights on ``csr``'s own indices and indptr (``c - 1`` for
+    ``A``, ``c`` for ``b``) times, for ``A``, the other side's outer products
+    ``q q^T``, one per row of the other side flattened to k^2 values, and for
+    ``b`` its factors. A row adds its entries' terms in stored order, and a
+    row with no entries sums to zero.
+    """
+    k = factors_other.shape[1]
+    conf = 1.0 + alpha * csr.data
+
+    def weighted_rows(weights, rows):
+        return sp.csr_matrix((weights, csr.indices, csr.indptr), shape=(csr.shape[0], rows.shape[0])) @ rows
+
+    outer = (factors_other[:, :, None] * factors_other[:, None, :]).reshape(-1, k * k)
+    a = weighted_rows(conf - 1.0, outer).reshape(-1, k, k)
+    a += factors_other.T @ factors_other + reg * np.eye(k)
+    return a, weighted_rows(conf, factors_other)
+
+
+# Values of A (rows x k x k) solved at once: a block's systems and factors stay in cache.
+_BLOCK_VALUES = 2**18
 
 
 def solve_side(factors_other: np.ndarray, csr: sp.csr_matrix, alpha: float, reg: float) -> np.ndarray:
     """Solve every row of one side given the other side's factors.
 
-    All rows' k x k systems are built at once. Each stored entry contributes
-    an outer product, summed over its CSR row's segment by a sparse product
-    whose rows are the segments (a row with no entries sums to zero). The
-    stacked systems are solved with one batched Cholesky factorization. The
-    sums run in another order than a per-row product, so factors match a
-    per-row solve to rounding.
+    Rows are solved in blocks of ``_BLOCK_VALUES // k^2``. A block's systems
+    from :func:`normal_equations` are factored with one batched LAPACK
+    Cholesky, ``A = L L^T``, then solved by a forward and a back substitution,
+    each k steps over all of the block's rows at once. Every row is solved on
+    its own, so the blocks change no result; the factors match a per-row
+    ``cho_solve`` to rounding.
     """
-    n_rows = csr.shape[0]
     k = factors_other.shape[1]
-    gram = factors_other.T @ factors_other + reg * np.eye(k)
-    q_s = factors_other[csr.indices]
-    conf = 1.0 + alpha * csr.data
-    entries = np.arange(csr.nnz)
-
-    def segment_sum(weights, rows):
-        return sp.csr_matrix((weights, entries, csr.indptr), shape=(n_rows, csr.nnz)) @ rows
-
-    outer = (q_s[:, :, None] * q_s[:, None, :]).reshape(csr.nnz, k * k)
-    a = gram + segment_sum(conf - 1.0, outer).reshape(n_rows, k, k)
-    b = segment_sum(conf, q_s)
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise DivergenceError(f"ALS normal equations not positive definite: {exc}") from exc
-    y = np.linalg.solve(chol, b[:, :, None])
-    return np.linalg.solve(np.swapaxes(chol, 1, 2), y)[:, :, 0]
+    block = max(1, _BLOCK_VALUES // k**2)
+    x = np.empty((csr.shape[0], k))
+    for start in range(0, csr.shape[0], block):
+        a, b = normal_equations(factors_other, csr[start:start + block], alpha, reg)
+        try:
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError as exc:
+            raise DivergenceError(f"ALS normal equations not positive definite: {exc}") from exc
+        y = np.empty_like(b)
+        for i in range(k):  # L y = b
+            y[:, i] = (b[:, i] - row_dots(chol[:, i, :i], y[:, :i])) / chol[:, i, i]
+        rows = x[start:start + block]
+        for i in reversed(range(k)):  # L^T x = y
+            rows[:, i] = (y[:, i] - row_dots(chol[:, i + 1:, i], rows[:, i + 1:])) / chol[:, i, i]
+    return x
 
 
 def weighted_objective(p: np.ndarray, q: np.ndarray, csr: sp.csr_matrix, alpha: float, reg: float) -> float:
@@ -113,6 +139,6 @@ def train_implicitmf(
         "seed": seed,
     }
     model = ImplicitMFModel(matrix, config, p, q)
-    # Per iteration: a k x k outer product per stored entry and side, a k^3 solve per row.
+    # Per iteration: k^2 multiply-adds per stored entry and side (its weighted outer product), a k^3 solve per row.
     model.train_ops = iterations * (2 * csr.nnz * factors**2 + (matrix.n_users + matrix.n_items) * factors**3)
     return model

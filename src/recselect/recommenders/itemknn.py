@@ -64,22 +64,21 @@ def truncate_columns(sims: sp.spmatrix, neighbors: int) -> sp.csc_matrix:
 class ItemKnnModel(RecommenderModel):
     algorithm_id = "itemknn"
 
-    def __init__(self, matrix: TrainMatrix, config: dict, sims: sp.csr_matrix):
+    def __init__(self, matrix: TrainMatrix, config: dict, sims: sp.csr_matrix, history: sp.csr_matrix):
         super().__init__(matrix, config)
         self.sims = sims
+        self.history = history  # binary membership of each user's training items
 
     def score_users(self, idx: np.ndarray) -> np.ndarray:
-        history = self.matrix.matrix[idx]  # a copy, so its ratings can become memberships
-        history.data = np.ones_like(history.data)
-        return (history @ self.sims).toarray()
+        return (self.history[idx] @ self.sims).toarray()
 
 
 def train_itemknn(matrix: TrainMatrix, neighbors: int = 50, binarize: bool = True) -> ItemKnnModel:
     if neighbors < 1:
         raise ValueError("neighbors must be >= 1")
-    x = matrix.binarized() if binarize else matrix.matrix
-    sims = cosine_similarity_columns(x)
+    history = matrix.binarized()
+    sims = cosine_similarity_columns(history if binarize else matrix.matrix)
     model = ItemKnnModel(matrix, {"neighbors": neighbors, "binarize": binarize},
-                         truncate_columns(sims, neighbors).tocsr())
+                         truncate_columns(sims, neighbors).tocsr(), history)
     model.train_ops = sims.nnz  # similarities computed, before truncation
     return model

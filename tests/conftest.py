@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from recselect.data import Dataset, Interaction, temporal_split_per_user
 from recselect.recommenders import build_train_matrix
@@ -71,3 +72,29 @@ def dense_b(model):
     for items, weights in model.blocks():
         b[np.ix_(items, items)] = weights
     return b
+
+
+def per_entry_normal_equations(factors_other, csr, alpha, reg):
+    """An ALS half-step's A and b summed per stored entry: each entry's k x k outer
+    product, segment-summed over its CSR row by a sparse product whose rows are the segments."""
+    n_rows = csr.shape[0]
+    k = factors_other.shape[1]
+    gram = factors_other.T @ factors_other + reg * np.eye(k)
+    q_s = factors_other[csr.indices]
+    conf = 1.0 + alpha * csr.data
+    entries = np.arange(csr.nnz)
+
+    def segment_sum(weights, rows):
+        return sp.csr_matrix((weights, entries, csr.indptr), shape=(n_rows, csr.nnz)) @ rows
+
+    outer = (q_s[:, :, None] * q_s[:, None, :]).reshape(csr.nnz, k * k)
+    return gram + segment_sum(conf - 1.0, outer).reshape(n_rows, k, k), segment_sum(conf, q_s)
+
+
+def lu_solve_side(factors_other, csr, alpha, reg):
+    """An ALS half-step solved the reference way: the per-entry systems, a batched
+    Cholesky factor, and ``np.linalg.solve`` (a pivoted LU) on the factor and on its transpose."""
+    a, b = per_entry_normal_equations(factors_other, csr, alpha, reg)
+    chol = np.linalg.cholesky(a)
+    y = np.linalg.solve(chol, b[:, :, None])
+    return np.linalg.solve(np.swapaxes(chol, 1, 2), y)[:, :, 0]

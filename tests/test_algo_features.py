@@ -1,11 +1,14 @@
 """Algorithm feature assembly: tags, landmarks, grouping, CSV round trips."""
 
+import copy
+import dataclasses
 import json
 import logging
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from recselect import algo_features
 from recselect.algo_features import (
@@ -124,6 +127,20 @@ class TestLandmarks:
             res = landmarks[algo]["p0"]
             assert (res.train_ops, res.pred_ops) == (model.train_ops, stored_values(model) * users)
             assert res.train_ops > 0 and res.pred_ops > 0
+
+    def test_stored_values_count_the_history_each_model_scores_from(self):
+        """itemknn, userknn and ease score from the users' histories they hold, never from the training matrix."""
+        matrix = build_train_matrix(probe_split().train)
+        everyone = np.arange(matrix.n_users)
+        for algo, params, history in (("itemknn", {"neighbors": 2}, "history"),
+                                      ("userknn", {"neighbors": 2}, "ratings"), ("ease", {"l2": 2.0}, "x")):
+            model = train_algorithm(algo, matrix, params)
+            want = model.score_users(everyone)
+            model.matrix = dataclasses.replace(matrix, matrix=sp.csr_matrix(matrix.matrix.shape))
+            np.testing.assert_array_equal(model.score_users(everyone), want, err_msg=algo)
+            without = copy.copy(model)
+            delattr(without, history)
+            assert stored_values(model) - stored_values(without) == matrix.matrix.nnz, algo
 
     def test_each_landmark_trains_and_scores_once(self, monkeypatch):
         calls = Counter()

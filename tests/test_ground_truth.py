@@ -26,10 +26,11 @@ from recselect.recommenders import (
     train_algorithm,
     train_portfolio,
 )
+from recselect.recommenders import implicitmf
 from recselect.recommenders.ease import EaseModel
 from recselect.synth import planted_two_population
 
-from conftest import SMALL_PARAMS, dense_b, make_dataset, random_dataset
+from conftest import SMALL_PARAMS, dense_b, lu_solve_side, make_dataset, random_dataset
 
 
 def brute_force_ndcg(ranking, relevant, k):
@@ -271,6 +272,19 @@ class TestEvaluatePortfolio:
         reference = EaseModel(matrix, shipped.config, shipped.x, b.ravel(), [np.arange(matrix.n_items)])
         got = evaluate_portfolio(matrix, split.test, {"ease": shipped}, k=10)
         want = evaluate_portfolio(matrix, split.test, {"ease": reference}, k=10)
+        np.testing.assert_array_equal(got.values, want.values)
+
+    def test_implicitmf_column_is_the_same_for_the_lu_solve_reference(self, monkeypatch):
+        """Substitution on the Cholesky factor and the reference pivoted-LU solves rank every user alike."""
+        split = temporal_split_per_user(planted_two_population(seed=17, users_per_group=100), 0.2)
+        matrix = build_train_matrix(split.train)
+        params = {"factors": 16, "iterations": 8}
+        shipped = train_algorithm("implicitmf", matrix, params)
+        monkeypatch.setattr(implicitmf, "solve_side", lu_solve_side)
+        reference = train_algorithm("implicitmf", matrix, params)
+        assert not np.array_equal(shipped.p, reference.p)  # two numeric routes, not one
+        got = evaluate_portfolio(matrix, split.test, {"implicitmf": shipped}, k=10)
+        want = evaluate_portfolio(matrix, split.test, {"implicitmf": reference}, k=10)
         np.testing.assert_array_equal(got.values, want.values)
 
     def test_matrix_is_pinned_against_last_bit_score_noise(self):

@@ -39,7 +39,7 @@ from recselect.recommenders import (
 from recselect.recommenders import biasedmf, bpr, ease, implicitmf, itemknn, pop, userknn
 from recselect.recommenders.base import wavefronts
 
-from conftest import SMALL_PARAMS, dense_b, make_dataset, random_dataset
+from conftest import SMALL_PARAMS, dense_b, make_dataset, per_entry_normal_equations, random_dataset
 
 
 class _StubModel(RecommenderModel):
@@ -76,6 +76,18 @@ class TestTrainMatrix:
         m = build_train_matrix(ds)
         assert m.matrix[0, 0] == 5.0
         np.testing.assert_array_equal(m.seen[0], [0, 1])
+
+    def test_seen_sets_are_each_users_sorted_distinct_items(self):
+        """Duplicate pairs, unsorted input, a zero rating and a one-item user."""
+        ds = make_dataset([("u", "z", 1.0, 0), ("v", "y", 0.0, 1), ("u", "x", 2.0, 2), ("w", "z", 4.0, 3),
+                           ("u", "z", 3.0, 4), ("v", "x", 1.0, 5), ("u", "y", 5.0, 6)])
+        m = build_train_matrix(ds)
+        for user in m.user_ids:
+            want = np.unique([m.item_index[it.item] for it in ds.interactions if it.user == user])
+            assert m.seen[m.user_index[user]].dtype == np.int64
+            np.testing.assert_array_equal(m.seen[m.user_index[user]], want)
+        assert m.seen[m.user_index["w"]].size == 1
+        assert m.item_index["y"] in m.seen[m.user_index["v"]]  # a zero rating is still an interaction
 
     def test_binarized_keeps_pattern_only(self):
         ds = make_dataset([("u", "x", 4.0, 0), ("v", "y", 2.0, 1)])
@@ -376,7 +388,36 @@ class TestBiasedMF:
             biasedmf.train_biasedmf(m, factors=-1)
 
 
+@st.composite
+def als_half_steps(draw):
+    """(factors of the other side, ratings CSR, alpha, reg) for one ALS half-step.
+
+    Rows may be empty or hold one entry, ratings may be explicit zeros, and
+    each row's indices are stored unsorted.
+    """
+    n_rows, n_other = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    k = draw(st.sampled_from([1, 3, 16, 32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = draw(st.lists(st.integers(0, n_other), min_size=n_rows, max_size=n_rows))
+    indices = np.concatenate([rng.permutation(n_other)[:c] for c in counts]).astype(np.int32)
+    data = np.array(draw(st.lists(st.sampled_from([0.0, 0.7, 1.0, 2.5, 5.0]), min_size=indices.size,
+                                  max_size=indices.size)), dtype=np.float64)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    csr = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_other))
+    alpha, reg = draw(st.sampled_from([0.0, 0.37, 1.0, 40.0])), draw(st.sampled_from([0.1, 1.0]))
+    return rng.normal(size=(n_other, k)), csr, alpha, reg
+
+
 class TestImplicitMF:
+    @settings(max_examples=200, deadline=None)
+    @given(als_half_steps())
+    def test_normal_equations_equal_the_per_entry_sums_bit_for_bit(self, case):
+        factors, csr, alpha, reg = case
+        a, b = implicitmf.normal_equations(factors, csr, alpha, reg)
+        want_a, want_b = per_entry_normal_equations(factors, csr, alpha, reg)
+        np.testing.assert_array_equal(a, want_a)
+        np.testing.assert_array_equal(b, want_b)
+
     def make_matrix(self):
         rng = np.random.default_rng(23)
         ds = random_dataset(rng, n_users=4, n_items=4, min_per_user=2, max_per_user=3)
@@ -787,18 +828,29 @@ class TestBatchScoring:
         dense = rng.integers(1, 4, size=(9, 7)) * (rng.random((9, 7)) < 0.4)
         dense[[0, 4, 8]] = 0  # empty rows, the last one trailing
         csr = sp.csr_matrix(dense.astype(np.float64))
-        factors = rng.normal(size=(7, 3))
         alpha, reg = 6.0, 0.4
-        got = implicitmf.solve_side(factors, csr, alpha, reg)
-        gram = factors.T @ factors + reg * np.eye(3)
-        for u in range(csr.shape[0]):
-            start, end = csr.indptr[u], csr.indptr[u + 1]
-            q_s = factors[csr.indices[start:end]]
-            conf = 1.0 + alpha * csr.data[start:end]
-            a = gram + q_s.T @ ((conf - 1.0)[:, None] * q_s)
-            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), q_s.T @ conf)
-            np.testing.assert_allclose(got[u], want, rtol=1e-12, atol=1e-14)
-        np.testing.assert_array_equal(got[[0, 4, 8]], np.zeros((3, 3)))
+        for k in (1, 3, 16, 32):
+            factors = rng.normal(size=(7, k))
+            got = implicitmf.solve_side(factors, csr, alpha, reg)
+            gram = factors.T @ factors + reg * np.eye(k)
+            for u in range(csr.shape[0]):
+                start, end = csr.indptr[u], csr.indptr[u + 1]
+                q_s = factors[csr.indices[start:end]]
+                conf = 1.0 + alpha * csr.data[start:end]
+                a = gram + q_s.T @ ((conf - 1.0)[:, None] * q_s)
+                want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), q_s.T @ conf)
+                # Two backward-stable solves differ by at most a small multiple of cond(A) * eps * |x|.
+                bound = 4 * k * np.linalg.cond(a) * np.finfo(np.float64).eps * np.linalg.norm(want)
+                assert np.linalg.norm(got[u] - want) <= bound, (k, u)
+            np.testing.assert_array_equal(got[[0, 4, 8]], np.zeros((3, k)))
+
+    def test_row_blocks_do_not_change_the_factors(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        csr = sp.csr_matrix(rng.integers(0, 3, size=(11, 6)) * (rng.random((11, 6)) < 0.5), dtype=np.float64)
+        factors = rng.normal(size=(6, 4))
+        whole = implicitmf.solve_side(factors, csr, 5.0, 0.3)
+        monkeypatch.setattr(implicitmf, "_BLOCK_VALUES", 3 * 4 * 4)  # blocks of 3 rows, the last one short
+        np.testing.assert_array_equal(implicitmf.solve_side(factors, csr, 5.0, 0.3), whole)
 
     def test_non_positive_definite_systems_are_a_divergence(self):
         csr = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -910,4 +962,18 @@ class TestPortfolio:
         with open(path, "wb") as fh:
             pickle.dump(payload, fh)
         with pytest.raises(ValueError, match="config hash"):
+            load_model(str(path))
+
+    def test_load_rejects_an_older_format(self, tmp_path, toy_split):
+        """An itemknn pickled before it held its history would fail only when it scores."""
+        import pickle
+        models = train_portfolio(toy_split.train, PortfolioConfig({"itemknn": {"neighbors": 2}}))
+        path = tmp_path / "itemknn.pkl"
+        save_model(models["itemknn"], str(path))
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+        payload["format_version"] = 1
+        with open(path, "wb") as fh:
+            pickle.dump(payload, fh)
+        with pytest.raises(ValueError, match="unsupported model format"):
             load_model(str(path))
