@@ -22,6 +22,7 @@ import sys
 
 from . import __version__
 from .algo_features import (
+    FEATURE_CATEGORIES,
     AlgorithmFeatureTable,
     assemble_algorithm_features,
     landmark_portfolio,
@@ -157,6 +158,12 @@ class Stage:
             raise ConfigError(f"config key {key!r} must be a number, found {value!r}")
         return value
 
+    def boolean(self, key: str, default: bool) -> bool:
+        value = self.config.get(key, default)
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} must be true or false, found {value!r}")
+        return value
+
     def objects(self, key: str, default: list | None = None) -> list[dict]:
         value = self.require(key) if default is None else self.config.get(key, default)
         if not isinstance(value, list) or not all(isinstance(e, dict) for e in value):
@@ -248,6 +255,7 @@ def _split(stage: Stage, dataset, entry: dict | None = None):
 
 def cmd_ground_truth(stage: Stage) -> list[str]:
     k = stage.integer("k", 10, 1)
+    save_models = stage.boolean("save_models", False)
     portfolio = stage.portfolio()
     for algo, params in portfolio.algorithms.items():
         if "seed" in train_parameters(algo) and "seed" not in params:
@@ -278,7 +286,7 @@ def cmd_ground_truth(stage: Stage) -> list[str]:
     write_json(summary, summary_path)
 
     outputs = [pm_path, summary_path]
-    if stage.config.get("save_models", False):
+    if save_models:
         models_dir = os.path.join(stage.out_dir, "models")
         os.makedirs(models_dir, exist_ok=True)
         for algo, model in models.items():
@@ -401,7 +409,14 @@ def cmd_ablate(stage: Stage) -> list[str]:
     pm, user_features, algo_table = _load_eval_inputs(stage)
     sets = None
     if "category_sets" in stage.config:
-        sets = [frozenset(s) for s in stage.config["category_sets"]]
+        raw = stage.config["category_sets"]
+        if isinstance(raw, list) and all(isinstance(s, list) and all(c in FEATURE_CATEGORIES for c in s) for s in raw):
+            sets = [frozenset(s) for s in raw]
+        if not sets or len(set(sets)) < len(sets):
+            raise ConfigError(
+                f"config key 'category_sets' must be a non-empty list of distinct lists of "
+                f"feature categories {list(FEATURE_CATEGORIES)}, found {raw!r}"
+            )
     report = run_ablation(
         pm, user_features, algo_table, sets, stage.integer("folds", 5, 2), _space(stage), stage.seed
     )

@@ -112,6 +112,7 @@ class PortfolioConfig:
             raise ConfigError(f"portfolio 'algorithms' must be a list, found {entries!r}")
         algorithms = {}
         unavailable = dict(UNAVAILABLE)
+        named = set()
         for entry in entries:
             if isinstance(entry, str):
                 entry = {"name": entry}
@@ -120,6 +121,9 @@ class PortfolioConfig:
                     f"portfolio entry must be a name or an object with a string 'name', found {entry!r}"
                 )
             name, status = entry["name"], entry.get("status", "enabled")
+            if name in named:
+                raise ConfigError(f"portfolio names {name!r} in more than one entry")
+            named.add(name)
             if status == "unavailable":
                 unavailable[name] = entry.get("reason", "unavailable")
             elif status == "enabled":

@@ -255,8 +255,9 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# Bumped whenever a model class's pickled attributes change (2: itemknn holds its binarized history).
-MODEL_FORMAT_VERSION = 2
+# Bumped whenever a model class's pickled attributes change (2: itemknn holds its binarized history;
+# 3: ease holds its weights as one CSR).
+MODEL_FORMAT_VERSION = 3
 
 
 def save_model(model: RecommenderModel, path: str) -> None:

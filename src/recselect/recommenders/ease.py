@@ -10,13 +10,12 @@ User scores are the corresponding row of X B.
 Two items interact in G only when some user holds both, so under a
 permutation that groups the connected components of the item co-occurrence
 graph, G, P and B are block-diagonal. Training therefore solves one block per
-component (by Cholesky), and B is stored as those blocks alone: one flat
-array ``b`` holds each multi-item component's k x k weights back to back,
-beside the component's item indices. B is zero between components and for
-single-item components, which is exact, not an approximation, so no
-n_items x n_items array is ever built. Scoring fills each block's columns
-for the users who hold its items, from their entries in those items; the
-terms it leaves out are exact zeros, so the scores are bitwise those of the
+multi-item component (by Cholesky) and stores B as one block-diagonal CSR:
+each item's row holds its component's weights, zero diagonal included, and
+nothing else. B is zero between components and for single-item components,
+which is exact, not an approximation, so no n_items x n_items array is ever
+built. Scoring is the sparse product of the history and B; the terms it
+leaves out multiply exact zeros, so the scores are bitwise those of the
 history times the dense B. Rounding still differs from a full dense inverse
 in the last bits; rankings do not, because ``top_k`` snaps scores before it
 breaks ties.
@@ -55,47 +54,22 @@ def ease_weights(x_gram: np.ndarray, l2: float) -> np.ndarray:
 
 
 class EaseModel(RecommenderModel):
-    """B as blocks: ``b`` is their flat storage, ``items`` their item indices."""
+    """Scores are the history ``x`` times the block-diagonal CSR ``weights``."""
 
     algorithm_id = "ease"
 
-    def __init__(self, matrix, config, x, b, items):
+    def __init__(self, matrix, config, x, weights):
         super().__init__(matrix, config)
         self.x = x
-        self.b = b
-        self.items = items
+        self.weights = weights
 
-    def blocks(self):
-        """Each block's item indices and its k x k weights, a view into ``b``."""
-        end = 0
-        for items in self.items:
-            start, end = end, end + items.size**2
-            yield items, self.b[start:end].reshape(items.size, items.size)
+    @property
+    def b(self) -> np.ndarray:
+        """Every block's k x k weights as stored: the CSR's ``data``."""
+        return self.weights.data
 
     def score_users(self, idx: np.ndarray) -> np.ndarray:
-        """Each block scores only the rows holding one of its items, from those entries alone.
-
-        A row keeps its entries' stored order within a block, so ``csr @ dense``
-        adds the same terms in the same order as the history times the dense B;
-        the terms left out multiply exact zeros.
-        """
-        rows = self.x[idx]
-        scores = np.zeros((rows.shape[0], self.matrix.n_items))
-        block = np.full(self.matrix.n_items, len(self.items))  # single-item components: no block
-        column = np.zeros(self.matrix.n_items, dtype=np.int64)
-        for n, items in enumerate(self.items):
-            block[items], column[items] = n, np.arange(items.size)
-        entry_block = block[rows.indices]
-        entry_row = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
-        by_block = np.argsort(entry_block, kind="stable")
-        ends = np.cumsum(np.bincount(entry_block, minlength=len(self.items) + 1))[:-1]
-        for (items, weights), entries in zip(self.blocks(), np.split(by_block, ends)):
-            users, counts = np.unique(entry_row[entries], return_counts=True)
-            indptr = np.concatenate(([0], np.cumsum(counts)))
-            held = sp.csr_matrix((rows.data[entries], column[rows.indices[entries]], indptr),
-                                 shape=(users.size, items.size))
-            scores[np.ix_(users, items)] = held @ weights
-        return scores
+        return (self.x[idx] @ self.weights).toarray()
 
 
 def train_ease(matrix: TrainMatrix, l2: float = 10.0, binarize: bool = True) -> EaseModel:
@@ -106,11 +80,16 @@ def train_ease(matrix: TrainMatrix, l2: float = 10.0, binarize: bool = True) -> 
     gram = (x.T @ x).tocsr()
     n_components, labels = connected_components(gram, directed=False)
     order = np.argsort(labels, kind="stable")
-    bounds = np.cumsum(np.bincount(labels, minlength=n_components))[:-1]
-    items = [c for c in np.split(order, bounds) if c.size > 1]
-    b = np.empty(sum(c.size**2 for c in items))
-    model = EaseModel(matrix, {"l2": l2, "binarize": binarize}, x, b, items)
-    for c, weights in model.blocks():
-        weights[...] = ease_weights(gram[c][:, c].toarray(), l2)
-    model.train_ops = sum(c.size**3 for c in items)
+    sizes = np.bincount(labels, minlength=n_components)
+    blocks = [c for c in np.split(order, np.cumsum(sizes)[:-1]) if c.size > 1]
+    row_sizes = np.where(sizes > 1, sizes, 0)[labels]  # an item's row holds its component
+    indptr = np.concatenate(([0], np.cumsum(row_sizes)))
+    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    for c in blocks:
+        at = indptr[c][:, None] + np.arange(c.size)
+        indices[at] = c
+        data[at] = ease_weights(gram[c][:, c].toarray(), l2)
+    weights = sp.csr_matrix((data, indices, indptr), shape=gram.shape)
+    model = EaseModel(matrix, {"l2": l2, "binarize": binarize}, x, weights)
+    model.train_ops = sum(c.size**3 for c in blocks)
     return model

@@ -67,11 +67,8 @@ def random_dataset(rng, n_users=12, n_items=15, min_per_user=2, max_per_user=8, 
 
 
 def dense_b(model):
-    """An EASE model's item weights as the dense n_items x n_items B its blocks make up."""
-    b = np.zeros((model.matrix.n_items, model.matrix.n_items))
-    for items, weights in model.blocks():
-        b[np.ix_(items, items)] = weights
-    return b
+    """An EASE model's item weights as the dense n_items x n_items B."""
+    return model.weights.toarray()
 
 
 def per_entry_normal_equations(factors_other, csr, alpha, reg):

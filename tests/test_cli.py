@@ -354,6 +354,10 @@ def test_manifest_inputs_are_exactly_the_files_the_stage_read(pipeline, tmp_path
     ("ingest", {"event_weights": 3}),
     ("ingest", {"timestamp_col": ["server_ts"]}),
     ("ingest", {"rating_col": None}),  # event weights with no event column to map
+    ("ground-truth", {"portfolio": {"algorithms": [{"name": "itemknn", "params": {"neighbors": 5}},
+                                                   {"name": "itemknn", "params": {"neighbors": 50}}]}}),
+    ("features", {"portfolio": {"algorithms": ["pop", "ease", {"name": "pop", "status": "unavailable"}]}}),
+    ("ground-truth", {"save_models": "false"}),
 ])
 def test_bad_stage_config_exits_2_with_one_config_error_line(pipeline, tmp_path, capsys, command, changes):
     cfg = rerun_config(pipeline, STAGE_CONFIGS[command], changes, tmp_path)
@@ -837,6 +841,18 @@ class TestStageFuzz:
 
 
 class TestAblateCommand:
+    @pytest.mark.parametrize("category_sets", [
+        5, [5], None, [[[1]]], "Code", [["Code"], "AST"], [], [["Code"], ["Code"]],
+    ])
+    def test_bad_category_sets_exit_2_with_one_config_error_line(self, pipeline, tmp_path, capsys, category_sets):
+        with open(os.path.join(pipeline["cfg_dir"], "ablate.json")) as fh:
+            config = json.load(fh)
+        cfg = write_config(str(tmp_path), "ablate.json", {**config, "category_sets": category_sets})
+        capsys.readouterr()
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key 'category_sets' ") and err.count("\n") == 1
+
     def test_entries_follow_requested_sets(self, pipeline):
         with open(os.path.join(pipeline["ablate_out"], "ablation.json")) as fh:
             payload = json.load(fh)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -269,7 +270,7 @@ class TestEvaluatePortfolio:
         np.fill_diagonal(b, 0.0)
         assert not np.array_equal(b, dense_b(shipped))  # two numeric routes, not one
         np.testing.assert_allclose(dense_b(shipped), b, atol=1e-9)
-        reference = EaseModel(matrix, shipped.config, shipped.x, b.ravel(), [np.arange(matrix.n_items)])
+        reference = EaseModel(matrix, shipped.config, shipped.x, sp.csr_matrix(b))
         got = evaluate_portfolio(matrix, split.test, {"ease": shipped}, k=10)
         want = evaluate_portfolio(matrix, split.test, {"ease": reference}, k=10)
         np.testing.assert_array_equal(got.values, want.values)

@@ -774,7 +774,8 @@ class TestEase:
         ])
         m = build_train_matrix(ds)
         model = ease.train_ease(m, l2=1.0, binarize=False)
-        assert sorted(sorted(m.item_ids[i] for i in items) for items in model.items) == [["A", "B"], ["C", "D"]]
+        blocks = {tuple(m.item_ids[j] for j in model.weights[i].indices) for i in range(m.n_items)}
+        assert sorted(blocks) == [("A", "B"), ("C", "D")]
         everyone = np.arange(m.n_users)
         scores = model.score_users(everyone)
         assert np.array_equal(scores, model.x[everyone] @ dense_b(model))
@@ -904,7 +905,7 @@ class TestPortfolio:
         ops = {a: train_algorithm(a, m, p).train_ops for a, p in SMALL_PARAMS.items()}
         x = m.binarized()
         item_sims, user_sims = itemknn.cosine_similarity_columns(x), itemknn.cosine_similarity_columns(x.T.tocsr())
-        blocks = train_algorithm("ease", m, SMALL_PARAMS["ease"]).items
+        weights = train_algorithm("ease", m, SMALL_PARAMS["ease"]).weights
         assert ops == {
             "pop": nnz,
             "itemknn": item_sims.nnz,
@@ -912,7 +913,7 @@ class TestPortfolio:
             "biasedmf": nnz * (3 + 1) * 4,
             "implicitmf": 3 * (2 * nnz * 3**2 + n_rows * 3**3),
             "bpr": nnz * 3 * 4,
-            "ease": sum(c.size**3 for c in blocks),
+            "ease": (np.diff(weights.indptr) ** 2).sum(),  # a block's k rows of k entries: Σ k³
         }
 
     @pytest.mark.parametrize("algo, passes", [("biasedmf", "epochs"), ("bpr", "epochs"), ("implicitmf", "iterations")])
@@ -948,8 +949,10 @@ class TestPortfolio:
         back = load_model(str(path))
         everyone = np.arange(back.matrix.n_users)
         assert np.array_equal(back.score_users(everyone), models["ease"].score_users(everyone))
-        blocks = list(back.blocks())  # views into the one stored ``b``, not copies of their own
-        assert blocks and all(np.shares_memory(weights, back.b) for _, weights in blocks)
+        saved = models["ease"].weights
+        assert saved.nnz
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(back.weights, part), getattr(saved, part))
 
     def test_load_rejects_tampered_config(self, tmp_path, toy_split):
         import pickle
@@ -965,15 +968,17 @@ class TestPortfolio:
             load_model(str(path))
 
     def test_load_rejects_an_older_format(self, tmp_path, toy_split):
-        """An itemknn pickled before it held its history would fail only when it scores."""
+        """An itemknn pickled before it held its history (1), or an ease before it held its weights
+        as one CSR (2), would fail only when it scores."""
         import pickle
-        models = train_portfolio(toy_split.train, PortfolioConfig({"itemknn": {"neighbors": 2}}))
-        path = tmp_path / "itemknn.pkl"
-        save_model(models["itemknn"], str(path))
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        payload["format_version"] = 1
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
-        with pytest.raises(ValueError, match="unsupported model format"):
-            load_model(str(path))
+        models = train_portfolio(toy_split.train, PortfolioConfig({"itemknn": {"neighbors": 2}, "ease": {}}))
+        for algo, version in (("itemknn", 1), ("ease", 2)):
+            path = tmp_path / f"{algo}.pkl"
+            save_model(models[algo], str(path))
+            with open(path, "rb") as fh:
+                payload = pickle.load(fh)
+            payload["format_version"] = version
+            with open(path, "wb") as fh:
+                pickle.dump(payload, fh)
+            with pytest.raises(ValueError, match="unsupported model format"):
+                load_model(str(path))
