@@ -22,7 +22,8 @@ from .astgraph import AST_METRIC_NAMES, AstGraphMetrics, analyze_ast_file
 from .codemetrics import CODE_METRIC_NAMES, CodeMetrics, analyze_file
 from .data import SplitPair, open_table, read_header, read_id_rows
 from .errors import ConfigError, RecselectError
-from .ground_truth import evaluate_portfolio
+from .ground_truth import evaluable_users, evaluate_portfolio
+from .pool import map_jobs
 from .recommenders import algorithm_source_path, build_train_matrix, stored_values, train_algorithm
 
 logger = logging.getLogger(__name__)
@@ -93,13 +94,18 @@ class ProbeResult:
 
     ``train_ops`` is the model's ``train_ops``; ``pred_ops`` is its
     ``stored_values`` times the probe's scored users. Both are counts, so a
-    landmark does not depend on the machine or its load.
+    landmark does not depend on the machine or its load. A failed landmark is
+    zeroed and names its error.
     """
 
     perf: float
     train_ops: int
     pred_ops: int
-    failed: bool = False
+    error: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
 
 def landmark_portfolio(
@@ -109,25 +115,33 @@ def landmark_portfolio(
 ) -> dict[str, dict[str, ProbeResult]]:
     """Train and evaluate every algorithm once on every probe split.
 
-    A training or evaluation failure (a ``RecselectError`` such as
-    ``DivergenceError``) yields a zeroed, flagged result instead of aborting
-    the sweep; any other error, such as the ``ValueError`` of an out-of-range
-    parameter, propagates.
+    Each (probe, algorithm) pair is one ``map_jobs`` job. A training or
+    evaluation failure (a ``RecselectError`` such as ``DivergenceError``) yields
+    a zeroed, flagged result instead of aborting the sweep, and is logged here;
+    any other error, such as the ``ValueError`` of an out-of-range parameter,
+    propagates.
     """
-    results: dict[str, dict[str, ProbeResult]] = {a: {} for a in algorithms}
+    scored = {}
     for probe_name, split in probes.items():
         matrix = build_train_matrix(split.train)
-        for algo, params in algorithms.items():
-            try:
-                model = train_algorithm(algo, matrix, params)
-                pm = evaluate_portfolio(matrix, split.test, {algo: model}, k=k)
-            except RecselectError:
-                logger.warning("landmark failed: algorithm=%s probe=%s", algo, probe_name, exc_info=True)
-                results[algo][probe_name] = ProbeResult(0.0, 0, 0, failed=True)
-                continue
-            results[algo][probe_name] = ProbeResult(
-                float(pm.column_means()[0]), model.train_ops, stored_values(model) * len(pm.users)
-            )
+        scored[probe_name] = (matrix, evaluable_users(matrix, split.test))
+
+    def landmark(job: tuple[str, str]) -> ProbeResult:
+        probe_name, algo = job
+        matrix, users = scored[probe_name]
+        try:
+            model = train_algorithm(algo, matrix, algorithms[algo])
+            pm = evaluate_portfolio(matrix, users, {algo: model}, k=k)
+        except RecselectError as exc:
+            return ProbeResult(0.0, 0, 0, error=f"{type(exc).__name__}: {exc}")
+        return ProbeResult(float(pm.column_means()[0]), model.train_ops, stored_values(model) * len(pm.users))
+
+    jobs = [(probe_name, algo) for probe_name in probes for algo in algorithms]
+    results: dict[str, dict[str, ProbeResult]] = {a: {} for a in algorithms}
+    for (probe_name, algo), result in zip(jobs, map_jobs(landmark, jobs)):
+        if result.failed:
+            logger.warning("landmark failed: algorithm=%s probe=%s: %s", algo, probe_name, result.error)
+        results[algo][probe_name] = result
     return results
 
 

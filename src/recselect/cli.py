@@ -20,6 +20,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .algo_features import (
     FEATURE_CATEGORIES,
@@ -52,19 +54,21 @@ from .experiment import (
 )
 from .ground_truth import (
     PerformanceMatrix,
+    evaluable_users,
     evaluate_portfolio,
     single_best_algorithm,
     virtual_best_algorithm,
 )
 from .meta import GBDTParams
+from .pool import map_jobs
 from .recommenders import (
     PortfolioConfig,
     build_train_matrix,
     check_parameters,
     keyword_defaults,
     save_model,
+    train_algorithm,
     train_parameters,
-    train_portfolio,
 )
 from .synth import (
     PROBE_GENERATORS,
@@ -263,8 +267,22 @@ def cmd_ground_truth(stage: Stage) -> list[str]:
     split = _split(stage, read_interactions_csv(stage.path("dataset")))
 
     matrix = build_train_matrix(split.train)
-    models = train_portfolio(matrix, portfolio)
-    pm = evaluate_portfolio(matrix, split.test, models, k=k)
+    users = evaluable_users(matrix, split.test)
+    models_dir = os.path.join(stage.out_dir, "models")
+    if save_models:
+        os.makedirs(models_dir, exist_ok=True)
+
+    def column(algo: str) -> np.ndarray:
+        """One algorithm's NDCG column; its model is pickled here when ``save_models`` is set."""
+        model = train_algorithm(algo, matrix, portfolio.algorithms[algo])
+        values = evaluate_portfolio(matrix, users, {algo: model}, k=k).values[:, 0]
+        if save_models:
+            save_model(model, os.path.join(models_dir, f"{algo}.pkl"))
+        return values
+
+    algorithms = portfolio.ordered_ids()
+    pm = PerformanceMatrix(users.users, algorithms, np.column_stack(map_jobs(column, algorithms)),
+                           skipped_users=users.skipped)
 
     pm_path = os.path.join(stage.out_dir, "performance_matrix.csv")
     pm.to_csv(pm_path)
@@ -287,12 +305,7 @@ def cmd_ground_truth(stage: Stage) -> list[str]:
 
     outputs = [pm_path, summary_path]
     if save_models:
-        models_dir = os.path.join(stage.out_dir, "models")
-        os.makedirs(models_dir, exist_ok=True)
-        for algo, model in models.items():
-            model_path = os.path.join(models_dir, f"{algo}.pkl")
-            save_model(model, model_path)
-            outputs.append(model_path)
+        outputs += [os.path.join(models_dir, f"{algo}.pkl") for algo in algorithms]
     return outputs
 
 

@@ -13,9 +13,9 @@ same selection call with the tiled column means and the true rows as score
 matrices.
 
 Outer folds are independent, since each derives its seeds from the run seed
-and its fold index alone. They run on a ``fork`` process pool with one worker
-per usable CPU, and their results are merged in fold order, so every report is
-the same whatever the worker count.
+and its fold index alone. They run through ``pool.map_jobs``, one worker per
+usable CPU, and their results are merged in fold order, so every report is the
+same whatever the worker count.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import multiprocessing
-import os
-import signal
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Mapping, Sequence
 
@@ -49,6 +44,7 @@ from .meta import (
     standardize_apply,
     standardize_fit,
 )
+from .pool import map_jobs
 from .recommenders import top_k
 from .user_features import UserFeatureTable
 
@@ -389,7 +385,7 @@ def run_nested_cv(
     jobs = [(predictor, mode, pm, space, train, test, x, enc, seed, fold_idx)
             for fold_idx, train, test, x in _outer_folds(pm, user_features, n_folds, seed)]
     best_params_per_fold: list[dict] = []
-    for job, (best, scores) in zip(jobs, _map_folds(_fold_outcome, jobs)):
+    for job, (best, scores) in zip(jobs, map_jobs(_fold_outcome, jobs)):
         test = job[5]
         truth = pm.values[test]
         sba_scores = np.tile(column_means, (len(test), 1))
@@ -426,71 +422,6 @@ def _fold_outcome(job: tuple) -> tuple[dict, np.ndarray]:
     best = _random_search(pm, space, mode, train, x, enc, seed, fold_idx)
     params = GBDTParams(**best, seed=derive_seed(seed, "refit", fold_idx)).validate()
     return best, _fit_predictor(mode, params, pm, train, test, x, enc)
-
-
-def _worker_count(n_jobs: int) -> int:
-    """Processes for ``n_jobs`` folds: the CPUs this process may use, at most one per job."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_jobs))
-
-
-def _map_folds(fn, jobs: list) -> list:
-    """``[fn(job) for job in jobs]``, with the jobs spread over a ``fork`` process pool.
-
-    The results come back in job order, whichever worker finishes first, so no
-    report depends on the worker count. Where several jobs fail, the caller gets
-    the exception of the first failing job in job order, as in a serial loop, and
-    the pool is stopped. With one worker, or where ``fork`` does not exist, the
-    jobs run here one after another. ``fork`` shares the loaded modules with the
-    workers; a fresh interpreter per worker would import numpy and scipy again.
-    """
-    n_workers = _worker_count(len(jobs))
-    if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(job) for job in jobs]
-    # Workers fork with SIGTERM blocked and unblock it under the default action,
-    # which ``terminate`` relies on. A Python handler inherited from the caller
-    # runs only between bytecodes, so a worker that SIGTERM reaches just before it
-    # blocks on the pool's task lock would never exit, and ``terminate`` would
-    # wait for it forever.
-    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-    try:
-        pool = multiprocessing.get_context("fork").Pool(n_workers, initializer=_default_sigterm)
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-    with pool, _sigterm_exits():
-        return list(pool.imap(fn, jobs, chunksize=1))
-
-
-def _default_sigterm():
-    """Pool initializer: SIGTERM ends the worker at once, also if it arrived during the fork."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-
-
-@contextmanager
-def _sigterm_exits():
-    """While open, SIGTERM raises SystemExit here, so the pool's ``with`` stops its workers.
-
-    By default SIGTERM ends the process at once, and a worker busy with a fold
-    would run on until the fold is done. A handler set elsewhere, or a call off
-    the main thread, is left as it is.
-    """
-    if (threading.current_thread() is not threading.main_thread()
-            or signal.getsignal(signal.SIGTERM) != signal.SIG_DFL):
-        yield
-        return
-    signal.signal(signal.SIGTERM, _exit_on_signal)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
-def _exit_on_signal(signum, frame):
-    raise SystemExit(128 + signum)
 
 
 def _random_search(pm, space, mode, train, x, enc, seed, fold_idx) -> dict:
@@ -686,7 +617,7 @@ def run_importance(
     jobs = [(x[train], pm.values[train], algo_x,
              replace(base, seed=derive_seed(seed, "importance", fold_idx)).validate())
             for fold_idx, train, _, x in _outer_folds(pm, user_features, n_folds, seed)]
-    vectors = _map_folds(_fold_importance, jobs)
+    vectors = map_jobs(_fold_importance, jobs)
     for importance in vectors:
         total = importance.sum()
         if total > 0 and abs(total - 1.0) > 1e-6:

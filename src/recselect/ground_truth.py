@@ -90,34 +90,54 @@ class PerformanceMatrix:
 _USER_BLOCK = 256  # users scored per score_users call; bounds the (block, items) buffers
 
 
+@dataclass(frozen=True)
+class EvaluableUsers:
+    """The test users a portfolio is scored on, with their relevant items."""
+
+    users: list[str]
+    relevant: list[set[str]]
+    skipped: int
+
+
+def evaluable_users(matrix: TrainMatrix, test: Dataset) -> EvaluableUsers:
+    """The test users that are trainable and testable; the others are counted and logged.
+
+    Users absent from the training matrix (or with empty relevant sets, which
+    cannot occur for datasets produced by the splitter) are skipped.
+    """
+    relevant_by_user: dict[str, set[str]] = {}
+    for it in test.interactions:
+        relevant_by_user.setdefault(it.user, set()).add(it.item)
+    users = [u for u in test.user_ids if relevant_by_user.get(u) and u in matrix.user_index]
+    skipped = len(test.user_ids) - len(users)
+    if skipped:
+        logger.warning("skipped %d test user(s) absent from training", skipped)
+    return EvaluableUsers(users, [relevant_by_user[u] for u in users], skipped)
+
+
 def evaluate_portfolio(
     matrix: TrainMatrix,
-    test: Dataset,
+    test: Dataset | EvaluableUsers,
     models: Mapping[str, RecommenderModel],
     k: int = 10,
 ) -> PerformanceMatrix:
     """NDCG@k of every model for every test user trainable and testable.
 
-    Users absent from the training matrix (or with empty relevant sets, which
-    cannot occur for datasets produced by the splitter) are skipped; the count
-    is logged and recorded on the returned matrix. Each model scores blocks of
-    users with ``score_users`` and ranks them with ``top_k``, leaving out each
-    user's training items. Its snapped tie rule keeps a cell from depending on
-    how the scores were summed (block size, BLAS kernel, EASE solve route),
-    and each cell is ``ndcg_at_k`` of the user's list, as with per-user
-    ``recommend_top_k`` calls. A NaN or infinite score raises
-    NonFiniteScoresError naming the algorithm and the first such user.
+    ``test`` is a test split, or its ``evaluable_users`` when several calls score
+    the same split. The skipped users are recorded on the returned matrix.
+    Each model scores blocks of users with ``score_users`` and ranks them with
+    ``top_k``, leaving out each user's training items. Its snapped tie rule
+    keeps a cell from depending on how the scores were summed (block size,
+    BLAS kernel, EASE solve route), and each cell is ``ndcg_at_k`` of the
+    user's list, as with per-user ``recommend_top_k`` calls. A NaN or infinite
+    score raises NonFiniteScoresError naming the algorithm and the first such
+    user; no user left to score raises EmptyDatasetError.
     """
     if not models:
         raise ValueError("models mapping must not be empty")
-    relevant_by_user: dict[str, set[str]] = {}
-    for it in test.interactions:
-        relevant_by_user.setdefault(it.user, set()).add(it.item)
-
-    users = [u for u in test.user_ids if relevant_by_user.get(u) and u in matrix.user_index]
-    skipped = len(test.user_ids) - len(users)
-    if skipped:
-        logger.warning("skipped %d test user(s) absent from training", skipped)
+    if isinstance(test, Dataset):
+        test = evaluable_users(matrix, test)
+    users = test.users
     if not users:
         raise EmptyDatasetError("no test users could be evaluated")
 
@@ -134,8 +154,8 @@ def evaluate_portfolio(
             scores = checked_scores(models[algo], block, block_users)
             for row, ranked in enumerate(top_k(scores, k, exclude)):
                 items = [matrix.item_ids[j] for j in ranked if j >= 0]
-                values[start + row, col] = ndcg_at_k(items, relevant_by_user[block_users[row]], k=k)
-    return PerformanceMatrix(users, algorithms, values, skipped_users=skipped)
+                values[start + row, col] = ndcg_at_k(items, test.relevant[start + row], k=k)
+    return PerformanceMatrix(users, algorithms, values, skipped_users=test.skipped)
 
 
 def single_best_algorithm(pm: PerformanceMatrix) -> tuple[str, float]:

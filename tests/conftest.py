@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import recselect.pool as pool
 from recselect.data import Dataset, Interaction, temporal_split_per_user
 from recselect.recommenders import build_train_matrix
 
@@ -18,6 +19,11 @@ SMALL_PARAMS = {
     "bpr": {"factors": 3, "epochs": 4},
     "ease": {"l2": 2.0},
 }
+
+
+def force_workers(monkeypatch, n_workers):
+    """Run ``pool.map_jobs`` on ``n_workers`` processes (at most one per job) whatever the CPU count."""
+    monkeypatch.setattr(pool, "_worker_count", lambda n_jobs: min(n_workers, n_jobs))
 
 
 def make_dataset(rows, name="toy"):

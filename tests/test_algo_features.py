@@ -30,7 +30,7 @@ from recselect.errors import ConfigError, SchemaError
 from recselect.ground_truth import evaluate_portfolio
 from recselect.recommenders import AVAILABLE_ALGORITHMS, build_train_matrix, stored_values, train_algorithm
 
-from conftest import make_dataset
+from conftest import force_workers, make_dataset
 
 
 def probe_split():
@@ -143,6 +143,7 @@ class TestLandmarks:
             assert stored_values(model) - stored_values(without) == matrix.matrix.nnz, algo
 
     def test_each_landmark_trains_and_scores_once(self, monkeypatch):
+        force_workers(monkeypatch, 1)  # the counters live in this process
         calls = Counter()
 
         def counted(name, fn):
@@ -167,6 +168,16 @@ class TestLandmarks:
         assert (bad.perf, bad.train_ops, bad.pred_ops) == (0.0, 0, 0)
         assert not landmarks["pop"]["p0"].failed
         assert any("landmark failed" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_skipped_test_users_are_logged_once_per_probe(self, monkeypatch, caplog, n_workers):
+        force_workers(monkeypatch, n_workers)
+        split = probe_split()
+        rows = [(it.user, it.item, it.rating, it.timestamp) for it in split.test.interactions]
+        split = dataclasses.replace(split, test=make_dataset(rows + [("ghost", "i1", 1.0, 99)]))
+        with caplog.at_level(logging.WARNING):
+            landmark_portfolio({"p0": split}, {"pop": {}, "itemknn": {"neighbors": 2}, "ease": {"l2": 2.0}})
+        assert sum("skipped 1 test user" in r.getMessage() for r in caplog.records) == 1
 
     def test_out_of_range_parameter_is_not_absorbed(self):
         with pytest.raises(ValueError, match="l2 must be > 0"):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import recselect.experiment as experiment
+import recselect.pool as pool
 from recselect.algo_features import AlgorithmFeatureTable, FEATURE_CATEGORIES
 from recselect.data import write_json
 from recselect.errors import ConfigError, SearchError
@@ -40,6 +41,8 @@ from recselect.ground_truth import PerformanceMatrix
 from recselect.meta import GBDTParams
 from recselect.recommenders import top_k
 from recselect.user_features import USER_FEATURE_NAMES, UserFeatureTable
+
+from conftest import force_workers
 
 LEAN_SPACE = SearchSpace(
     n_iter=2,
@@ -287,11 +290,6 @@ class TestSelectorFoldMetrics:
             row_metrics([0.5, 0.4], [np.nan, np.nan])
 
 
-def force_workers(monkeypatch, n_workers):
-    """Run outer folds on ``n_workers`` processes (at most one per fold) whatever the CPU count."""
-    monkeypatch.setattr(experiment, "_worker_count", lambda n_jobs: min(n_workers, n_jobs))
-
-
 class TestNestedCv:
     def test_non_finite_targets_name_the_failed_search(self, monkeypatch):
         force_workers(monkeypatch, 2)
@@ -424,13 +422,13 @@ class TestParallelFolds:
         force_workers(monkeypatch, 2)
         # One worker sleeps on job 0 while the other finishes jobs 1-3.
         jobs = [(0, 0.5), (1, 0.0), (2, 0.0), (3, 0.0)]
-        assert experiment._map_folds(_sleep_then_echo, jobs) == [0, 1, 2, 3]
+        assert pool.map_jobs(_sleep_then_echo, jobs) == [0, 1, 2, 3]
 
     def test_first_failing_job_in_job_order_raises(self, monkeypatch):
         force_workers(monkeypatch, 2)
         # Job -2 fails first in time; a serial loop would have stopped at job -1.
         with pytest.raises(ValueError, match="job -1 failed"):
-            experiment._map_folds(_sleep_then_echo, [(0, 0.0), (-1, 0.3), (-2, 0.0)])
+            pool.map_jobs(_sleep_then_echo, [(0, 0.0), (-1, 0.3), (-2, 0.0)])
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_run(self, monkeypatch):
@@ -447,23 +445,23 @@ class TestParallelFolds:
         force_workers(monkeypatch, 2)
         previous = signal.signal(signal.SIGTERM, handler)
         try:
-            assert experiment._map_folds(_sigterm_state, [0, 1, 2]) == [(True, False)] * 3
+            assert pool.map_jobs(_sigterm_state, [0, 1, 2]) == [(True, False)] * 3
             assert signal.getsignal(signal.SIGTERM) is handler
             assert _sigterm_state(None)[1] is False
         finally:
             signal.signal(signal.SIGTERM, previous)
 
     def test_worker_count_is_capped_at_jobs_and_usable_cpus(self, monkeypatch):
-        usable = experiment._worker_count(10**6)
+        usable = pool._worker_count(10**6)
         assert 1 <= usable <= (os.cpu_count() or 1)
-        assert [experiment._worker_count(n) for n in (0, 1, 2, 3)] == [1, 1, min(2, usable), min(3, usable)]
+        assert [pool._worker_count(n) for n in (0, 1, 2, 3)] == [1, 1, min(2, usable), min(3, usable)]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert [experiment._worker_count(n) for n in (2, 3, 50)] == [2, 3, 3]
+        assert [pool._worker_count(n) for n in (2, 3, 50)] == [2, 3, 3]
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert [experiment._worker_count(n) for n in (2, 50)] == [2, 4]
+        assert [pool._worker_count(n) for n in (2, 50)] == [2, 4]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert experiment._worker_count(50) == 1
+        assert pool._worker_count(50) == 1
 
 
 class TestFullEvaluation:
