@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, experiment
 from .algo_features import (
     FEATURE_CATEGORIES,
     AlgorithmFeatureTable,
@@ -45,12 +45,12 @@ from .data import (
 from .errors import ConfigError, RecselectError, SchemaError
 from .experiment import (
     DEFAULT_SPACE,
+    MODES,
+    CombinedReport,
     SearchSpace,
     derive_seed,
     run_ablation,
-    run_full_evaluation,
     run_importance,
-    run_nested_cv,
 )
 from .ground_truth import (
     PerformanceMatrix,
@@ -115,6 +115,8 @@ class Stage:
         self.mode = mode
         self.inputs: list[str] = []
         self.manifest: dict = {}
+        if seed is not None and seed < 0:
+            raise ConfigError(f"--seed must be an integer >= 0, found {seed}")
         self.seed = seed if seed is not None else self.integer("seed", 0, 0)
 
     def require(self, key: str, entry: dict | None = None):
@@ -215,6 +217,8 @@ def cmd_synth(stage: Stage) -> list[str]:
         kind = stage.string("kind", entry)
         name = stage.string("name", entry) if "name" in entry else kind
         path, seed = os.path.join(stage.out_dir, f"{name}.csv"), derive_seed(stage.seed, name)
+        if path in outputs:
+            raise ConfigError(f"datasets use the name {name!r} in more than one entry")
         if kind == "event_log":
             _generate(stage, entry, kind, functools.partial(write_sample_event_log, path), seed)
         elif kind in DATASET_KINDS:
@@ -309,8 +313,7 @@ def cmd_ground_truth(stage: Stage) -> list[str]:
     return outputs
 
 
-def _probe_split(stage: Stage, entry: dict):
-    name = stage.string("name", entry)
+def _probe_split(stage: Stage, name: str, entry: dict):
     if "path" in entry:
         dataset = read_interactions_csv(stage.path("path", entry), name=name)
     else:
@@ -324,7 +327,7 @@ def _probe_split(stage: Stage, entry: dict):
             stage.number("sample_users", 1.0, entry),
             stage.integer("sample_seed", derive_seed(stage.seed, "sample", name), 0, entry),
         )
-    return name, _split(stage, dataset, entry)
+    return _split(stage, dataset, entry)
 
 
 def cmd_features(stage: Stage) -> list[str]:
@@ -336,7 +339,12 @@ def cmd_features(stage: Stage) -> list[str]:
     user_path = os.path.join(stage.out_dir, "user_features.csv")
     table.to_csv(user_path)
 
-    probes = dict(_probe_split(stage, entry) for entry in stage.objects("probes", []))
+    probes = {}
+    for entry in stage.objects("probes", []):
+        name = stage.string("name", entry)
+        if name in probes:
+            raise ConfigError(f"probes use the name {name!r} in more than one entry")
+        probes[name] = _probe_split(stage, name, entry)
     algorithms = portfolio.ordered_ids()
     code, ast_metrics = static_metrics_for_portfolio(algorithms)
     landmarks = landmark_portfolio(probes, portfolio.algorithms, k=k)
@@ -387,22 +395,24 @@ def _write_report_files(out_dir: str, stem: str, report) -> list[str]:
 
 
 def cmd_evaluate(stage: Stage) -> list[str]:
-    mode = stage.mode
-    pm, user_features, algo_table = _load_eval_inputs(stage, need_algo=mode != "user_only")
+    """One ``run_nested_cv`` per reported mode, on the same folds, space and seed."""
+    modes = MODES if stage.mode == "both" else (stage.mode,)
+    pm, user_features, algo_table = _load_eval_inputs(stage, need_algo="user_algo" in modes)
     space = _space(stage)
     n_folds = stage.integer("folds", 10, 2)
+    # Looked up on the module at call time, so a hook set on ``experiment.run_nested_cv``
+    # (perfbench's tracer) sees each run, as it sees the runs inside ``run_ablation``.
+    reports = [experiment.run_nested_cv(pm, user_features, algo_table, mode, n_folds, space, stage.seed)
+               for mode in modes]
+    if len(reports) == 1:
+        return _write_report_files(stage.out_dir, f"evaluation_{stage.mode}", reports[0])
 
-    if mode != "both":
-        report = run_nested_cv(pm, user_features, algo_table, mode, n_folds, space, stage.seed)
-        return _write_report_files(stage.out_dir, f"evaluation_{mode}", report)
-
-    report = run_full_evaluation(pm, user_features, algo_table, n_folds, space, stage.seed)
-    outputs = _write_report_files(stage.out_dir, "evaluation_both", report)
+    outputs = _write_report_files(stage.out_dir, "evaluation_both", CombinedReport(*reports))
     summary_csv = os.path.join(stage.out_dir, "evaluation_both.csv")
     with open(summary_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "mean_ndcg", "ci_ndcg", "top1_pct", "top3_pct", "gap_closed_pct"])
-        for rep in (report.user_only, report.user_algo):
+        for rep in reports:
             s = rep.methods["model"].summary()
             writer.writerow(
                 [
@@ -438,9 +448,11 @@ def cmd_ablate(stage: Stage) -> list[str]:
 
 def cmd_importance(stage: Stage) -> list[str]:
     pm, user_features, algo_table = _load_eval_inputs(stage)
-    params = GBDTParams.from_dict(stage.config["params"]) if "params" in stage.config else None
+    params = stage.config.get("params", {})
+    if isinstance(params, dict) and "seed" in params:
+        raise ConfigError("importance 'params' takes no 'seed': each fold seeds its model from the run seed")
     report = run_importance(
-        pm, user_features, algo_table, stage.integer("folds", 5, 2), params, stage.seed
+        pm, user_features, algo_table, stage.integer("folds", 5, 2), GBDTParams.from_dict(params), stage.seed
     )
     outputs = _write_report_files(stage.out_dir, "importance", report)
     csv_path = os.path.join(stage.out_dir, "importance.csv")

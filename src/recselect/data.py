@@ -169,16 +169,14 @@ def ingest_raw(rows: Iterable[Mapping[str, str]] | str | os.PathLike, config: In
         with open(rows, newline="", encoding="utf-8") as fh:
             return ingest_raw(list(csv.DictReader(fh)), config)
 
-    acc: dict[tuple[str, str], list] = {}  # (user, item) -> [sum, count, ts, last_pos]
+    acc: dict[tuple[str, str], list] = {}  # (user, item) -> [sum, count, ts]
     required = [config.user_col, config.item_col]
     if config.rating_col is not None:
         required.append(config.rating_col)
     if config.timestamp_col is not None:
         required.append(config.timestamp_col)
 
-    n_rows = 0
     for row_index, row in enumerate(rows):
-        n_rows += 1
         for col in required:
             if col not in row:
                 raise SchemaError(f"missing column {col!r} (first seen at row {row_index})")
@@ -197,21 +195,18 @@ def ingest_raw(rows: Iterable[Mapping[str, str]] | str | os.PathLike, config: In
 
         key = (user, item)
         if key not in acc:
-            acc[key] = [rating, 1, timestamp, row_index]
+            acc[key] = [rating, 1, timestamp]
         else:
             slot = acc[key]
             slot[0] += rating
             slot[1] += 1
-            # Latest timestamp wins; equal timestamps resolve to the later row.
-            if timestamp >= slot[2]:
-                slot[2] = timestamp
-            slot[3] = row_index
+            slot[2] = max(slot[2], timestamp)  # the latest timestamp wins
 
-    if n_rows == 0 or not acc:
+    if not acc:
         raise EmptyDatasetError(f"no interactions ingested for dataset {config.name!r}")
 
     interactions = []
-    for (user, item), (total, count, ts, _) in acc.items():
+    for (user, item), (total, count, ts) in acc.items():
         rating = total / count if config.dedup == "mean" else total
         interactions.append(Interaction(user, item, rating, ts))
     return Dataset(config.name, tuple(interactions))
@@ -241,7 +236,8 @@ def temporal_split_per_user(dataset: Dataset, test_fraction: float = 0.2) -> Spl
 
     For a user with n interactions, ``n_test = max(1, floor(test_fraction*n))``
     go to test; ordering within a user is by timestamp with log order breaking
-    ties, so re-running on the same dataset reproduces the same split.
+    ties, so re-running on the same dataset reproduces the same split. A user
+    with one interaction would have an empty training part: EmptyDatasetError.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
@@ -250,7 +246,10 @@ def temporal_split_per_user(dataset: Dataset, test_fraction: float = 0.2) -> Spl
         positions.setdefault(it.user, []).append(pos)
     for user, user_positions in positions.items():
         if len(user_positions) < 2:
-            raise ValueError(f"user {user!r} has fewer than 2 interactions; cannot split")
+            raise EmptyDatasetError(
+                f"user {user!r} of dataset {dataset.name!r} has 1 interaction, so its training part "
+                "would be empty; every user needs at least 2 to split"
+            )
 
     test_positions: set[int] = set()
     for user_positions in positions.values():

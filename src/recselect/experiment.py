@@ -382,11 +382,25 @@ def run_nested_cv(
         "vba": MethodResult("VBA"),
         "model": MethodResult(_mode_label(mode) if predictor == "model" else predictor),
     }
-    jobs = [(predictor, mode, pm, space, train, test, x, enc, seed, fold_idx)
-            for fold_idx, train, test, x in _outer_folds(pm, user_features, n_folds, seed)]
+
+    def fold_outcome(fold) -> tuple[dict, np.ndarray]:
+        """One outer fold's chosen hyperparameters and its (test rows, algorithms) scores.
+
+        Every seed of the fold derives from ``(seed, fold_idx)``, so the outcome
+        does not depend on the process or the order folds run in.
+        """
+        fold_idx, train, test, x = fold
+        if predictor == "oracle":
+            return {}, pm.values[test]
+        if predictor == "single_best":
+            return {}, np.tile(column_means, (len(test), 1))
+        best = _random_search(pm, space, mode, train, x, enc, seed, fold_idx)
+        params = GBDTParams(**best, seed=derive_seed(seed, "refit", fold_idx)).validate()
+        return best, _fit_predictor(mode, params, pm, train, test, x, enc)
+
+    folds = list(_outer_folds(pm, user_features, n_folds, seed))
     best_params_per_fold: list[dict] = []
-    for job, (best, scores) in zip(jobs, map_jobs(_fold_outcome, jobs)):
-        test = job[5]
+    for (_, _, test, _), (best, scores) in zip(folds, map_jobs(fold_outcome, folds)):
         truth = pm.values[test]
         sba_scores = np.tile(column_means, (len(test), 1))
         for name, method_scores in (("model", scores), ("sba", sba_scores), ("vba", truth)):
@@ -405,23 +419,6 @@ def run_nested_cv(
         best_params_per_fold=best_params_per_fold,
         model_label=methods["model"].name,
     )
-
-
-def _fold_outcome(job: tuple) -> tuple[dict, np.ndarray]:
-    """One outer fold's chosen hyperparameters and its (test rows, algorithms) scores.
-
-    ``job`` is ``(predictor, mode, pm, space, train, test, x, enc, seed,
-    fold_idx)``. Every seed of the fold derives from ``(seed, fold_idx)``, so
-    the outcome does not depend on the process or the order folds run in.
-    """
-    predictor, mode, pm, space, train, test, x, enc, seed, fold_idx = job
-    if predictor == "oracle":
-        return {}, pm.values[test]
-    if predictor == "single_best":
-        return {}, np.tile(pm.column_means(), (len(test), 1))
-    best = _random_search(pm, space, mode, train, x, enc, seed, fold_idx)
-    params = GBDTParams(**best, seed=derive_seed(seed, "refit", fold_idx)).validate()
-    return best, _fit_predictor(mode, params, pm, train, test, x, enc)
 
 
 def _random_search(pm, space, mode, train, x, enc, seed, fold_idx) -> dict:
@@ -478,20 +475,6 @@ class CombinedReport:
         lines.append("")
         lines.append(f"Single best algorithm: {uo.sba_algorithm}")
         return "\n".join(lines) + "\n"
-
-
-def run_full_evaluation(
-    pm: PerformanceMatrix,
-    user_features: UserFeatureTable,
-    algo_table: AlgorithmFeatureTable,
-    n_folds: int = 10,
-    space: SearchSpace | None = None,
-    seed: int = 0,
-) -> CombinedReport:
-    """Both meta-learner modes on identical folds (same seed, same users)."""
-    user_only = run_nested_cv(pm, user_features, None, "user_only", n_folds, space, seed)
-    user_algo = run_nested_cv(pm, user_features, algo_table, "user_algo", n_folds, space, seed)
-    return CombinedReport(user_only=user_only, user_algo=user_algo)
 
 
 DEFAULT_ABLATION_SETS: tuple[frozenset, ...] = (
@@ -614,10 +597,15 @@ def run_importance(
     base = params or GBDTParams()
 
     names = list(user_features.names) + list(enc.feature_names)
-    jobs = [(x[train], pm.values[train], algo_x,
-             replace(base, seed=derive_seed(seed, "importance", fold_idx)).validate())
-            for fold_idx, train, _, x in _outer_folds(pm, user_features, n_folds, seed)]
-    vectors = map_jobs(_fold_importance, jobs)
+
+    def fold_importance(fold) -> np.ndarray:
+        """Split-gain importance of the pair model fitted on one outer fold's training rows."""
+        fold_idx, train, _, x = fold
+        fold_params = replace(base, seed=derive_seed(seed, "importance", fold_idx)).validate()
+        x_fit, y_fit = build_long(x[train], pm.values[train], algo_x)
+        return fit_gbdt(x_fit, y_fit, fold_params).feature_importance()
+
+    vectors = map_jobs(fold_importance, list(_outer_folds(pm, user_features, n_folds, seed)))
     for importance in vectors:
         total = importance.sum()
         if total > 0 and abs(total - 1.0) > 1e-6:
@@ -631,13 +619,3 @@ def run_importance(
         n_folds=n_folds,
         seed=seed,
     )
-
-
-def _fold_importance(job: tuple) -> np.ndarray:
-    """Split-gain importance of the pair model fitted on one outer fold's training rows.
-
-    ``job`` is ``(x_train, y_train, algo_x, params)``.
-    """
-    x_train, y_train, algo_x, params = job
-    x_fit, y_fit = build_long(x_train, y_train, algo_x)
-    return fit_gbdt(x_fit, y_fit, params).feature_importance()

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recselect.experiment as experiment
 from recselect.cli import main
 from recselect.data import read_interactions_csv, temporal_split_per_user
 from recselect.experiment import derive_seed
@@ -150,8 +151,8 @@ def run_pipeline(root):
         "gt_out": gt_out, "gt_cfg": gt_cfg,
         "feat_out": feat_out, "feat_cfg": feat_cfg,
         "eval_out": eval_out, "eval_cfg": eval_cfg,
-        "ablate_out": ablate_out,
-        "imp_out": imp_out,
+        "ablate_out": ablate_out, "ablate_cfg": ablate_cfg,
+        "imp_out": imp_out, "imp_cfg": imp_cfg,
         "bench_csv": bench_csv,
     }
 
@@ -363,6 +364,10 @@ def test_manifest_inputs_are_exactly_the_files_the_stage_read(pipeline, tmp_path
                                                    {"name": "itemknn", "params": {"neighbors": 50}}]}}),
     ("features", {"portfolio": {"algorithms": ["pop", "ease", {"name": "pop", "status": "unavailable"}]}}),
     ("ground-truth", {"save_models": "false"}),
+    ("features", {"probes": [{"name": "p", "kind": "uniform_sparse",
+                              "params": {"n_users": 10, "n_items": 12, "per_user": 4}}] * 2}),
+    ("synth", {"datasets": [{"kind": "event_log", "name": "bench", "params": {"n_rows": 5}},
+                            {"kind": "uniform_sparse", "name": "bench"}]}),
 ])
 def test_bad_stage_config_exits_2_with_one_config_error_line(pipeline, tmp_path, capsys, command, changes):
     cfg = rerun_config(pipeline, STAGE_CONFIGS[command], changes, tmp_path)
@@ -370,6 +375,30 @@ def test_bad_stage_config_exits_2_with_one_config_error_line(pipeline, tmp_path,
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, cfg_key", [
+    ("synth", "synth_cfg"), ("ingest", "ingest_cfg"), ("ground-truth", "gt_cfg"), ("features", "feat_cfg"),
+    ("evaluate", "eval_cfg"), ("ablate", "ablate_cfg"), ("importance", "imp_cfg"),
+])
+def test_negative_seed_override_exits_2_naming_the_flag(pipeline, tmp_path, capsys, command, cfg_key):
+    capsys.readouterr()
+    assert main([command, "--config", pipeline[cfg_key], "--out", str(tmp_path / "o"), "--seed", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: --seed must be an integer >= 0, found -3\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["ground-truth", "features"])
+def test_one_interaction_user_exits_1_with_one_error_line(pipeline, tmp_path, capsys, command):
+    dataset = tmp_path / "bench.csv"
+    with open(pipeline["bench_csv"], encoding="utf-8") as fh:
+        dataset.write_text(fh.read() + "lonely,i0,1.0,0\n", encoding="utf-8")
+    cfg = rerun_config(pipeline, STAGE_CONFIGS[command], {"dataset": str(dataset)}, tmp_path)
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: user 'lonely' ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestFeaturesCommand:
@@ -485,6 +514,26 @@ class TestEvaluateCommand:
         ]) == 0
         assert os.path.exists(os.path.join(out, "evaluation_user_only.json"))
         assert not os.path.exists(os.path.join(out, "evaluation_user_only.csv"))
+
+    def test_each_mode_is_one_nested_cv_run_and_single_modes_equal_the_halves_of_both(
+            self, pipeline, tmp_path, monkeypatch):
+        modes, original = [], experiment.run_nested_cv
+
+        def spy(*args):
+            modes.append(args[3])
+            return original(*args)
+
+        # The call must go through the module attribute, where perfbench's tracer hooks it.
+        monkeypatch.setattr(experiment, "run_nested_cv", spy)
+        reports = {}
+        for mode in ("both", "user_only", "user_algo"):
+            out = tmp_path / mode
+            assert main(["evaluate", "--config", pipeline["eval_cfg"], "--out", str(out), "--mode", mode]) == 0
+            with open(out / f"evaluation_{mode}.json") as fh:
+                reports[mode] = json.load(fh)
+        assert modes == ["user_only", "user_algo", "user_only", "user_algo"]
+        assert reports["user_only"] == reports["both"]["user_only"]
+        assert reports["user_algo"] == reports["both"]["user_algo"]
 
     def test_non_finite_matrix_cell_exits_1_with_one_error_line(self, pipeline, tmp_path, capsys):
         with open(os.path.join(pipeline["gt_out"], "performance_matrix.csv"), newline="") as fh:
@@ -812,7 +861,7 @@ def corrupted_synth_config(draw, config):
     """A synth config with one invalid dataset entry, entry seed, params or seed; returns its JSON text."""
     config = json.loads(json.dumps(config))
     entries = config["datasets"]
-    kind = draw(st.sampled_from(["entry", "datasets", "params", "entry_seed", "seed"]))
+    kind = draw(st.sampled_from(["entry", "datasets", "params", "entry_seed", "seed", "repeated_name"]))
     if kind == "entry":
         at = draw(st.integers(0, len(entries)))
         entries[at:at + 1] = [draw(st.sampled_from(NOT_A_DATASET_ENTRY))]
@@ -823,6 +872,8 @@ def corrupted_synth_config(draw, config):
         entry["params"] = draw(st.sampled_from(NOT_PARAMS + NOT_SYNTH_PARAMS[entry["kind"]]))
     elif kind == "entry_seed":
         draw(st.sampled_from(entries))["seed"] = draw(st.sampled_from(NOT_A_SEED))
+    elif kind == "repeated_name":
+        entries.append({**draw(st.sampled_from(entries)), "name": draw(st.sampled_from(entries))["name"]})
     else:
         config["seed"] = draw(st.sampled_from(NOT_A_SEED))
     return json.dumps(config)
@@ -834,7 +885,7 @@ def corrupted_stage_config(draw, config, features):
     config = json.loads(json.dumps(config))
     kinds = ["portfolio", "entry", "params", "test_fraction", "k"]
     if features:
-        kinds += ["probe", "probes", "conceptual_map"]
+        kinds += ["probe", "probes", "conceptual_map", "repeated_probe"]
     kind = draw(st.sampled_from(kinds))
     entries = config["portfolio"]["algorithms"]
     if kind == "portfolio":
@@ -851,6 +902,8 @@ def corrupted_stage_config(draw, config, features):
         config["probes"][at:at + 1] = [draw(st.sampled_from(NOT_A_PROBE))]
     elif kind == "probes":
         config["probes"] = draw(st.sampled_from(["skewed", {}, 3, [["skewed"]]]))
+    elif kind == "repeated_probe":
+        config["probes"].append({**GENERATED, "name": draw(st.sampled_from(config["probes"]))["name"]})
     elif kind == "conceptual_map":
         config["conceptual_map"] = draw(st.sampled_from(NOT_A_CONCEPTUAL_MAP))
     else:
@@ -910,7 +963,8 @@ class TestAblateCommand:
 
 
 class TestImportanceCommand:
-    @pytest.mark.parametrize("params", [{"depth": 3}, "deep", {"num_trees": 2.5}, {"subsample": None}])
+    @pytest.mark.parametrize("params", [{"depth": 3}, "deep", {"num_trees": 2.5}, {"subsample": None},
+                                        {"seed": 12345}, {"num_trees": 10, "seed": 0}])
     def test_bad_gbdt_params_exit_2_with_one_error_line(self, pipeline, tmp_path, capsys, params):
         with open(os.path.join(pipeline["cfg_dir"], "importance.json")) as fh:
             config = json.load(fh)

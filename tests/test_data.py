@@ -218,7 +218,7 @@ class TestTemporalSplit:
 
     def test_single_interaction_user_rejected(self):
         ds = make_dataset([("a", "x", 1.0, 0), ("a", "y", 1.0, 1), ("b", "x", 1.0, 2)])
-        with pytest.raises(ValueError, match="'b'"):
+        with pytest.raises(EmptyDatasetError, match="user 'b' .* training part would be empty"):
             temporal_split_per_user(ds, 0.2)
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5])

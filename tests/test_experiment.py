@@ -25,6 +25,8 @@ from recselect.data import write_json
 from recselect.errors import ConfigError, SearchError
 from recselect.experiment import (
     DEFAULT_ABLATION_SETS,
+    MODES,
+    CombinedReport,
     SearchSpace,
     ablation_label,
     assert_user_disjoint,
@@ -32,7 +34,6 @@ from recselect.experiment import (
     derive_seed,
     make_user_folds,
     run_ablation,
-    run_full_evaluation,
     run_importance,
     run_nested_cv,
     selector_fold_metrics,
@@ -410,7 +411,7 @@ class TestParallelFolds:
         pm, uf = planted_problem(n_users=18)
         table = synthetic_algo_table()
         return (
-            run_full_evaluation(pm, uf, table, n_folds=3, space=LEAN_SPACE, seed=3).to_dict(),
+            [run_nested_cv(pm, uf, table, mode, 3, LEAN_SPACE, 3).to_dict() for mode in MODES],
             run_ablation(pm, uf, table, [frozenset(), frozenset({"Code"})], 3, LEAN_SPACE, 4).to_dict(),
             run_importance(pm, uf, table, 3, GBDTParams(num_trees=10, max_depth=2), 6).to_dict(),
         )
@@ -467,7 +468,8 @@ class TestParallelFolds:
 class TestFullEvaluation:
     def test_both_modes_share_folds_and_render_four_rows(self):
         pm, uf = planted_problem(n_users=18)
-        combined = run_full_evaluation(pm, uf, synthetic_algo_table(), n_folds=3, space=LEAN_SPACE, seed=3)
+        combined = CombinedReport(*(run_nested_cv(pm, uf, synthetic_algo_table(), mode, 3, LEAN_SPACE, 3)
+                                    for mode in MODES))
         assert combined.user_only.methods["sba"].fold_ndcg == combined.user_algo.methods["sba"].fold_ndcg
         assert combined.user_only.methods["vba"].fold_ndcg == combined.user_algo.methods["vba"].fold_ndcg
         text = combined.render_markdown()
