@@ -63,6 +63,7 @@ from .meta import GBDTParams
 from .pool import map_jobs
 from .recommenders import (
     PortfolioConfig,
+    algorithm_source_path,
     build_train_matrix,
     check_parameters,
     keyword_defaults,
@@ -115,9 +116,10 @@ class Stage:
         self.mode = mode
         self.inputs: list[str] = []
         self.manifest: dict = {}
+        config_seed = self.integer("seed", 0, 0)  # checked also where ``--seed`` overrides it
         if seed is not None and seed < 0:
             raise ConfigError(f"--seed must be an integer >= 0, found {seed}")
-        self.seed = seed if seed is not None else self.integer("seed", 0, 0)
+        self.seed = seed if seed is not None else config_seed
 
     def require(self, key: str, entry: dict | None = None):
         source = self.config if entry is None else entry
@@ -358,6 +360,12 @@ def cmd_features(stage: Stage) -> list[str]:
     algo_path = os.path.join(stage.out_dir, "algorithm_features.csv")
     algo_table.to_csv(algo_path)
     stage.manifest["raw_timescale_features"] = list(RAW_TIMESCALE_FEATURES)
+    # The Code and AST columns measure these files; keyed by package path, so no checkout path shows.
+    package = os.path.dirname(os.path.abspath(__file__))
+    stage.manifest["algorithm_sources"] = {
+        os.path.relpath(path, package).replace(os.sep, "/"): _sha256(path)
+        for path in map(algorithm_source_path, algorithms)
+    }
     return [user_path, algo_path]
 
 

@@ -59,6 +59,16 @@ class SearchError(RecselectError):
     """Raised when hyperparameter search finds no candidate with a finite score."""
 
 
+class WorkerExitError(RecselectError):
+    """Raised when a worker process exits during a job; names the job index and the exit code."""
+
+    def __init__(self, job_index: int, exit_code: int):
+        how = f"was killed by signal {-exit_code}" if exit_code < 0 else f"exited with status {exit_code}"
+        super().__init__(f"the worker process running job {job_index} {how} before returning a result")
+        self.job_index = job_index
+        self.exit_code = exit_code
+
+
 class NonFiniteScoresError(RecselectError):
     """Raised when a recommender scores some item NaN or infinite; names the algorithm and user."""
 

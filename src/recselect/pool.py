@@ -1,30 +1,23 @@
-"""Independent jobs on a ``fork`` process pool: the outer folds of nested CV,
-the ground-truth columns and the landmarks.
-
-``map_jobs(fn, jobs)`` is ``[fn(job) for job in jobs]`` with the jobs spread
-over one worker per usable CPU. The workers get ``fn`` and the jobs by fork,
-not by pickle, so ``fn`` may be a closure over large inputs such as a
-``TrainMatrix``; only each job's index goes to a worker and only its result
-comes back. Before it forks, the pool sets every OpenBLAS loaded in the
-process to one thread and leaves it there: the workers already use every CPU,
-and BLAS threads on top of them only compete for the same CPUs.
-"""
+"""``map_jobs``: independent jobs (nested-CV folds, ground-truth columns, landmarks) on
+one forked worker per usable CPU, each with its own pipe. ``fn`` and the jobs reach the
+workers by fork, so ``fn`` may close over large inputs; only indices and results are
+pickled. OpenBLAS is set to one thread before the fork: BLAS threads on top of one
+worker per CPU only compete for the same CPUs."""
 
 from __future__ import annotations
 
 import ctypes
-import multiprocessing
 import os
 import signal
-import threading
-from contextlib import contextmanager
+import sys
+from contextlib import suppress
+from multiprocessing.connection import Connection, Pipe, wait
+from multiprocessing.pool import ExceptionWithTraceback
 from typing import Callable, Sequence
 
-# ``(fn, jobs)`` of the pool that is running. Set in the parent before the
-# workers fork, so each worker holds its own copy; a ``map_jobs`` call that
-# finds it set (inside a worker) runs its jobs serially.
-_task: tuple[Callable, Sequence] | None = None
+from .errors import WorkerExitError
 
+_in_worker = False  # True in a worker, whose own ``map_jobs`` calls run serially
 _MAPS = "/proc/self/maps"  # where the loaded OpenBLAS libraries are found
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                  "scipy_openblas_set_num_threads", "openblas_set_num_threads")
@@ -40,48 +33,90 @@ def _worker_count(n_jobs: int) -> int:
 
 
 def map_jobs(fn: Callable, jobs: Sequence) -> list:
-    """``[fn(job) for job in jobs]``, with the jobs spread over a ``fork`` process pool.
+    """``[fn(job) for job in jobs]`` on forked workers, with the results in job order.
 
-    The results come back in job order, whichever worker finishes first, so no
-    output depends on the worker count. Where several jobs fail, the caller gets
-    the exception of the first failing job in job order, as in a serial loop, and
-    the pool is stopped. With one worker, where ``fork`` does not exist, or
-    inside a worker of another pool, the jobs run here one after another.
-    """
-    global _task
+    Of failing jobs, the first in job order raises, with the worker's traceback as its
+    cause; a worker that exits during a job fails it with ``WorkerExitError``. With one
+    worker, no ``fork``, or inside a worker, the jobs run here in turn."""
     n_workers = _worker_count(len(jobs))
-    if _task is not None or n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if _in_worker or n_workers == 1 or not hasattr(os, "fork"):
         return [fn(job) for job in jobs]
     _one_blas_thread()
-    _task = (fn, jobs)
+    workers: dict[Connection, int] = {}  # this end of each live worker's pipe -> its pid
     try:
-        # Workers fork with SIGTERM blocked and unblock it under the default action,
-        # which ``terminate`` relies on. A Python handler inherited from the caller
-        # runs only between bytecodes, so a worker that SIGTERM reaches just before it
-        # blocks on the pool's task lock would never exit, and ``terminate`` would
-        # wait for it forever.
-        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-        try:
-            pool = multiprocessing.get_context("fork").Pool(n_workers, initializer=_default_sigterm)
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-        with pool, _sigterm_exits():
-            return list(pool.imap(_run_job, range(len(jobs)), chunksize=1))
+        for _ in range(n_workers):
+            _fork_worker(fn, jobs, workers)
+        return _dispatch(workers, len(jobs))
     finally:
-        _task = None
+        while workers:
+            _stop(workers, next(iter(workers)))
 
 
-def _run_job(index: int):
-    fn, jobs = _task
-    return fn(jobs[index])
+def _dispatch(workers: dict[Connection, int], n_jobs: int) -> list:
+    """Send job indices in order to idle workers until a job fails; the results in job order."""
+    results, running = [None] * n_jobs, {}  # running: pipe -> the index of its job
+    idle, next_job, failure = list(workers), 0, None  # failure: (index, error) of the earliest failed job
+    while True:
+        while idle and next_job < n_jobs and failure is None:
+            conn = idle.pop()
+            running[conn] = next_job
+            with suppress(BrokenPipeError):  # the worker has exited: its pipe reads EOF below
+                conn.send(next_job)
+            next_job += 1
+        if failure is not None and min(running.values(), default=n_jobs) > failure[0]:
+            raise failure[1]  # no earlier job is still running
+        if not running:
+            return results
+        for conn in wait(list(running)):
+            index = running.pop(conn)
+            try:
+                ok, value = conn.recv()
+            except (EOFError, ConnectionResetError):
+                ok, value = False, WorkerExitError(index, _stop(workers, conn))
+            if ok:
+                results[index] = value
+                idle.append(conn)
+            elif failure is None or index < failure[0]:
+                failure = (index, value)
+
+
+def _stop(workers: dict[Connection, int], conn: Connection) -> int:
+    """Close ``conn``, SIGKILL its worker and reap it; the worker's exit code (-signal if killed)."""
+    pid = workers.pop(conn)
+    conn.close()
+    os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _fork_worker(fn: Callable, jobs: Sequence, workers: dict[Connection, int]) -> None:
+    """Fork a worker into ``workers``; it answers each job index with ``(ok, result or error)``."""
+    global _in_worker
+    conn, worker_conn = Pipe()
+    pid = os.fork()
+    if pid:
+        worker_conn.close()
+        workers[conn] = pid
+        return
+    try:
+        _in_worker = True
+        for end in (conn, *workers):
+            end.close()
+        if sys.platform.startswith("linux"):  # SIGKILL when the caller exits, even when killed
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+            prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+        while True:
+            index = worker_conn.recv()  # EOFError once the caller's end is closed, or the caller is gone
+            try:
+                worker_conn.send((True, fn(jobs[index])))
+            except Exception as exc:  # from the job, or a result that cannot be pickled
+                worker_conn.send((False, ExceptionWithTraceback(exc, exc.__traceback__)))
+    finally:  # a worker never returns into the caller's code
+        os._exit(1)
 
 
 def _one_blas_thread() -> None:
-    """Set every OpenBLAS loaded in this process to one thread.
-
-    The libraries are found by path in ``/proc/self/maps``; where that cannot
-    be read, or no OpenBLAS is loaded, nothing changes.
-    """
+    """Set every OpenBLAS listed in ``/proc/self/maps`` to one thread; if none is found, change nothing."""
     try:
         with open(_MAPS, encoding="utf-8") as fh:
             libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
@@ -89,38 +124,7 @@ def _one_blas_thread() -> None:
         return
     for lib in sorted(libs):
         handle = ctypes.CDLL(lib)
-        for symbol in _BLAS_SETTERS:
-            setter = getattr(handle, symbol, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
-
-
-def _default_sigterm():
-    """Pool initializer: SIGTERM ends the worker at once, also if it arrived during the fork."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-
-
-@contextmanager
-def _sigterm_exits():
-    """While open, SIGTERM raises SystemExit here, so the pool's ``with`` stops its workers.
-
-    By default SIGTERM ends the process at once, and a worker busy with a job
-    would run on until the job is done. A handler set elsewhere, or a call off
-    the main thread, is left as it is.
-    """
-    if (threading.current_thread() is not threading.main_thread()
-            or signal.getsignal(signal.SIGTERM) != signal.SIG_DFL):
-        yield
-        return
-    signal.signal(signal.SIGTERM, _exit_on_signal)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
-def _exit_on_signal(signum, frame):
-    raise SystemExit(128 + signum)
+        setter = next((getattr(handle, s) for s in _BLAS_SETTERS if hasattr(handle, s)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)

@@ -1,5 +1,9 @@
 """Shared fixtures and small dataset builders."""
 
+import os
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,6 +28,27 @@ SMALL_PARAMS = {
 def force_workers(monkeypatch, n_workers):
     """Run ``pool.map_jobs`` on ``n_workers`` processes (at most one per job) whatever the CPU count."""
     monkeypatch.setattr(pool, "_worker_count", lambda n_jobs: min(n_workers, n_jobs))
+
+
+def assert_no_child_process():
+    """This process has no child left, running or exited and unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the main thread if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)  # a fork does not inherit the timer
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def make_dataset(rows, name="toy"):

@@ -12,6 +12,10 @@ import io
 import json
 import os
 import pathlib
+import shutil
+import signal
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -19,16 +23,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recselect
 import recselect.experiment as experiment
 from recselect.cli import main
 from recselect.data import read_interactions_csv, temporal_split_per_user
 from recselect.experiment import derive_seed
 from recselect.ground_truth import PerformanceMatrix
-from recselect.recommenders import PortfolioConfig, build_train_matrix, load_model, train_algorithm, train_parameters
+from recselect.recommenders import (
+    PortfolioConfig, algorithm_source_path, build_train_matrix, load_model, train_algorithm, train_parameters,
+)
 from recselect.user_features import RAW_TIMESCALE_FEATURES, USER_FEATURE_NAMES, UserFeatureTable
 from recselect.algo_features import CATEGORICAL_NAMES, DEFAULT_CONCEPTUAL, AlgorithmFeatureTable
 
-from conftest import force_workers
+from conftest import assert_no_child_process, deadline, force_workers
 
 LEAN_SPACE = {
     "n_iter": 2,
@@ -377,15 +384,28 @@ def test_bad_stage_config_exits_2_with_one_config_error_line(pipeline, tmp_path,
     assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, cfg_key", [
+EVERY_COMMAND_CONFIG = [
     ("synth", "synth_cfg"), ("ingest", "ingest_cfg"), ("ground-truth", "gt_cfg"), ("features", "feat_cfg"),
     ("evaluate", "eval_cfg"), ("ablate", "ablate_cfg"), ("importance", "imp_cfg"),
-])
+]
+
+
+@pytest.mark.parametrize("command, cfg_key", EVERY_COMMAND_CONFIG)
 def test_negative_seed_override_exits_2_naming_the_flag(pipeline, tmp_path, capsys, command, cfg_key):
     capsys.readouterr()
     assert main([command, "--config", pipeline[cfg_key], "--out", str(tmp_path / "o"), "--seed", "-3"]) == 2
     err = capsys.readouterr().err
     assert err == "config error: --seed must be an integer >= 0, found -3\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, cfg_key", EVERY_COMMAND_CONFIG)
+def test_bad_config_seed_exits_2_also_under_a_seed_override(pipeline, tmp_path, capsys, command, cfg_key):
+    cfg = rerun_config(pipeline, cfg_key, {"seed": "x"}, tmp_path)
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config key 'seed' must be an integer >= 0, found 'x'\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -423,6 +443,32 @@ class TestFeaturesCommand:
         with open(os.path.join(pipeline["feat_out"], "manifest_features.json")) as fh:
             manifest = json.load(fh)
         assert manifest["raw_timescale_features"] == list(RAW_TIMESCALE_FEATURES)
+
+    def test_manifest_hashes_each_measured_source_by_package_path(self, pipeline):
+        with open(os.path.join(pipeline["feat_out"], "manifest_features.json")) as fh:
+            sources = json.load(fh)["algorithm_sources"]
+        algorithms = ["pop", "itemknn", "bpr", "ease"]
+        assert sources == {f"recommenders/{a}.py": sha256_of(algorithm_source_path(a)) for a in algorithms}
+
+    def test_editing_a_copied_source_changes_its_hash(self, pipeline, tmp_path):
+        package = os.path.dirname(recselect.__file__)
+        copy = tmp_path / "copy"
+        shutil.copytree(package, copy / "recselect", ignore=shutil.ignore_patterns("__pycache__"))
+        with open(copy / "recselect" / "recommenders" / "pop.py", "a", encoding="utf-8") as fh:
+            fh.write("# edited\n")
+        changes = {"portfolio": {"algorithms": ["pop", "ease"]}, "probes": []}
+        cfg = rerun_config(pipeline, "feat_cfg", changes, tmp_path)
+        manifests = []
+        for run, pythonpath in (("here", os.path.dirname(package)), ("copy", str(copy))):
+            out = tmp_path / run
+            subprocess.run([sys.executable, "-m", "recselect.cli", "features", "--config", cfg, "--out", str(out)],
+                           env={**os.environ, "PYTHONPATH": pythonpath}, check=True, capture_output=True)
+            with open(out / "manifest_features.json") as fh:
+                manifests.append(json.load(fh))
+        here, edited = (m["algorithm_sources"] for m in manifests)
+        assert edited["recommenders/pop.py"] == sha256_of(copy / "recselect" / "recommenders" / "pop.py")
+        assert edited["recommenders/pop.py"] != here["recommenders/pop.py"]
+        assert edited["recommenders/ease.py"] == here["recommenders/ease.py"]
 
     def test_whole_pipeline_rerun_is_byte_identical(self, tmp_path, monkeypatch):
         """Two fresh runs of every stage give the same reports and manifests, byte for byte.
@@ -468,6 +514,25 @@ class TestParallelJobs:
         assert runs[0] == runs[1]
         if "portfolio" in changes:
             assert b"landmark_failed_on_" in runs[0]["algorithm_features.csv"]
+
+    def test_a_worker_killed_mid_job_exits_1_with_one_error_line(self, pipeline, tmp_path, capsys, monkeypatch):
+        from recselect.recommenders.pop import PopularityModel
+
+        here = os.getpid()
+
+        def die(self, idx):
+            if os.getpid() == here:
+                raise AssertionError("pop scored in the calling process")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(PopularityModel, "score_users", die)
+        force_workers(monkeypatch, 2)
+        capsys.readouterr()
+        with deadline(60):
+            assert main(["ground-truth", "--config", pipeline["gt_cfg"], "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the worker process running job 0 was killed by signal 9 before returning a result\n"
+        assert_no_child_process()
 
     def test_models_pickled_by_workers_score_as_models_trained_here(self, pipeline, tmp_path, monkeypatch):
         force_workers(monkeypatch, 2)

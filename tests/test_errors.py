@@ -3,10 +3,11 @@
 import pickle
 
 from recselect import errors
-from recselect.errors import NonFiniteScoresError, RecselectError, RowParseError
+from recselect.errors import NonFiniteScoresError, RecselectError, RowParseError, WorkerExitError
 
 # Constructor arguments of the errors whose ``__init__`` takes fields, not a message.
-FIELDS = {RowParseError: (7, "rating 'x' is not numeric"), NonFiniteScoresError: ("ease", "u01")}
+FIELDS = {RowParseError: (7, "rating 'x' is not numeric"), NonFiniteScoresError: ("ease", "u01"),
+          WorkerExitError: (1, -9)}
 
 
 def test_every_error_round_trips_with_type_message_and_attributes():

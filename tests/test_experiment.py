@@ -7,9 +7,7 @@ against selection-plumbing bugs (leakage, fold drift, misaligned lookups).
 
 import hashlib
 import json
-import multiprocessing
 import os
-import signal
 import time
 
 import numpy as np
@@ -43,7 +41,7 @@ from recselect.meta import GBDTParams
 from recselect.recommenders import top_k
 from recselect.user_features import USER_FEATURE_NAMES, UserFeatureTable
 
-from conftest import force_workers
+from conftest import assert_no_child_process, force_workers
 
 LEAN_SPACE = SearchSpace(
     n_iter=2,
@@ -298,7 +296,7 @@ class TestNestedCv:
         pm.values[3, 1] = np.nan  # from_csv rejects this; the constructor does not
         with pytest.raises(SearchError, match="finite validation MSE"):
             run_nested_cv(pm, uf, None, "user_only", 3, LEAN_SPACE, seed=0)
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
     def test_oracle_predictor_reproduces_vba_exactly(self):
         pm, uf = planted_problem()
@@ -398,12 +396,6 @@ def _sleep_then_echo(job):
     return index
 
 
-def _sigterm_state(job):
-    """Whether SIGTERM has its default action here, and whether it is blocked."""
-    return (signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
-            signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, []))
-
-
 class TestParallelFolds:
     @staticmethod
     def reports(monkeypatch, n_workers):
@@ -430,27 +422,14 @@ class TestParallelFolds:
         # Job -2 fails first in time; a serial loop would have stopped at job -1.
         with pytest.raises(ValueError, match="job -1 failed"):
             pool.map_jobs(_sleep_then_echo, [(0, 0.0), (-1, 0.3), (-2, 0.0)])
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
     def test_no_worker_outlives_a_run(self, monkeypatch):
         force_workers(monkeypatch, 2)
         pm, uf = planted_problem()
         report = run_nested_cv(pm, uf, None, "user_only", 3, LEAN_SPACE, seed=1)
         assert len(report.best_params_per_fold) == 3
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("handler", [signal.SIG_DFL, lambda signum, frame: None], ids=["default", "python"])
-    def test_workers_take_sigterm_with_the_default_action(self, monkeypatch, handler):
-        # Pool.terminate stops workers with SIGTERM; a Python handler inherited from
-        # the caller could miss it and leave terminate waiting forever.
-        force_workers(monkeypatch, 2)
-        previous = signal.signal(signal.SIGTERM, handler)
-        try:
-            assert pool.map_jobs(_sigterm_state, [0, 1, 2]) == [(True, False)] * 3
-            assert signal.getsignal(signal.SIGTERM) is handler
-            assert _sigterm_state(None)[1] is False
-        finally:
-            signal.signal(signal.SIGTERM, previous)
+        assert_no_child_process()
 
     def test_worker_count_is_capped_at_jobs_and_usable_cpus(self, monkeypatch):
         usable = pool._worker_count(10**6)

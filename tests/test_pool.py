@@ -1,14 +1,36 @@
-"""pool.map_jobs: jobs sent by fork, serial calls inside a worker, one BLAS thread."""
+"""pool.map_jobs: jobs sent by fork, serial calls inside a worker, one BLAS thread,
+and no hang or stray worker when a job, a worker or the caller dies."""
 
 import ctypes
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
 import recselect.pool as pool
+from recselect.errors import WorkerExitError
 
-from conftest import force_workers
+from conftest import assert_no_child_process, deadline, force_workers
+
+TEST_PROCESS = os.getpid()
+
+# Run by a child Python: it calls map_jobs on two workers, each of which writes
+# a file named by its pid into the directory argv[1] and then sleeps.
+CALLER = """
+import os, sys, time
+import recselect.pool as pool
+pool._worker_count = lambda n_jobs: n_jobs
+
+def report_and_sleep(job):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(60)
+
+pool.map_jobs(report_and_sleep, [0, 1])
+"""
 
 _BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                  "scipy_openblas_get_num_threads", "openblas_get_num_threads")
@@ -68,3 +90,79 @@ class TestMapJobs:
         force_workers(monkeypatch, 2)
         monkeypatch.setattr(pool, "_MAPS", str(tmp_path / "no_maps"))
         assert pool.map_jobs(abs, [-1, -2, -3]) == [1, 2, 3]
+
+
+def _kill_own_worker_on_1(job):
+    if os.getpid() == TEST_PROCESS:
+        raise AssertionError("the job ran in the test process")
+    if job == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return job
+
+
+def _fail_0_sleep_others(job):
+    if job == 0:
+        raise ValueError("job 0 failed")
+    time.sleep(30)
+    return job
+
+
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie, read from ``/proc/<pid>/stat``.
+
+    An exited worker whose caller died waits as a zombie until init reaps it,
+    which can take a while, so a zombie counts as not running.
+    """
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def poll(condition, seconds):
+    """Whether ``condition()`` became true within ``seconds``."""
+    stop = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > stop:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+class TestDeadWorkersAndCallers:
+    def test_a_worker_killed_mid_job_fails_that_job_by_name(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        with deadline(5), pytest.raises(WorkerExitError) as caught:
+            pool.map_jobs(_kill_own_worker_on_1, [0, 1, 2])
+        assert (caught.value.job_index, caught.value.exit_code) == (1, -signal.SIGKILL)
+        assert str(caught.value) == "the worker process running job 1 was killed by signal 9 before returning a result"
+        assert_no_child_process()
+
+    def test_a_failing_job_does_not_wait_for_later_jobs(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        with deadline(5), pytest.raises(ValueError, match="job 0 failed") as caught:
+            pool.map_jobs(_fail_0_sleep_others, [0, 1])
+        # The worker's traceback comes along as the cause, as from multiprocessing.Pool.
+        assert "ValueError: job 0 failed" in str(caught.value.__cause__)
+        assert_no_child_process()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux kills workers with their caller")
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+    def test_a_signalled_caller_leaves_no_worker_running(self, tmp_path, signum):
+        src = os.path.dirname(os.path.dirname(pool.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        caller = subprocess.Popen([sys.executable, "-c", CALLER, str(tmp_path)], env=env)
+        workers = []
+        try:
+            assert poll(lambda: len(os.listdir(tmp_path)) == 2, 30), "the two workers never started their jobs"
+            workers = [int(name) for name in os.listdir(tmp_path)]
+            caller.send_signal(signum)
+            caller.wait(timeout=10)
+            assert poll(lambda: not any(running(pid) for pid in workers), 5), "a worker outlived its caller"
+        finally:
+            caller.kill()
+            caller.wait()
+            for pid in filter(running, workers):  # after a failure: no sleeper is left behind
+                os.kill(pid, signal.SIGKILL)
