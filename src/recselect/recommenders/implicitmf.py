@@ -13,6 +13,13 @@ of the other side rather than once per stored entry (see
 :func:`normal_equations`). A is symmetric positive definite for reg > 0, which
 the Cholesky factorization asserts on every solve. Each half-step solves the
 rows of one side in a few large batches (see :func:`solve_side`).
+
+Rows with equal stored entries (the same column indices and values, in the
+same order) have equal systems, term for term, and :func:`solve_side` solves
+every row on its own. So training solves one row of each such group and
+copies its factors to the others, bit for bit what solving every row gives
+(:func:`distinct_rows`). Most items of a sparse catalog have a single
+interaction, and their rows collapse to one per (user, value).
 """
 
 from __future__ import annotations
@@ -78,6 +85,27 @@ def solve_side(factors_other: np.ndarray, csr: sp.csr_matrix, alpha: float, reg:
     return x
 
 
+def distinct_rows(csr: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each group of rows with equal stored entries, and each row's group.
+
+    Returns ``(first, group)``: ``first`` is ascending, and row ``r`` of ``csr``
+    stores the same indices and values, in order and bit for bit, as row
+    ``first[group[r]]``. Rows are compared within each stored length, all of
+    one length at once.
+    """
+    lengths = np.diff(csr.indptr)
+    data = np.asarray(csr.data, dtype=np.float64)
+    rep = np.empty(csr.shape[0], dtype=np.int64)  # smallest row with the same entries
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        at = csr.indptr[rows][:, None] + np.arange(length)
+        keys = np.hstack([csr.indices[at].astype(np.int64), data[at].view(np.int64)])
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        rep[rows] = rows[first][inverse.reshape(-1)]
+    first = np.flatnonzero(rep == np.arange(rep.size))
+    return first, np.searchsorted(first, rep)
+
+
 def weighted_objective(p: np.ndarray, q: np.ndarray, csr: sp.csr_matrix, alpha: float, reg: float) -> float:
     """Confidence-weighted squared loss over all cells plus the L2 penalty.
 
@@ -126,10 +154,13 @@ def train_implicitmf(
     q = 0.01 * rng.standard_normal((matrix.n_items, factors))
     csr = matrix.matrix.tocsr()
     csc_t = matrix.matrix.T.tocsr()
+    users, user_group = distinct_rows(csr)
+    items, item_group = distinct_rows(csc_t)
+    user_rows, item_rows = csr[users], csc_t[items]
 
     for _ in range(iterations):
-        p = solve_side(q, csr, alpha, reg)
-        q = solve_side(p, csc_t, alpha, reg)
+        p = solve_side(q, user_rows, alpha, reg)[user_group]
+        q = solve_side(p, item_rows, alpha, reg)[item_group]
 
     config = {
         "factors": factors,
@@ -139,6 +170,7 @@ def train_implicitmf(
         "seed": seed,
     }
     model = ImplicitMFModel(matrix, config, p, q)
-    # Per iteration: k^2 multiply-adds per stored entry and side (its weighted outer product), a k^3 solve per row.
+    # Per iteration: k^2 multiply-adds per stored entry and side (its weighted outer product), a k^3 solve per row,
+    # counted for every row though equal rows share one solve.
     model.train_ops = iterations * (2 * csr.nnz * factors**2 + (matrix.n_users + matrix.n_items) * factors**3)
     return model

@@ -239,16 +239,41 @@ class TestEvaluatePortfolio:
                 assert pm.lookup(user, algo) == want
 
     def test_user_blocks_do_not_change_the_matrix(self, monkeypatch):
-        rng = np.random.default_rng(22)
-        ds = random_dataset(rng, n_users=11, n_items=12, min_per_user=4, max_per_user=9)
-        split = temporal_split_per_user(ds, 0.25)
-        models = train_portfolio(split.train, PortfolioConfig({"pop": {}, "userknn": {"neighbors": 3}}))
+        """One-user blocks, the cache-sized default and the former 256-user blocks give the same
+        matrix for the whole portfolio."""
+        split = temporal_split_per_user(planted_two_population(seed=17, users_per_group=150), 0.2)
         matrix = build_train_matrix(split.train)
-        whole = evaluate_portfolio(matrix, split.test, models, k=4)
-        monkeypatch.setattr(ground_truth, "_USER_BLOCK", 3)
-        blocked = evaluate_portfolio(matrix, split.test, models, k=4)
-        assert blocked.users == whole.users
-        np.testing.assert_array_equal(blocked.values, whole.values)
+        models = train_portfolio(matrix, PortfolioConfig(dict(SMALL_PARAMS)))
+        default_rows = ground_truth._BLOCK_VALUES // matrix.n_items
+        assert 1 < default_rows < 256 < len(split.test.user_ids)  # three different blockings
+        whole = evaluate_portfolio(matrix, split.test, models, k=10)
+        for rows in (1, 256):
+            monkeypatch.setattr(ground_truth, "_BLOCK_VALUES", rows * matrix.n_items)
+            blocked = evaluate_portfolio(matrix, split.test, models, k=10)
+            assert blocked.users == whole.users and blocked.algorithms == list(SMALL_PARAMS)
+            np.testing.assert_array_equal(blocked.values, whole.values)
+
+    def test_short_lists_and_relevant_training_items(self):
+        """A user with fewer than k candidates gets a list padded with -1, which must not read the
+        relevance of the last item; a relevant item the user holds in training is never ranked but
+        still counts in the ideal DCG."""
+        ds = make_dataset([("a", "i0", 1.0, 0), ("a", "i1", 1.0, 1), ("a", "i2", 1.0, 2),
+                           ("b", "i0", 1.0, 3), ("b", "i1", 1.0, 4), ("c", "i3", 1.0, 5),
+                           ("a", "i4", 1.0, 6), ("b", "i4", 1.0, 7)])
+        matrix = build_train_matrix(ds)
+        assert matrix.item_ids[-1] == "i4"  # the item that -1 indexes
+        models = train_portfolio(matrix, PortfolioConfig({"pop": {}}))
+        relevant = [{"i4"}, {"i3", "i4"}, {"i0", "i3", "gone"}]
+        test = ground_truth.EvaluableUsers(["a", "b", "c"], relevant, skipped=0)
+        pm = evaluate_portfolio(matrix, test, models, k=10)
+        for user, rel in zip(test.users, relevant):
+            want = ndcg_at_k(recommend_top_k(models["pop"], user, k=10).items, rel, k=10)
+            assert pm.lookup(user, "pop") == want, user
+        assert pm.lookup("a", "pop") == 0.0  # its one candidate, i3, is not relevant
+        second = 1.0 / math.log2(3)
+        assert pm.lookup("b", "pop") == second / (1.0 + second)  # i3 after i2, its tie; i4 is held
+        ideal_c = 1.0 + 1.0 / math.log2(3) + 1.0 / math.log2(4)  # three relevant: i3 is held, "gone" is unknown
+        assert pm.lookup("c", "pop") == 1.0 / ideal_c  # i0, the most popular candidate, first
 
     def test_non_finite_scores_name_the_algorithm_and_first_user(self, toy_split, toy_matrix, monkeypatch):
         models = train_portfolio(toy_split.train, PortfolioConfig({"pop": {}}))

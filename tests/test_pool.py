@@ -3,6 +3,7 @@ and no hang or stray worker when a job, a worker or the caller dies."""
 
 import ctypes
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -61,6 +62,14 @@ def _pid_and_inner_pids(job):
     return os.getpid(), pool.map_jobs(lambda _: os.getpid(), [0, 1, 2])
 
 
+def _faults_of_a_second_16_mb_buffer(_job):
+    """Minor page faults while filling a 16 MB buffer allocated right after freeing one of the same size."""
+    np.ones(2 << 20)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(2 << 20)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
 class TestMapJobs:
     def test_a_closure_reaches_the_workers_by_fork(self, monkeypatch):
         force_workers(monkeypatch, 2)
@@ -85,6 +94,12 @@ class TestMapJobs:
         force_workers(monkeypatch, 2)
         assert pool.map_jobs(abs, [-1, -2]) == [1, 2]
         assert [get_threads() for get_threads, _ in libraries] == [1] * len(libraries)
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no glibc mallopt")
+    def test_a_worker_reuses_freed_memory_without_faulting_it_in_again(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        # A buffer that the kernel maps afresh faults in hundreds of pages or more.
+        assert max(pool.map_jobs(_faults_of_a_second_16_mb_buffer, [0, 1])) < 64
 
     def test_jobs_run_when_the_memory_map_cannot_be_read(self, monkeypatch, tmp_path):
         force_workers(monkeypatch, 2)

@@ -37,7 +37,8 @@ from recselect.recommenders import (
     train_portfolio,
 )
 from recselect.recommenders import biasedmf, bpr, ease, implicitmf, itemknn, pop, userknn
-from recselect.recommenders.base import wavefronts
+from recselect.recommenders.base import stored_values, wavefronts
+from recselect.synth import planted_two_population
 
 from conftest import SMALL_PARAMS, dense_b, make_dataset, per_entry_normal_equations, random_dataset
 
@@ -481,6 +482,60 @@ class TestImplicitMF:
     def test_nonpositive_reg_rejected(self):
         with pytest.raises(ValueError):
             implicitmf.train_implicitmf(self.make_matrix(), reg=0.0)
+
+    def test_distinct_rows_group_equal_entries_only(self):
+        dense = np.array([
+            [0, 2, 0],
+            [0, 2, 0],  # the same single entry as row 0
+            [0, 3, 0],  # another value
+            [0, 2, 1],  # an extra entry
+            [0, 0, 0],  # no entry
+            [2, 0, 0],  # another column
+            [0, 0, 0],
+            [0, 2, 1],
+        ], dtype=np.float64)
+        csr = sp.csr_matrix(dense)
+        first, group = implicitmf.distinct_rows(csr)
+        np.testing.assert_array_equal(first, [0, 2, 3, 4, 5])
+        np.testing.assert_array_equal(first[group], [0, 0, 2, 3, 4, 5, 4, 3])
+        factors = np.random.default_rng(14).normal(size=(3, 4))
+        every = implicitmf.solve_side(factors, csr, 5.0, 0.3)
+        np.testing.assert_array_equal(implicitmf.solve_side(factors, csr[first], 5.0, 0.3)[group], every)
+        np.testing.assert_array_equal(every[[4, 6]], np.zeros((2, 4)))
+
+    def test_equal_rows_share_one_solve(self, monkeypatch):
+        ds = make_dataset([("u", "a", 1.0, 0), ("u", "b", 1.0, 1), ("v", "c", 2.0, 2), ("v", "d", 1.0, 3),
+                           ("u", "e", 1.0, 4), ("w", "e", 1.0, 5), ("w", "c", 1.0, 6)])
+        m = build_train_matrix(ds)
+        solved = []
+        solve_side = implicitmf.solve_side
+
+        def spy(factors_other, csr, alpha, reg):
+            solved.append(csr.shape[0])
+            return solve_side(factors_other, csr, alpha, reg)
+
+        monkeypatch.setattr(implicitmf, "solve_side", spy)
+        model = implicitmf.train_implicitmf(m, factors=2, iterations=2)
+        assert solved == [3, 4, 3, 4]  # items a and b share a solve; c, d and e each have their own
+        np.testing.assert_array_equal(model.q[m.item_index["a"]], model.q[m.item_index["b"]])
+
+    @pytest.mark.parametrize("data", ["planted", "random"])
+    def test_grouped_training_equals_solving_every_row(self, data, monkeypatch):
+        if data == "planted":
+            ds = temporal_split_per_user(planted_two_population(seed=17, users_per_group=50), 0.2).train
+        else:
+            ds = random_dataset(np.random.default_rng(41), n_users=30, n_items=20)
+        m = build_train_matrix(ds)
+        if data == "planted":
+            assert implicitmf.distinct_rows(m.matrix.T.tocsr())[0].size < m.n_items  # duplicate item rows
+        params = {"factors": 4, "iterations": 4, "seed": 3}
+        grouped = train_algorithm("implicitmf", m, params)
+        monkeypatch.setattr(implicitmf, "distinct_rows", lambda csr: (np.arange(csr.shape[0]),) * 2)
+        every = train_algorithm("implicitmf", m, params)
+        np.testing.assert_array_equal(grouped.p, every.p)
+        np.testing.assert_array_equal(grouped.q, every.q)
+        assert grouped.train_ops == every.train_ops == 4 * (2 * m.matrix.nnz * 4**2 + (m.n_users + m.n_items) * 4**3)
+        assert stored_values(grouped) == stored_values(every) == (m.n_users + m.n_items) * 4
 
 
 class TestBPR:
