@@ -65,6 +65,7 @@ from .recommenders import (
     PortfolioConfig,
     algorithm_source_path,
     build_train_matrix,
+    check_keys,
     check_parameters,
     keyword_defaults,
     save_model,
@@ -216,6 +217,7 @@ def _generate(stage: Stage, entry: dict, kind: str, generator, default_seed: int
 def cmd_synth(stage: Stage) -> list[str]:
     outputs = []
     for entry in stage.objects("datasets"):
+        check_keys("synth dataset entry", entry, ("kind", "name", "seed", "params"))
         kind = stage.string("kind", entry)
         name = stage.string("name", entry) if "name" in entry else kind
         path, seed = os.path.join(stage.out_dir, f"{name}.csv"), derive_seed(stage.seed, name)
@@ -316,6 +318,8 @@ def cmd_ground_truth(stage: Stage) -> list[str]:
 
 
 def _probe_split(stage: Stage, name: str, entry: dict):
+    check_keys(f"probe {name!r}", entry, ("name", "path", "kind", "params", "seed", "sample_users",
+                                          "sample_seed", "test_fraction"))
     if "path" in entry:
         dataset = read_interactions_csv(stage.path("path", entry), name=name)
     else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .algo_features import FEATURE_CATEGORIES, AlgorithmFeatureTable
 from .errors import ConfigError, SearchError
@@ -45,13 +45,14 @@ from .meta import (
     standardize_fit,
 )
 from .pool import map_jobs
-from .recommenders import top_k
+from .recommenders import check_keys, top_k
 from .user_features import UserFeatureTable
 
 logger = logging.getLogger(__name__)
 
 MODES = ("user_only", "user_algo")
 PREDICTORS = ("model", "oracle", "single_best")
+CI_QUANTILE = 0.975  # two-sided 95 % intervals
 
 
 def derive_seed(*parts) -> int:
@@ -121,7 +122,8 @@ class SearchSpace:
         """A validated space: every bad count, name, type or bound is a ConfigError."""
         if not isinstance(raw, dict):
             raise ConfigError(f"search space must be a JSON object, found {raw!r}")
-        space = cls(**{k: raw[k] for k in ("n_iter", "inner_folds", "distributions") if k in raw})
+        check_keys("search space", raw, ("n_iter", "inner_folds", "distributions"))
+        space = cls(**raw)
         if not (_is_integer(space.n_iter) and space.n_iter >= 1
                 and _is_integer(space.inner_folds) and space.inner_folds >= 2):
             raise ConfigError("search space needs integers n_iter >= 1 and inner_folds >= 2")
@@ -169,14 +171,14 @@ def _check_distribution(name, spec) -> None:
 DEFAULT_SPACE = SearchSpace()
 
 
-def ci_half_width(values: Sequence[float], confidence: float = 0.95) -> float | None:
-    """Student-t half-width of the mean; None when only one value exists."""
+def ci_half_width(values: Sequence[float]) -> float | None:
+    """Student-t 95 % half-width of the mean; None when only one value exists."""
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     if n < 2:
         return None
     sem = values.std(ddof=1) / math.sqrt(n)
-    return float(stats.t.ppf(0.5 * (1.0 + confidence), n - 1) * sem)
+    return float(stdtrit(n - 1, CI_QUANTILE) * sem)  # the inverse t CDF that SciPy's t.ppf calls
 
 
 @dataclass

@@ -89,6 +89,13 @@ def check_parameters(owner: str, params, defaults: dict[str, object]) -> dict:
     return dict(params)
 
 
+def check_keys(owner: str, entry: dict, known: tuple[str, ...]) -> None:
+    """ConfigError naming the first key of ``entry`` that is not in ``known``."""
+    for key in entry:
+        if key not in known:
+            raise ConfigError(f"{owner} has unknown key {key!r}; known: {list(known)}")
+
+
 @dataclass
 class PortfolioConfig:
     """Enabled algorithms with per-algorithm hyperparameter overrides."""
@@ -107,6 +114,7 @@ class PortfolioConfig:
         """Parse ``{"algorithms": [...]}``, each entry a name or a ``name``/``params``/``status``/``reason`` object."""
         if not isinstance(raw, dict):
             raise ConfigError(f"portfolio must be an object, found {raw!r}")
+        check_keys("portfolio", raw, ("algorithms",))
         entries = raw.get("algorithms", [])
         if not isinstance(entries, list):
             raise ConfigError(f"portfolio 'algorithms' must be a list, found {entries!r}")
@@ -121,6 +129,7 @@ class PortfolioConfig:
                     f"portfolio entry must be a name or an object with a string 'name', found {entry!r}"
                 )
             name, status = entry["name"], entry.get("status", "enabled")
+            check_keys(f"portfolio entry {name!r}", entry, ("name", "params", "status", "reason"))
             if name in named:
                 raise ConfigError(f"portfolio names {name!r} in more than one entry")
             named.add(name)

@@ -132,10 +132,9 @@ class UserFeatureTable:
         return cls(users, USER_FEATURE_NAMES, rows)
 
 
-def user_feature_table(train: Dataset, popularity: dict[str, int] | None = None) -> UserFeatureTable:
-    """All users' features from the training split; popularity defaults to train counts."""
-    if popularity is None:
-        popularity = build_popularity_table(train)
+def user_feature_table(train: Dataset) -> UserFeatureTable:
+    """All users' features from the training split, with item popularity counted on it."""
+    popularity = build_popularity_table(train)
     grouped = train.by_user()
     rows = [compute_user_features(grouped[user], popularity) for user in train.user_ids]
     matrix = np.vstack(rows) if rows else np.empty((0, len(USER_FEATURE_NAMES)))

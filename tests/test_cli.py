@@ -375,6 +375,10 @@ def test_manifest_inputs_are_exactly_the_files_the_stage_read(pipeline, tmp_path
                               "params": {"n_users": 10, "n_items": 12, "per_user": 4}}] * 2}),
     ("synth", {"datasets": [{"kind": "event_log", "name": "bench", "params": {"n_rows": 5}},
                             {"kind": "uniform_sparse", "name": "bench"}]}),
+    ("ground-truth", {"portfolio": {"algorithms": [{"name": "itemknn", "parms": {"neighbors": 5}}]}}),
+    ("features", {"portfolio": {"algorithms": ["pop"], "algoritms": ["ease"]}}),
+    ("features", {"probes": [{"name": "p", "kind": "uniform_sparse", "param": {"n_users": 10}}]}),
+    ("synth", {"datasets": [{"kind": "uniform_sparse", "name": "u", "sead": 3}]}),
 ])
 def test_bad_stage_config_exits_2_with_one_config_error_line(pipeline, tmp_path, capsys, command, changes):
     cfg = rerun_config(pipeline, STAGE_CONFIGS[command], changes, tmp_path)
@@ -382,6 +386,18 @@ def test_bad_stage_config_exits_2_with_one_config_error_line(pipeline, tmp_path,
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_cli_process_never_imports_scipy_stats(pipeline, tmp_path):
+    """Confidence intervals need only ``scipy.special``. The test suite imports
+    ``scipy.stats`` as their reference, so a fresh interpreter runs the stage."""
+    script = ("import sys; from recselect.cli import main; assert main(sys.argv[1:]) == 0; "
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    pythonpath = os.path.dirname(os.path.dirname(recselect.__file__))
+    done = subprocess.run([sys.executable, "-c", script, "synth", "--config", pipeline["synth_cfg"],
+                           "--out", str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": pythonpath}, check=True, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 EVERY_COMMAND_CONFIG = [
@@ -725,7 +741,7 @@ NOT_A_SEED = [None, True, "seven", [1], {}, 0.5, -1]
 NOT_A_SPACE = [
     None, "lean", 3, [],
     {"n_iter": 0}, {"n_iter": "x"}, {"n_iter": [2]}, {"n_iter": 1.5},
-    {"inner_folds": 1}, {"inner_folds": None},
+    {"inner_folds": 1}, {"inner_folds": None}, {"n_iters": 2},
     {"distributions": []}, {"distributions": {"num_trees": "many"}},
     {"distributions": {"num_trees": {"type": "gamma", "low": 1, "high": 2}}},
     {"distributions": {"depth": {"type": "int_range", "low": 2, "high": 3}}},

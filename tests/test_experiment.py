@@ -7,6 +7,7 @@ against selection-plumbing bugs (leakage, fold drift, misaligned lookups).
 
 import hashlib
 import json
+import math
 import os
 import time
 
@@ -165,10 +166,10 @@ class TestCiHalfWidth:
 
     def test_matches_t_formula_on_random_samples(self):
         rng = np.random.default_rng(2)
-        for _ in range(10):
-            values = rng.normal(size=int(rng.integers(2, 12)))
-            want = stats.t.ppf(0.975, values.size - 1) * values.std(ddof=1) / np.sqrt(values.size)
-            assert ci_half_width(values) == pytest.approx(want)
+        for n in range(2, 101):
+            values = rng.normal(size=n)
+            want = stats.t.ppf(0.975, n - 1) * (values.std(ddof=1) / math.sqrt(n))
+            assert ci_half_width(values) == want, n
 
 
 def row_metrics(truth_row, scores_row):
@@ -234,6 +235,8 @@ class TestSearchSpace:
             SearchSpace.from_dict({"n_iter": 0})
         with pytest.raises(ConfigError):
             SearchSpace.from_dict({"inner_folds": 1})
+        with pytest.raises(ConfigError, match="search space has unknown key 'n_iters'"):
+            SearchSpace.from_dict({"n_iters": 2, "inner_folds": 2})
 
 
 def per_user_reference(truth, scores):

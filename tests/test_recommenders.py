@@ -939,6 +939,13 @@ class TestPortfolio:
         with pytest.raises(ConfigError):
             PortfolioConfig.from_dict({"algorithms": []})
 
+    def test_config_unknown_keys_are_named(self):
+        from recselect.errors import ConfigError
+        with pytest.raises(ConfigError, match="portfolio entry 'itemknn' has unknown key 'parms'"):
+            PortfolioConfig.from_dict({"algorithms": [{"name": "itemknn", "parms": {"neighbors": 5}}]})
+        with pytest.raises(ConfigError, match="portfolio has unknown key 'algoritms'"):
+            PortfolioConfig.from_dict({"algorithms": ["pop"], "algoritms": ["ease"]})
+
     def test_unknown_algorithm_rejected(self):
         from recselect.errors import ConfigError
         with pytest.raises(ConfigError):
