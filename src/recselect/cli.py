@@ -321,6 +321,9 @@ def _probe_split(stage: Stage, name: str, entry: dict):
     check_keys(f"probe {name!r}", entry, ("name", "path", "kind", "params", "seed", "sample_users",
                                           "sample_seed", "test_fraction"))
     if "path" in entry:
+        for key in ("kind", "params", "seed"):
+            if key in entry:
+                raise ConfigError(f"probe {name!r} is read from its 'path' and takes no {key!r}")
         dataset = read_interactions_csv(stage.path("path", entry), name=name)
     else:
         kind = stage.string("kind", entry)

@@ -12,10 +12,14 @@ NDCG in the performance matrix, and aggregate. SBA and VBA run through the
 same selection call with the tiled column means and the true rows as score
 matrices.
 
-Outer folds are independent, since each derives its seeds from the run seed
-and its fold index alone. They run through ``pool.map_jobs``, one worker per
-usable CPU, and their results are merged in fold order, so every report is the
-same whatever the worker count.
+The work is scheduled by fit, not by fold. Random-search candidates are
+independent draws (Bergstra & Bengio, JMLR 2012), and every seed derives from
+the run seed, the outer fold, the candidate and the inner fold alone. So one
+``pool.map_jobs`` call runs every (outer fold, candidate) pair, each job
+fitting one candidate on every inner fold; the calling process picks each
+fold's winner, and a second call refits the winners, one job per fold.
+Results are merged in job order, so every report is the same whatever the
+worker count.
 """
 
 from __future__ import annotations
@@ -385,29 +389,27 @@ def run_nested_cv(
         "model": MethodResult(_mode_label(mode) if predictor == "model" else predictor),
     }
 
-    def fold_outcome(fold) -> tuple[dict, np.ndarray]:
-        """One outer fold's chosen hyperparameters and its (test rows, algorithms) scores.
-
-        Every seed of the fold derives from ``(seed, fold_idx)``, so the outcome
-        does not depend on the process or the order folds run in.
-        """
-        fold_idx, train, test, x = fold
-        if predictor == "oracle":
-            return {}, pm.values[test]
-        if predictor == "single_best":
-            return {}, np.tile(column_means, (len(test), 1))
-        best = _random_search(pm, space, mode, train, x, enc, seed, fold_idx)
-        params = GBDTParams(**best, seed=derive_seed(seed, "refit", fold_idx)).validate()
-        return best, _fit_predictor(mode, params, pm, train, test, x, enc)
-
     folds = list(_outer_folds(pm, user_features, n_folds, seed))
-    best_params_per_fold: list[dict] = []
-    for (_, _, test, _), (best, scores) in zip(folds, map_jobs(fold_outcome, folds)):
+    if predictor != "model":
+        best_params_per_fold = [{} for _ in folds]
+        fold_scores = [pm.values[test] if predictor == "oracle" else np.tile(column_means, (len(test), 1))
+                       for _, _, test, _ in folds]
+    else:
+        best_params_per_fold = _random_search(pm, space, mode, folds, enc, seed)
+
+        def refit(job) -> np.ndarray:
+            """Fit one fold's winner on its training rows and score its test rows."""
+            (fold_idx, train, test, x), best = job
+            params = GBDTParams(**best, seed=derive_seed(seed, "refit", fold_idx)).validate()
+            return _fit_predictor(mode, params, pm, train, test, x, enc)
+
+        fold_scores = map_jobs(refit, list(zip(folds, best_params_per_fold)))
+
+    for (_, _, test, _), scores in zip(folds, fold_scores):
         truth = pm.values[test]
         sba_scores = np.tile(column_means, (len(test), 1))
         for name, method_scores in (("model", scores), ("sba", sba_scores), ("vba", truth)):
             methods[name].add_fold(*selector_fold_metrics(truth, method_scores))
-        best_params_per_fold.append(best)
 
     return EvaluationReport(
         mode=mode,
@@ -423,32 +425,51 @@ def run_nested_cv(
     )
 
 
-def _random_search(pm, space, mode, train, x, enc, seed, fold_idx) -> dict:
-    """Random search over inner folds of the ``train`` rows, scored by validation MSE.
+def _random_search(pm, space, mode, folds, enc, seed) -> list[dict]:
+    """Each outer fold's hyperparameters: random search over inner folds of its training rows.
 
-    The first candidate with the lowest MSE wins ties.
+    Every (outer fold, candidate) pair is one ``map_jobs`` job, which fits the
+    candidate on each inner fold and returns its mean validation MSE. Every
+    seed derives from the run seed, the fold, the candidate and the inner
+    fold, so no job depends on another. A fold's winner is its first
+    candidate with the lowest MSE; NaN never wins.
     """
-    rng = np.random.default_rng(derive_seed(seed, "hpo", fold_idx))
-    candidates = [space.sample(rng) for _ in range(space.n_iter)]
-    inner = make_user_folds(len(train), space.inner_folds, derive_seed(seed, "inner", fold_idx))
+    searches = []  # per fold: (candidates, inner folds)
+    for fold_idx, train, _, _ in folds:
+        rng = np.random.default_rng(derive_seed(seed, "hpo", fold_idx))
+        candidates = [space.sample(rng) for _ in range(space.n_iter)]
+        searches.append(
+            (candidates, make_user_folds(len(train), space.inner_folds, derive_seed(seed, "inner", fold_idx)))
+        )
 
-    best_params, best_mse = None, np.inf
-    for c_idx, candidate in enumerate(candidates):
+    def candidate_mse(job) -> float:
+        fold_idx, c_idx = job
+        _, train, _, x = folds[fold_idx]
+        candidates, inner = searches[fold_idx]
         fold_mses = []
         for i_idx, val in enumerate(inner):
             params = GBDTParams(
-                **candidate, seed=derive_seed(seed, "inner-fit", fold_idx, c_idx, i_idx)
+                **candidates[c_idx], seed=derive_seed(seed, "inner-fit", fold_idx, c_idx, i_idx)
             ).validate()
             pred = _fit_predictor(mode, params, pm, np.delete(train, val), train[val], x, enc)
             fold_mses.append(np.mean(np.mean((pred - pm.values[train[val]]) ** 2, axis=1)))
-        mse = float(np.mean(fold_mses))
-        if mse < best_mse:
-            best_mse, best_params = mse, candidate
-    if best_params is None:  # every MSE was NaN or inf, e.g. from non-finite targets
-        raise SearchError(
-            f"no hyperparameter candidate reached a finite validation MSE in outer fold {fold_idx}"
-        )
-    return best_params
+        return float(np.mean(fold_mses))
+
+    jobs = [(fold_idx, c_idx) for fold_idx in range(len(folds)) for c_idx in range(space.n_iter)]
+    mses = iter(map_jobs(candidate_mse, jobs))
+    best_per_fold = []
+    for (fold_idx, _, _, _), (candidates, _) in zip(folds, searches):
+        best_params, best_mse = None, np.inf
+        for candidate in candidates:
+            mse = next(mses)
+            if mse < best_mse:
+                best_mse, best_params = mse, candidate
+        if best_params is None:  # every MSE was NaN or inf, e.g. from non-finite targets
+            raise SearchError(
+                f"no hyperparameter candidate reached a finite validation MSE in outer fold {fold_idx}"
+            )
+        best_per_fold.append(best_params)
+    return best_per_fold
 
 
 @dataclass

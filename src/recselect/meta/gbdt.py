@@ -26,12 +26,22 @@ A fit sorts its rows once, as the exact greedy method of XGBoost does (Chen
   time that row set appears, and its admissible (position, column)
   candidates. Because the ids ascend, a filtered order equals a fresh stable
   argsort of the node's rows, so the cumsums, gains and tie rules are those
-  of a per-node sort. Boosting keeps searching the same row sets, so most
-  searches only gather the current targets, run two cumsums and score the
-  gains. The cache lives as long as the ``fit_gbdt`` call.
+  of a per-node sort. The state also keeps the node's partitions: the left
+  and right rows of each (feature, threshold) it was split at. Boosting keeps
+  searching and splitting the same row sets, so most nodes only gather the
+  current targets, run one cumsum, score the gains and look up their
+  children's rows. The cache lives as long as the ``fit_gbdt`` call.
+- Fused search. Each tree lays every target beside its square once, so one
+  gather through a node's order and one cumsum along its rows give every
+  class's sums and sums of squares. ``cumsum`` adds sequentially along a
+  row, as a per-node sort's two cumsums did, so every gain keeps its bits.
 
-Both rest on ``<`` ordering the values, so ``x`` must be finite. A fitted tree
-is a set of flat node arrays and predicts a whole batch level by level.
+Rank classes and the node cache rest on ``<`` ordering the values, so ``x``
+must be finite. A fitted tree is a set of flat node arrays and predicts a
+whole batch level by level. An ensemble walks all its trees together, one
+level per step, and adds the init value and each tree's shrunken leaf values
+in tree order with one sequential accumulate, which gives the bits of adding
+tree by tree.
 Without subsampling, boosting updates its running predictions from the leaf
 values the tree assigned while it was built instead of predicting the rows
 again.
@@ -39,6 +49,7 @@ again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -82,6 +93,9 @@ class GBDTParams:
         return cls(**raw).validate()
 
 
+_NODE_DTYPES = (np.intp, np.float64, np.intp, np.intp, np.float64, np.float64)
+
+
 class RegressionTree:
     """CART regression tree stored as flat node arrays.
 
@@ -100,63 +114,48 @@ class RegressionTree:
 
     def _grow(self, fit: "_SortedFit", y: np.ndarray, rows: np.ndarray) -> "RegressionTree":
         """Grow the tree on ``rows`` (ascending ids into the fit's rows) against targets ``y``."""
-        self.feature, self.threshold, self.left, self.right, self.value, self.gain = [], [], [], [], [], []
+        nodes: list[list] = []  # [feature, threshold, left, right, value, gain] in depth-first preorder
         self.depth = 0
         self.fitted_values = np.empty(y.shape[0])
-        self._build(fit, y, rows, 0, fit.search_state(rows, 0, fit.order))
-        self.feature = np.asarray(self.feature, dtype=np.intp)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.left = np.asarray(self.left, dtype=np.intp)
-        self.right = np.asarray(self.right, dtype=np.intp)
-        self.value = np.asarray(self.value, dtype=np.float64)
-        self.gain = np.asarray(self.gain, dtype=np.float64)
+        yy = np.empty((y.shape[0], 2))  # each target beside its square: one gather serves both
+        yy[:, 0] = y
+        np.multiply(y, y, out=yy[:, 1])
+        self._build(fit, y, yy, rows, 0, fit.search_state(rows, 0, fit.order), nodes)
+        columns = zip(*nodes)
+        self.feature, self.threshold, self.left, self.right, self.value, self.gain = (
+            np.asarray(column, dtype=dtype) for column, dtype in zip(columns, _NODE_DTYPES)
+        )
         return self
 
-    def _new_node(self, value: float) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        self.gain.append(0.0)
-        return len(self.feature) - 1
-
-    def _build(self, fit, y, idx, depth, state) -> int:
+    def _build(self, fit, y, yy, idx, depth, state, nodes) -> int:
         """Grow the subtree over rows ``idx`` (ascending); ``state`` is its search state or None."""
-        mean = float(y[idx].sum()) / idx.shape[0]  # np.mean's arithmetic, without its overhead
-        node = self._new_node(mean)
-        self.depth = max(self.depth, depth)
-        split = None if state is None else fit.best_split(y, state)
+        mean = float(np.add.reduce(y.take(idx))) / idx.shape[0]  # np.mean's arithmetic, minus its overhead
+        node = len(nodes)
+        record = [-1, 0.0, -1, -1, mean, 0.0]
+        nodes.append(record)
+        if depth > self.depth:
+            self.depth = depth
+        split = None if state is None else fit.best_split(yy, state)
         if split is not None:
-            feature, threshold, gain = split
-            go_left = fit.x[idx, feature] <= threshold
-            if np.count_nonzero(go_left) in (0, idx.shape[0]):
+            left_rows, right_rows = fit.partition(state, idx, split[0], split[1])
+            if left_rows.size == 0 or right_rows.size == 0:
                 split = None  # midpoint rounded onto a sample value; keep the leaf
         if split is None:
             self.fitted_values[idx] = mean
             return node
-        self.feature[node] = feature
-        self.threshold[node] = threshold
-        self.gain[node] = gain
-        order, left_rows, right_rows = state[0], idx[go_left], idx[~go_left]
-        self.left[node] = self._build(
-            fit, y, left_rows, depth + 1, fit.search_state(left_rows, depth + 1, order)
+        record[0], record[1], record[5] = split
+        order = state[0]
+        record[2] = self._build(
+            fit, y, yy, left_rows, depth + 1, fit.search_state(left_rows, depth + 1, order), nodes
         )
-        self.right[node] = self._build(
-            fit, y, right_rows, depth + 1, fit.search_state(right_rows, depth + 1, order)
+        record[3] = self._build(
+            fit, y, yy, right_rows, depth + 1, fit.search_state(right_rows, depth + 1, order), nodes
         )
         return node
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Walk every row down one level per step; leaves keep their node."""
-        rows = np.arange(x.shape[0])
-        node = np.zeros(x.shape[0], dtype=np.intp)
-        for _ in range(self.depth):
-            feature = self.feature[node]
-            inner = feature >= 0
-            go_left = x[rows, np.where(inner, feature, 0)] <= self.threshold[node]
-            node = np.where(inner, np.where(go_left, self.left[node], self.right[node]), node)
-        return self.value[node]
+        """Each row's leaf value, walking every row down one level per step."""
+        return _forest_walk([self])(x)[0]
 
     def accumulate_gains(self, totals: np.ndarray) -> None:
         inner = self.feature >= 0
@@ -167,6 +166,7 @@ class RegressionTree:
 # sizes stay under 5 MB; subsampled trees rarely repeat a row set, and deep
 # wide fits would otherwise hold 100 MB or more.
 NODE_CACHE_BYTES = 8 * 2**20
+_SUM_SQUARE = np.array([[0], [1]])  # offsets of a flat cumsum position's sum and square
 
 
 class _SortedFit:
@@ -177,9 +177,10 @@ class _SortedFit:
     columns share a rank class when their stable orders are equal and so are
     their sorted values' strict rises. ``nodes`` maps a node's ascending row
     ids (``idx.tobytes()``) to its search state, shared by every tree of the
-    fit: the node's presort over the kept columns and its admissible split
-    candidates, or None when it has none. It holds at most
-    ``NODE_CACHE_BYTES`` and empties when full.
+    fit: the node's presort over the kept columns, its admissible split
+    candidates and its partitions, or None when it has no candidate. It holds
+    at most ``NODE_CACHE_BYTES``, the partitions' row arrays included, and
+    empties when full.
     """
 
     def __init__(self, x: np.ndarray, max_depth: int, min_samples_leaf: int):
@@ -216,23 +217,28 @@ class _SortedFit:
             order = parent_order[self.member[parent_order]].reshape(self.features.size, rows.shape[0])
             self.member[rows] = False
             state = self._candidates(order)
-            size = len(key) + (0 if state is None else sum(a.nbytes for a in state))
-            if self.cached_bytes + size > NODE_CACHE_BYTES:
-                self.nodes.clear()  # start over with the row sets the latest trees search
-                self.cached_bytes = 0
+            self._charge(len(key) + (0 if state is None else sum(a.nbytes for a in state[:5])))
             self.nodes[key] = state
-            self.cached_bytes += size
         return self.nodes[key]
 
+    def _charge(self, size: int) -> None:
+        """Count ``size`` more cached bytes, emptying the cache first when they would not fit."""
+        if self.cached_bytes + size > NODE_CACHE_BYTES:
+            self.nodes.clear()  # start over with the row sets the latest trees search
+            self.cached_bytes = 0
+        self.cached_bytes += size
+
     def _candidates(self, order: np.ndarray):
-        """(order, left ends, totals, left counts, right counts) of every admissible split.
+        """(order, left ends, totals, left counts, right counts, partitions), or None.
 
         Split positions s place the first s sorted rows on the left; a
         position is admissible when it falls between two distinct values and
         leaves ``min_samples_leaf`` rows on each side. Candidates are listed
         s-major, so a gain tie goes to the lowest position, then the lowest
-        column. Left ends and totals are flat positions in the node's
-        (class, sorted row) cumsums: the last left row and the last row.
+        column. Left ends and totals are (sum or square, candidate) flat
+        positions in the node's (class, sorted row, target or square)
+        cumsums: at the last left row and at the last row. Partitions start
+        empty (see ``partition``).
         """
         n = order.shape[1]
         x_sorted = self.x[order, self.features[:, None]]
@@ -241,36 +247,122 @@ class _SortedFit:
         if j.size == 0:
             return None
         j += lo
+        first = k * n
         counts = j + 1.0
-        return order, k * n + j, k * n + (n - 1), counts, n - counts
+        left_ends, totals = 2 * (first + j) + _SUM_SQUARE, 2 * (first + n - 1) + _SUM_SQUARE
+        return order, left_ends, totals, counts, n - counts, {}
 
-    def best_split(self, y: np.ndarray, state: tuple):
+    def best_split(self, yy: np.ndarray, state: tuple):
         """Exact greedy search of one node: (feature, threshold, gain) or None.
 
-        Only ``y`` is gathered; the gains are those of a fresh stable sort of
-        the node's rows over every column, and None means no admissible split
-        has strictly positive gain.
+        ``yy`` holds each target beside its square. One gather and one cumsum
+        give the sums and sums of squares of every class, and the gains are
+        those of a fresh stable sort of the node's rows over every column; None
+        means no admissible split has strictly positive gain.
         """
-        order, left_end, total, counts, right_counts = state
+        order, left_ends, totals, counts, right_counts, _ = state
         n = order.shape[1]
-        y_sorted = y.take(order)
-        cum = y_sorted.cumsum(axis=1)
-        cum_sq = (y_sorted * y_sorted).cumsum(axis=1)
-        sse_node = float(cum_sq[0, -1] - cum[0, -1] * cum[0, -1] / n)  # column 0 is always kept
+        cum = yy.take(order, axis=0).cumsum(axis=1)  # sequential along the rows, as a per-node sort sums
+        total, total_sq = cum[0, -1]  # column 0 is always kept
+        sse_node = float(total_sq - total * total / n)
 
-        left_sum, left_sq = cum.take(left_end), cum_sq.take(left_end)
-        right_sum, right_sq = cum.take(total) - left_sum, cum_sq.take(total) - left_sq
-        sse = (left_sq - left_sum * left_sum / counts) + (right_sq - right_sum * right_sum / right_counts)
+        left = cum.take(left_ends)
+        right = cum.take(totals) - left
+        sse = (left[1] - left[0] * left[0] / counts) + (right[1] - right[0] * right[0] / right_counts)
         gains = sse_node - sse
 
         best = int(gains.argmax())
         best_gain = float(gains[best])
-        if not np.isfinite(best_gain) or best_gain <= 1e-12:
+        if not math.isfinite(best_gain) or best_gain <= 1e-12:
             return None
-        c, last = divmod(int(left_end[best]), n)
+        c, last = divmod(int(left_ends[0, best]) // 2, n)
         feature = int(self.features[c])
         threshold = float(0.5 * (self.x[order[c, last], feature] + self.x[order[c, last + 1], feature]))
         return feature, threshold, best_gain
+
+    def partition(self, state: tuple, idx: np.ndarray, feature: int, threshold: float):
+        """The node's rows ``idx`` with ``x[:, feature] <= threshold``, and the others.
+
+        The state keeps each (feature, threshold) it was split at, since
+        boosting splits a recurring row set the same way again and again. It
+        keeps only the rows: a row set can recur at another depth, where its
+        children's search states differ.
+        """
+        partitions = state[-1]
+        key = (feature, threshold)
+        if key not in partitions:
+            go_left = self.x[idx, feature] <= threshold
+            partitions[key] = parts = (idx[go_left], idx[~go_left])
+            self._charge(parts[0].nbytes + parts[1].nbytes)
+        return partitions[key]
+
+
+# Bound on the (tree, row) pairs of one block of an ensemble prediction.
+WALK_ENTRIES = 2**18
+
+
+def _forest_walk(trees: list[RegressionTree]):
+    """A function from rows ``x`` to each tree's leaf value per row, (trees, rows).
+
+    The trees' node arrays are stacked once; each leaf becomes its own left
+    and right child on column 0, so a row that reached its leaf stays there
+    while the deeper trees take their next level. Every tree is walked
+    together, one level per step.
+    """
+    if not trees:
+        return lambda x: np.empty((0, x.shape[0]))
+    sizes = [tree.feature.size for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    offset = np.repeat(roots, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    leaf = feature < 0
+    itself = np.arange(feature.size)
+    left = np.where(leaf, itself, np.concatenate([tree.left for tree in trees]) + offset)
+    right = np.where(leaf, itself, np.concatenate([tree.right for tree in trees]) + offset)
+    feature[leaf] = 0
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    value = np.concatenate([tree.value for tree in trees])
+    depth = max(tree.depth for tree in trees)
+
+    def leaf_values(x: np.ndarray) -> np.ndarray:
+        n, d = x.shape
+        flat_x = np.ascontiguousarray(x).ravel()
+        row_starts = np.arange(n) * d
+        node = np.repeat(roots[:, None], n, axis=1)
+        for _ in range(depth):
+            go_left = flat_x.take(feature.take(node) + row_starts) <= threshold.take(node)
+            node = np.where(go_left, left.take(node), right.take(node))
+        return value.take(node)
+
+    return leaf_values
+
+
+def _predict_ensembles(ensembles: list["BoostedEnsemble"], x: np.ndarray) -> np.ndarray:
+    """(rows, ensembles) predictions, bit for bit those of ``init + lr * leaf`` added tree by tree.
+
+    One walk serves every tree of every ensemble, on blocks of rows that hold
+    at most ``WALK_ENTRIES`` (tree, row) pairs. Each ensemble's terms are then
+    summed in tree order by one sequential accumulate along the tree axis.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    width = max((e.n_features for e in ensembles), default=0)
+    if x.shape[1] < width:
+        raise ValueError(f"x has {x.shape[1]} columns; the model was fitted on {width}")
+    trees = [tree for ensemble in ensembles for tree in ensemble.trees]
+    walk = _forest_walk(trees)
+    out = np.empty((x.shape[0], len(ensembles)))
+    block = max(1, WALK_ENTRIES // max(1, len(trees)))
+    for start in range(0, x.shape[0], block):
+        leaves = walk(x[start:start + block])
+        first = 0
+        for j, ensemble in enumerate(ensembles):
+            count = len(ensemble.trees)
+            terms = np.empty((count + 1, leaves.shape[1]))
+            terms[0] = ensemble.init_value
+            np.multiply(ensemble.params.learning_rate, leaves[first:first + count], out=terms[1:])
+            out[start:start + block, j] = np.add.accumulate(terms, axis=0)[-1]
+            first += count
+    return out
 
 
 class BoostedEnsemble:
@@ -284,11 +376,7 @@ class BoostedEnsemble:
         self.train_mse_trace: list[float] = []
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = np.full(x.shape[0], self.init_value)
-        for tree in self.trees:
-            out += self.params.learning_rate * tree.predict(x)
-        return out
+        return np.ascontiguousarray(_predict_ensembles([self], x)[:, 0])
 
     def feature_importance(self) -> np.ndarray:
         totals = np.zeros(self.n_features)
@@ -329,7 +417,7 @@ def fit_gbdt(x: np.ndarray, y: np.ndarray, params: GBDTParams) -> BoostedEnsembl
         fitted = tree.predict(x) if rng is not None else tree.fitted_values
         tree.fitted_values = None
         current += params.learning_rate * fitted
-        ensemble.train_mse_trace.append(float(np.mean((y - current) ** 2)))
+        ensemble.train_mse_trace.append(float(np.add.reduce((y - current) ** 2)) / n)  # np.mean's arithmetic
     return ensemble
 
 
@@ -345,8 +433,7 @@ class MultiOutputGBDT:
         return len(self.ensembles)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.column_stack([e.predict(x) for e in self.ensembles])
+        return _predict_ensembles(self.ensembles, x)
 
     def feature_importance(self) -> np.ndarray:
         """Mean of per-output normalized importances (still sums to one)."""

@@ -134,8 +134,12 @@ class PortfolioConfig:
                 raise ConfigError(f"portfolio names {name!r} in more than one entry")
             named.add(name)
             if status == "unavailable":
+                if "params" in entry:
+                    raise ConfigError(f"portfolio entry {name!r} is unavailable and takes no 'params'")
                 unavailable[name] = entry.get("reason", "unavailable")
             elif status == "enabled":
+                if "reason" in entry:
+                    raise ConfigError(f"portfolio entry {name!r} is enabled and takes no 'reason'")
                 algorithms[name] = entry.get("params", {})
             else:
                 raise ConfigError(

@@ -379,6 +379,12 @@ def test_manifest_inputs_are_exactly_the_files_the_stage_read(pipeline, tmp_path
     ("features", {"portfolio": {"algorithms": ["pop"], "algoritms": ["ease"]}}),
     ("features", {"probes": [{"name": "p", "kind": "uniform_sparse", "param": {"n_users": 10}}]}),
     ("synth", {"datasets": [{"kind": "uniform_sparse", "name": "u", "sead": 3}]}),
+    ("features", {"probes": [{"name": "p", "path": "probe.csv", "kind": "uniform_sparse"}]}),
+    ("features", {"probes": [{"name": "p", "path": "probe.csv", "params": {"n_users": 10}}]}),
+    ("features", {"probes": [{"name": "p", "path": "probe.csv", "seed": 3}]}),
+    ("features", {"portfolio": {"algorithms": ["pop", {"name": "fism", "status": "unavailable",
+                                                       "params": {"factors": 8}}]}}),
+    ("ground-truth", {"portfolio": {"algorithms": [{"name": "pop", "reason": "fast"}]}}),
 ])
 def test_bad_stage_config_exits_2_with_one_config_error_line(pipeline, tmp_path, capsys, command, changes):
     cfg = rerun_config(pipeline, STAGE_CONFIGS[command], changes, tmp_path)

@@ -38,7 +38,7 @@ from recselect.experiment import (
     selector_fold_metrics,
 )
 from recselect.ground_truth import PerformanceMatrix
-from recselect.meta import GBDTParams
+from recselect.meta import GBDTParams, encode_algo_features
 from recselect.recommenders import top_k
 from recselect.user_features import USER_FEATURE_NAMES, UserFeatureTable
 
@@ -159,7 +159,7 @@ class TestFolds:
 
 class TestCiHalfWidth:
     def test_frozen_three_point_value(self):
-        assert ci_half_width([0.1, 0.2, 0.3]) == pytest.approx(0.2484137711719545)
+        assert ci_half_width([0.1, 0.2, 0.3]) == pytest.approx(0.248413771175033, rel=1e-12)
 
     def test_single_value_has_no_interval(self):
         assert ci_half_width([0.5]) is None
@@ -445,6 +445,57 @@ class TestParallelFolds:
         assert [pool._worker_count(n) for n in (2, 50)] == [2, 4]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert pool._worker_count(50) == 1
+
+
+def per_fold_search_reference(pm, uf, table, mode, n_folds, space, seed):
+    """Nested CV with one job per outer fold: its candidates searched in turn, then its refit.
+
+    Returns each fold's chosen hyperparameters and its (NDCG, top-1, top-3) metrics.
+    """
+    enc = encode_algo_features(table) if mode == "user_algo" else None
+    chosen, metrics = [], []
+    for fold_idx, train, test, x in experiment._outer_folds(pm, uf, n_folds, seed):
+        rng = np.random.default_rng(derive_seed(seed, "hpo", fold_idx))
+        candidates = [space.sample(rng) for _ in range(space.n_iter)]
+        inner = make_user_folds(len(train), space.inner_folds, derive_seed(seed, "inner", fold_idx))
+        best_params, best_mse = None, np.inf
+        for c_idx, candidate in enumerate(candidates):
+            fold_mses = []
+            for i_idx, val in enumerate(inner):
+                params = GBDTParams(**candidate, seed=derive_seed(seed, "inner-fit", fold_idx, c_idx, i_idx))
+                pred = experiment._fit_predictor(mode, params, pm, np.delete(train, val), train[val], x, enc)
+                fold_mses.append(np.mean(np.mean((pred - pm.values[train[val]]) ** 2, axis=1)))
+            mse = float(np.mean(fold_mses))
+            if mse < best_mse:
+                best_mse, best_params = mse, candidate
+        params = GBDTParams(**best_params, seed=derive_seed(seed, "refit", fold_idx))
+        chosen.append(best_params)
+        metrics.append(selector_fold_metrics(pm.values[test], experiment._fit_predictor(
+            mode, params, pm, train, test, x, enc)))
+    return chosen, metrics
+
+
+SUBSAMPLED_SPACE = SearchSpace(
+    n_iter=3,
+    inner_folds=2,
+    distributions={**LEAN_SPACE.distributions,
+                   "min_samples_leaf": {"type": "int_range", "low": 1, "high": 3},
+                   "subsample": {"type": "uniform", "low": 0.6, "high": 1.0}},
+)
+
+
+class TestCandidateJobs:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equal_to_a_per_fold_search(self, monkeypatch, n_workers, mode):
+        force_workers(monkeypatch, n_workers)
+        pm, uf = planted_problem(n_users=18)
+        table = synthetic_algo_table()
+        report = run_nested_cv(pm, uf, table, mode, 3, SUBSAMPLED_SPACE, seed=8)
+        chosen, metrics = per_fold_search_reference(pm, uf, table, mode, 3, SUBSAMPLED_SPACE, 8)
+        model = report.methods["model"]
+        assert report.best_params_per_fold == chosen
+        assert list(zip(model.fold_ndcg, model.fold_top1, model.fold_top3)) == metrics
 
 
 class TestFullEvaluation:

@@ -408,7 +408,7 @@ class TestFlatTrees:
             rows = np.arange(len(y))
         fit = _SortedFit(x, 1, min_samples_leaf)
         state = fit.search_state(rows, 0, fit.order)
-        got = None if state is None else fit.best_split(y, state)
+        got = None if state is None else fit.best_split(np.column_stack([y, y * y]), state)
         want = argsort_per_node_split(x[rows], y[rows], min_samples_leaf)
         assert got == want
 
@@ -749,6 +749,42 @@ class TestExactFit:
         x[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             fit_gbdt(x, np.arange(4.0), GBDTParams(num_trees=2))
+
+
+def sum_tree_by_tree(ensemble, x):
+    """Reference prediction: the init value, then ``lr * tree.predict(x)`` added one tree at a time."""
+    out = np.full(x.shape[0], ensemble.init_value)
+    for tree in ensemble.trees:
+        out += ensemble.params.learning_rate * tree.predict(x)
+    return out
+
+
+class TestAllTreesPrediction:
+    """Walking every tree together and summing along the tree axis changes no bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ranked_columns(), st.integers(0, 5), st.integers(1, 4), st.sampled_from([1, 5, 2**18]),
+           st.integers(0, 2**32 - 1))
+    def test_ensembles_equal_a_sum_tree_by_tree(self, problem, num_trees, other_depth, walk_entries, seed):
+        x, y, params = problem
+        params = replace(params, num_trees=num_trees)  # zero trees included
+        multi = fit_multi_output_gbdt(x, y, params)
+        other = fit_gbdt(x, y[:, 1], replace(params, max_depth=other_depth, num_trees=3))
+        first = multi.ensembles[0]
+        mixed = BoostedEnsemble(params, first.init_value, other.trees + first.trees, x.shape[1])
+        probe = np.vstack([x, np.random.default_rng(seed).uniform(-12, 12, size=(7, x.shape[1]))])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gbdt, "WALK_ENTRIES", walk_entries)  # blocks of one row, a few rows or every row
+            for model in (*multi.ensembles, other, mixed):
+                assert model.predict(probe).tobytes() == sum_tree_by_tree(model, probe).tobytes()
+            want = np.column_stack([sum_tree_by_tree(e, probe) for e in multi.ensembles])
+            assert multi.predict(probe).tobytes() == want.tobytes()
+
+    def test_fewer_columns_than_the_fit_rejected(self):
+        x = np.arange(12.0).reshape(6, 2)
+        model = fit_gbdt(x, np.arange(6.0), GBDTParams(num_trees=2))
+        with pytest.raises(ValueError, match="x has 1 columns; the model was fitted on 2"):
+            model.predict(x[:, :1])
 
 
 class TestParams:
