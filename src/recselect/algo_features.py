@@ -10,7 +10,6 @@ function of the column name so tables survive CSV round trips.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import os
 from dataclasses import dataclass, field
@@ -62,17 +61,10 @@ class ConceptualTags:
 
 
 def load_conceptual_map(
-    algorithms: Sequence[str],
-    source: Mapping[str, Sequence] | str | os.PathLike | None = None,
+    algorithms: Sequence[str], source: Mapping[str, Sequence] | None = None
 ) -> dict[str, ConceptualTags]:
     """Tags for every requested algorithm; missing entries are a config error."""
-    if source is None:
-        raw = DEFAULT_CONCEPTUAL
-    elif isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    else:
-        raw = source
+    raw = DEFAULT_CONCEPTUAL if source is None else source
     if not isinstance(raw, Mapping):
         raise ConfigError(f"conceptual map must be an object, found {raw!r}")
     tags = {}
@@ -84,7 +76,9 @@ def load_conceptual_map(
                 f"conceptual map entry {algo!r} must be [family, paradigm, cold start], found {raw[algo]!r}"
             )
         family, paradigm, cold = raw[algo]
-        tags[algo] = ConceptualTags(family, paradigm, bool(cold))
+        if not isinstance(cold, bool):
+            raise ConfigError(f"conceptual map entry {algo!r} must give cold start as true or false, found {cold!r}")
+        tags[algo] = ConceptualTags(family, paradigm, cold)
     return tags
 
 

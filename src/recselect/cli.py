@@ -342,6 +342,11 @@ def _probe_split(stage: Stage, name: str, entry: dict):
 def cmd_features(stage: Stage) -> list[str]:
     k = stage.integer("k", 10, 1)
     portfolio = stage.portfolio()
+    algorithms = portfolio.ordered_ids()
+    conceptual = stage.config.get("conceptual_map")
+    if isinstance(conceptual, str):
+        conceptual = _load_config(stage.path("conceptual_map"))
+    tags = load_conceptual_map(algorithms, conceptual)
     split = _split(stage, read_interactions_csv(stage.path("dataset")))
 
     table = user_feature_table(split.train)
@@ -354,13 +359,8 @@ def cmd_features(stage: Stage) -> list[str]:
         if name in probes:
             raise ConfigError(f"probes use the name {name!r} in more than one entry")
         probes[name] = _probe_split(stage, name, entry)
-    algorithms = portfolio.ordered_ids()
     code, ast_metrics = static_metrics_for_portfolio(algorithms)
     landmarks = landmark_portfolio(probes, portfolio.algorithms, k=k)
-    conceptual = stage.config.get("conceptual_map")
-    if isinstance(conceptual, str):
-        conceptual = stage.path("conceptual_map")
-    tags = load_conceptual_map(algorithms, conceptual)
     algo_table = assemble_algorithm_features(
         code, ast_metrics, landmarks, tags, algorithms, list(probes)
     )

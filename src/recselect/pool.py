@@ -1,9 +1,9 @@
 """``map_jobs``: independent jobs (nested-CV folds, ground-truth columns, landmarks) on
 one forked worker per usable CPU, each with its own pipe. ``fn`` and the jobs reach the
 workers by fork, so ``fn`` may close over large inputs; only indices and results are
-pickled. OpenBLAS is set to one thread before the fork: BLAS threads on top of one
-worker per CPU only compete for the same CPUs. On Linux a worker keeps the memory its
-jobs free (see ``_keep_freed_memory``)."""
+pickled. Every job, run here or in a worker, runs in the one environment that
+``job_environment`` sets: one OpenBLAS thread, so a job's bits do not depend on the
+thread count, and on Linux a heap that keeps the memory jobs free."""
 
 from __future__ import annotations
 
@@ -40,10 +40,10 @@ def map_jobs(fn: Callable, jobs: Sequence) -> list:
     Of failing jobs, the first in job order raises, with the worker's traceback as its
     cause; a worker that exits during a job fails it with ``WorkerExitError``. With one
     worker, no ``fork``, or inside a worker, the jobs run here in turn."""
+    job_environment()  # workers inherit it by fork
     n_workers = _worker_count(len(jobs))
     if _in_worker or n_workers == 1 or not hasattr(os, "fork"):
         return [fn(job) for job in jobs]
-    _one_blas_thread()
     workers: dict[Connection, int] = {}  # this end of each live worker's pipe -> its pid
     try:
         for _ in range(n_workers):
@@ -107,7 +107,6 @@ def _fork_worker(fn: Callable, jobs: Sequence, workers: dict[Connection, int]) -
             prctl = ctypes.CDLL(None).prctl
             prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
             prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
-            _keep_freed_memory()
         while True:
             index = worker_conn.recv()  # EOFError once the caller's end is closed, or the caller is gone
             try:
@@ -116,6 +115,14 @@ def _fork_worker(fn: Callable, jobs: Sequence, workers: dict[Connection, int]) -
                 worker_conn.send((False, ExceptionWithTraceback(exc, exc.__traceback__)))
     finally:  # a worker never returns into the caller's code
         os._exit(1)
+
+
+def job_environment() -> None:
+    """Set up this process as every job runs: one OpenBLAS thread and, on Linux, a heap that keeps
+    freed memory. Never undone, since raising the BLAS thread count starts a new thread pool."""
+    _one_blas_thread()
+    if sys.platform.startswith("linux"):
+        _keep_freed_memory()
 
 
 def _one_blas_thread() -> None:
@@ -140,8 +147,7 @@ def _keep_freed_memory() -> None:
     are mapped and unmapped, and the top of the heap is trimmed past a few MB. The
     buffers a job allocates again for each block of users it ranks are then
     faulted in page by page every time, about 34,000 minor faults per
-    ``evaluate_portfolio`` call at 800 users by 5,120 items. A worker lives for
-    one ``map_jobs`` call, so the memory it keeps is freed when it exits.
+    ``evaluate_portfolio`` call at 800 users by 5,120 items.
     """
     libc = ctypes.CDLL(None)
     if hasattr(libc, "mallopt"):

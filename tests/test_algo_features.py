@@ -25,7 +25,8 @@ from recselect.algo_features import (
 )
 from recselect.astgraph import AST_METRIC_NAMES
 from recselect.codemetrics import CODE_METRIC_NAMES
-from recselect.data import temporal_split_per_user
+from recselect.cli import main
+from recselect.data import temporal_split_per_user, write_interactions_csv
 from recselect.errors import ConfigError, SchemaError
 from recselect.ground_truth import evaluate_portfolio
 from recselect.recommenders import AVAILABLE_ALGORITHMS, build_train_matrix, stored_values, train_algorithm
@@ -41,6 +42,21 @@ def probe_split():
             rows.append((f"u{u}", f"i{(u + i) % 5}", 1.0 + (i % 3), ts))
             ts += 1
     return temporal_split_per_user(make_dataset(rows), 0.25)
+
+
+def write_features_config(tmp_path, conceptual_map):
+    """A ``features`` config for ``ease`` alone on a toy dataset, with its conceptual map in
+    ``tags.json``: ``conceptual_map`` as JSON, as text when a string, not written when None."""
+    dataset = tmp_path / "data.csv"
+    write_interactions_csv(make_dataset([(f"u{u}", f"i{(u + i) % 5}", 1.0, 4 * u + i)
+                                         for u in range(6) for i in range(4)]), dataset)
+    tags = tmp_path / "tags.json"
+    if conceptual_map is not None:
+        tags.write_text(conceptual_map if isinstance(conceptual_map, str) else json.dumps(conceptual_map))
+    config = tmp_path / "features.json"
+    config.write_text(json.dumps({"dataset": str(dataset), "portfolio": {"algorithms": ["ease"]},
+                                  "conceptual_map": str(tags)}))
+    return str(config)
 
 
 class TestConceptualMap:
@@ -61,11 +77,30 @@ class TestConceptualMap:
         with pytest.raises(ConfigError, match="paradigm"):
             load_conceptual_map(["pop"], {"pop": ("Popularity", "Quantum", True)})
 
+    def test_cold_start_must_be_a_json_boolean(self):
+        for cold in ("false", 0, None):
+            with pytest.raises(ConfigError, match="cold start"):
+                load_conceptual_map(["pop"], {"pop": ["Popularity", "Counting", cold]})
+
     def test_loads_from_json_file(self, tmp_path):
-        path = tmp_path / "tags.json"
-        path.write_text(json.dumps({"ease": ["Autoencoder", "Closed-form", False]}))
-        tags = load_conceptual_map(["ease"], path)
-        assert tags["ease"].handles_cold_start is False
+        """The ``features`` command reads a map given as a path, as it reads a portfolio file."""
+        path = write_features_config(tmp_path, {"ease": ["Autoencoder", "Closed-form", True]})
+        assert main(["features", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        table = AlgorithmFeatureTable.from_csv(tmp_path / "out" / "algorithm_features.csv")
+        assert table.numeric[0, table.numeric_names.index("handles_cold_start")] == 1.0  # the default is 0
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "config file not found: {}"),
+        ('{"ease": ', "config file {} is not valid JSON"),
+        ('["ease"]', "config file {} must hold a JSON object"),
+    ], ids=["missing", "malformed", "not-an-object"])
+    def test_a_bad_map_file_is_a_config_error_before_any_output(self, tmp_path, capsys, text, message):
+        path = write_features_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["features", "--config", path, "--out", str(out)]) == 2
+        map_path = str(tmp_path / "tags.json")
+        assert capsys.readouterr().err.startswith("config error: " + message.format(map_path))
+        assert not (out / "user_features.csv").exists()
 
 
 class TestGrouping:

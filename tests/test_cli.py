@@ -29,6 +29,7 @@ from recselect.cli import main
 from recselect.data import read_interactions_csv, temporal_split_per_user
 from recselect.experiment import derive_seed
 from recselect.ground_truth import PerformanceMatrix
+from recselect.pool import job_environment
 from recselect.recommenders import (
     PortfolioConfig, algorithm_source_path, build_train_matrix, load_model, train_algorithm, train_parameters,
 )
@@ -560,6 +561,7 @@ class TestParallelJobs:
         force_workers(monkeypatch, 2)
         out = tmp_path / "gt"
         assert main(["ground-truth", "--config", pipeline["gt_cfg"], "--out", str(out)]) == 0
+        job_environment()  # "here" trains as a job does, whatever ran in this process before
         with open(pipeline["gt_cfg"]) as fh:
             config = json.load(fh)
         assert config["save_models"] is True
@@ -572,6 +574,28 @@ class TestParallelJobs:
             loaded = load_model(str(out / "models" / f"{algo}.pkl")).score_users(everyone)
             here = train_algorithm(algo, matrix, params).score_users(everyone)
             assert (loaded.dtype, loaded.shape, loaded.tobytes()) == (here.dtype, here.shape, here.tobytes()), algo
+
+    def test_saved_models_do_not_depend_on_the_blas_thread_count_or_the_pool(self, pipeline, tmp_path):
+        """``ease`` alone is one job, run in the calling process; with ``pop`` it runs in a worker
+        wherever two CPUs are usable. OpenBLAS reads its thread count when it loads, so each run
+        is a fresh interpreter."""
+        pythonpath = os.path.dirname(os.path.dirname(recselect.__file__))
+        ease = {"name": "ease", "params": {"l2": 2.0}}
+        pickles, scores = {}, {}
+        for portfolio in ([ease], ["pop", ease]):
+            for threads in ("1", "2"):
+                run = f"{len(portfolio)}algos_{threads}threads"
+                cfg = rerun_config(pipeline, "gt_cfg", {"portfolio": {"algorithms": portfolio}}, tmp_path)
+                subprocess.run([sys.executable, "-m", "recselect.cli", "ground-truth", "--config", cfg,
+                                "--out", str(tmp_path / run)], check=True, capture_output=True, timeout=120,
+                               env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads})
+                path = tmp_path / run / "models" / "ease.pkl"
+                pickles[run] = path.read_bytes()
+                model = load_model(str(path))
+                scores[run] = model.score_users(np.arange(model.matrix.n_users)).tobytes()
+        for outputs in (pickles, scores):
+            digests = {run: hashlib.sha256(data).hexdigest()[:12] for run, data in outputs.items()}
+            assert len(set(digests.values())) == 1, digests
 
 
 class TestEvaluateCommand:
@@ -889,6 +913,7 @@ NOT_A_CONCEPTUAL_MAP = [
     5, True, [], ["pop"], "missing_map.json", {}, {**DEFAULT_CONCEPTUAL, "pop": 3},
     {**DEFAULT_CONCEPTUAL, "pop": "PCT"}, {**DEFAULT_CONCEPTUAL, "pop": ["Popularity", "Counting"]},
     {**DEFAULT_CONCEPTUAL, "pop": ["Deep", "Counting", True]},
+    {**DEFAULT_CONCEPTUAL, "pop": ["Popularity", "Counting", "false"]},
 ]
 GENERATED = {"name": "p", "kind": "uniform_sparse", "params": {"n_users": 10, "n_items": 12, "per_user": 4}}
 NOT_A_PROBE = [

@@ -1,5 +1,5 @@
-"""pool.map_jobs: jobs sent by fork, serial calls inside a worker, one BLAS thread,
-and no hang or stray worker when a job, a worker or the caller dies."""
+"""pool.map_jobs: jobs sent by fork, serial calls inside a worker, one job environment
+on every path, and no hang or stray worker when a job, a worker or the caller dies."""
 
 import ctypes
 import os
@@ -85,19 +85,22 @@ class TestMapJobs:
             assert worker != os.getpid()
             assert inner == [worker] * 3
 
-    def test_every_loaded_openblas_runs_one_thread_after_a_pool(self, monkeypatch):
+    # With one worker the jobs run in this process, which must be set up as a worker is.
+    @pytest.mark.parametrize("n_workers", [1, 2], ids=["serial", "pooled"])
+    def test_every_loaded_openblas_runs_one_thread_after_a_pool(self, monkeypatch, n_workers):
         libraries = openblas_libraries()
         if not libraries:
             pytest.skip("no OpenBLAS is loaded")
         for _, set_threads in libraries:
             set_threads(2)
-        force_workers(monkeypatch, 2)
+        force_workers(monkeypatch, n_workers)
         assert pool.map_jobs(abs, [-1, -2]) == [1, 2]
         assert [get_threads() for get_threads, _ in libraries] == [1] * len(libraries)
 
     @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no glibc mallopt")
-    def test_a_worker_reuses_freed_memory_without_faulting_it_in_again(self, monkeypatch):
-        force_workers(monkeypatch, 2)
+    @pytest.mark.parametrize("n_workers", [1, 2], ids=["serial", "pooled"])
+    def test_a_worker_reuses_freed_memory_without_faulting_it_in_again(self, monkeypatch, n_workers):
+        force_workers(monkeypatch, n_workers)
         # A buffer that the kernel maps afresh faults in hundreds of pages or more.
         assert max(pool.map_jobs(_faults_of_a_second_16_mb_buffer, [0, 1])) < 64
 
