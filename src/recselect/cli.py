@@ -480,14 +480,19 @@ def cmd_importance(stage: Stage) -> list[str]:
     return outputs
 
 
+_TABLES = ("performance_matrix", "user_features", "algo_features")
+# Each command's handler and the top-level config keys it reads besides ``seed``. Nothing reads
+# ``timing`` or ``time_runs`` any more, but the benchmark's features configs still set them.
 COMMANDS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "ground-truth": cmd_ground_truth,
-    "features": cmd_features,
-    "evaluate": cmd_evaluate,
-    "ablate": cmd_ablate,
-    "importance": cmd_importance,
+    "synth": (cmd_synth, ("datasets",)),
+    "ingest": (cmd_ingest, ("path", "name", "user_col", "item_col", "rating_col", "timestamp_col", "event_weights",
+                            "dedup", "min_interactions")),
+    "ground-truth": (cmd_ground_truth, ("dataset", "test_fraction", "portfolio", "k", "save_models")),
+    "features": (cmd_features, ("dataset", "test_fraction", "portfolio", "k", "conceptual_map", "probes", "timing",
+                                "time_runs")),
+    "evaluate": (cmd_evaluate, _TABLES + ("space", "folds")),
+    "ablate": (cmd_ablate, _TABLES + ("space", "folds", "category_sets")),
+    "importance": (cmd_importance, _TABLES + ("folds", "params")),
 }
 
 
@@ -513,9 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        handler, keys = COMMANDS[args.command]
         stage = Stage(_load_config(args.config), args.out, args.seed, getattr(args, "mode", None))
+        check_keys(f"{args.command} config", stage.config, ("seed",) + keys)
         os.makedirs(args.out, exist_ok=True)
-        outputs = COMMANDS[args.command](stage)
+        outputs = handler(stage)
         _write_manifest(args.command, stage, outputs)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from ..data import Dataset
 from ..errors import ConfigError
+from ..pool import job_environment
 from . import biasedmf as _biasedmf
 from . import bpr as _bpr
 from . import ease as _ease
@@ -161,7 +162,8 @@ def train_algorithm(algorithm_id: str, matrix: TrainMatrix, params: dict | None 
 
 
 def train_portfolio(train: Dataset | TrainMatrix, config: PortfolioConfig | None = None) -> dict[str, RecommenderModel]:
-    """Train every enabled algorithm on one training split, in config order."""
+    """Train every enabled algorithm on one training split, in config order, in the job environment."""
+    job_environment()  # one OpenBLAS thread: the bits a command's jobs give
     if config is None:
         config = PortfolioConfig()
     matrix = train if isinstance(train, TrainMatrix) else build_train_matrix(train)

@@ -1,17 +1,17 @@
-"""Shared training-matrix representation and top-k recommendation.
+"""Shared training-matrix representation, SGD wavefronts and top-k recommendation.
 
 Every algorithm trains from a :class:`TrainMatrix` and exposes a single
 ``score_users`` method returning a (users, items) matrix of finite scores;
 ranking, seen-item exclusion, and tie handling live in :func:`top_k` so all
-algorithms share them.
+algorithms share them, and the SGD trainers share :func:`wavefronts`.
 
 Tie rule: each score row is snapped to a relative grid,
 ``q = round(s / scale * 1e9)`` with ``scale`` the row's largest ``|s|``
 (1 when that is zero or subnormal), and items rank by ``q`` descending, then
-by ascending item index. Scores that are equal in exact arithmetic but differ
-in their last bits (the same sum taken in another order, another BLAS kernel)
-therefore rank as the tie they are, so a ranking does not depend on the
-numeric route that produced the scores.
+by ascending item index, one exact float64 key per item. Scores equal in
+exact arithmetic but differing in their last bits (the same sum taken in
+another order, another BLAS kernel) rank as the tie they are, so a ranking
+does not depend on the numeric route that produced the scores.
 """
 
 from __future__ import annotations
@@ -81,32 +81,35 @@ def build_train_matrix(train: Dataset) -> TrainMatrix:
 def wavefronts(users: np.ndarray, items: np.ndarray, n_users: int, n_items: int) -> list[np.ndarray]:
     """Split a sequence of SGD samples into levels that can be applied at once.
 
-    ``users`` is (n,) and ``items`` is (n, c): the user and the c distinct
-    items each sample reads and writes, in the order a sequential loop visits
-    them. A sample's level is one more than the highest level already given to
-    its user or to any of its items. So two samples of one level share no user
-    and no item, and a sample's level is above that of every earlier sample it
-    shares one with. The result lists the sample positions of each level,
-    levels in increasing order, positions ascending within a level (a stable
-    sort). Updates of samples that share no user and no item commute exactly,
-    so applying the levels in turn gives every sample's update the same state,
-    bit for bit, as the sequential loop does.
+    ``users`` is (n,) and ``items`` is (n, 1) or (n, 2) (any other width is a
+    ValueError): the user and the distinct items each sample reads and writes,
+    in the order a sequential loop visits them. A sample's level is one more
+    than the highest level already given to its user or to any of its items.
+    So two samples of one level share no user and no item, and a sample's
+    level is above that of every earlier sample it shares one with. The result
+    lists the sample positions of each level, levels in increasing order,
+    positions ascending within a level. Updates of samples that share no user
+    and no item commute exactly, so applying the levels in turn gives every
+    sample's update the same state, bit for bit, as the sequential loop does.
     """
+    if items.ndim != 2 or items.shape[1] not in (1, 2):
+        raise ValueError(f"items must have shape (n, 1) or (n, 2), got {items.shape}")
+    columns = items.T.tolist()  # one flat loop over (user, i, j); a one-item sample is (user, i, i)
     user_level = [0] * n_users
     item_level = [0] * n_items
     levels = []
-    for u, its in zip(users.tolist(), items.tolist()):
+    append = levels.append
+    for u, i, j in zip(users.tolist(), columns[0], columns[-1]):
         level = user_level[u]
-        for i in its:
-            if item_level[i] > level:
-                level = item_level[i]
+        if item_level[i] > level:
+            level = item_level[i]
+        if item_level[j] > level:
+            level = item_level[j]
         level += 1
-        user_level[u] = level
-        for i in its:
-            item_level[i] = level
-        levels.append(level)
-    levels = np.asarray(levels, dtype=np.int64)
-    order = np.argsort(levels, kind="stable")
+        user_level[u] = item_level[i] = item_level[j] = level
+        append(level)
+    levels = np.fromiter(levels, dtype=np.int64, count=len(levels))
+    order = np.argsort(levels * levels.size + np.arange(levels.size))  # unique keys: by level, then position
     return np.split(order, np.cumsum(np.bincount(levels)[1:-1]))
 
 
@@ -157,17 +160,20 @@ class RecommendationList:
 # Grid steps per row scale: far coarser than the last-bit noise of a re-ordered
 # sum, far finer than any score difference a model means.
 SNAP_GRID = 1e9
+# Keys of ``top_k`` are integers below (2 * SNAP_GRID + 2) * n_items, exact under 2**53.
+MAX_ITEMS = int(2**53 // (2 * SNAP_GRID + 2))
 
 
 def top_k(scores: np.ndarray, k: int, exclude: np.ndarray | None = None) -> np.ndarray:
     """Item indices of each row's top k, by the snapped tie rule of this module.
 
-    ``scores`` is a (B, n_items) array and ``exclude`` an optional boolean
-    mask of the same shape whose items are never returned; neither are NaN or
-    infinite scores (callers that must reject them check first). The result
-    has shape (B, min(k, n_items)) and lists each row's items best first; a
-    row with fewer than k candidates is padded at the end with -1. The order
-    equals a full stable sort of every row by (-q, item index).
+    ``scores`` is a (B, n_items) array, n_items at most :data:`MAX_ITEMS` (a
+    ValueError above), and ``exclude`` an optional boolean mask of the same
+    shape whose items are never returned; neither are NaN or infinite scores
+    (callers that must reject them check first). The result has shape
+    (B, min(k, n_items)) and lists each row's items best first; a row with
+    fewer than k candidates is padded at the end with -1. The order equals a
+    full stable sort of every row by (-q, item index).
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
@@ -175,22 +181,26 @@ def top_k(scores: np.ndarray, k: int, exclude: np.ndarray | None = None) -> np.n
     if k < 1:
         raise ValueError("k must be >= 1")
     n_rows, n_items = scores.shape
-    finite = np.isfinite(scores)
-    if not finite.all():
-        exclude = ~finite if exclude is None else exclude | ~finite
-        scores = np.where(finite, scores, 0.0)
-    scale = np.abs(scores).max(axis=1, initial=0.0, keepdims=True)
+    if n_items > MAX_ITEMS:
+        raise ValueError(f"top_k ranks at most {MAX_ITEMS} items per row, got {n_items}")
+    # Each row's largest |score|, from one max and one min; NaN and ±inf reach one of them.
+    scale = np.maximum(scores.max(axis=1, initial=0.0, keepdims=True), -scores.min(axis=1, initial=0.0, keepdims=True))
+    bad = np.flatnonzero(~np.isfinite(scale[:, 0]))
+    if bad.size:  # only rows holding NaN or ±inf pay for isfinite; their finite scores rank
+        skip = np.zeros(scores.shape, dtype=bool)
+        skip[bad] = ~np.isfinite(scores[bad])
+        exclude = skip if exclude is None else exclude | skip
+        scale[bad, 0] = np.abs(np.where(skip[bad], 0.0, scores[bad])).max(axis=1, initial=0.0)
     # A row whose largest |score| is zero or subnormal is all zero up to noise.
     scale[scale < np.finfo(np.float64).tiny] = 1.0
-    q = scores / scale  # in [-1, 1]
+    q = scores / scale  # in [-1, 1] where finite
     q *= SNAP_GRID
     np.round(q, out=q)  # integers in [-1e9, 1e9]
     if exclude is not None:
         q[exclude] = -SNAP_GRID - 1  # below every candidate
-    # One unique int64 key per item: snapped rank first, item index second.
-    key = np.subtract(SNAP_GRID, q, out=q).astype(np.int64)
-    key *= n_items
-    key += np.arange(n_items)
+    # One exact key per item, (SNAP_GRID - q) * n_items + index, summed as -q * n_items + (SNAP_GRID * n_items + index).
+    key = np.multiply(q, -n_items, out=q)
+    key += SNAP_GRID * n_items + np.arange(n_items, dtype=np.float64)
     width = min(k, n_items)
     if width < n_items:
         part = np.argpartition(key, width - 1, axis=1)[:, :width]

@@ -126,3 +126,55 @@ def lu_solve_side(factors_other, csr, alpha, reg):
     chol = np.linalg.cholesky(a)
     y = np.linalg.solve(chol, b[:, :, None])
     return np.linalg.solve(np.swapaxes(chol, 1, 2), y)[:, :, 0]
+
+
+def generic_wavefronts(users, items, n_users, n_items):
+    """The wavefront levels by a loop over each sample's items, whatever their number,
+    and a stable argsort of the levels: the reference for ``base.wavefronts``."""
+    user_level = [0] * n_users
+    item_level = [0] * n_items
+    levels = []
+    for u, its in zip(users.tolist(), items.tolist()):
+        level = user_level[u]
+        for i in its:
+            if item_level[i] > level:
+                level = item_level[i]
+        level += 1
+        user_level[u] = level
+        for i in its:
+            item_level[i] = level
+        levels.append(level)
+    levels = np.asarray(levels, dtype=np.int64)
+    order = np.argsort(levels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(levels)[1:-1]))
+
+
+def int64_key_top_k(scores, k, exclude=None):
+    """``base.top_k`` the reference way: an ``isfinite`` pass over every score, the scale
+    from ``abs``, and the key (SNAP_GRID - q) * n_items + index cast to int64."""
+    grid = 1e9
+    scores = np.asarray(scores, dtype=np.float64)
+    n_rows, n_items = scores.shape
+    finite = np.isfinite(scores)
+    if not finite.all():
+        exclude = ~finite if exclude is None else exclude | ~finite
+        scores = np.where(finite, scores, 0.0)
+    scale = np.abs(scores).max(axis=1, initial=0.0, keepdims=True)
+    scale[scale < np.finfo(np.float64).tiny] = 1.0
+    q = scores / scale
+    q *= grid
+    np.round(q, out=q)
+    if exclude is not None:
+        q[exclude] = -grid - 1
+    key = np.subtract(grid, q, out=q).astype(np.int64)
+    key *= n_items
+    key += np.arange(n_items)
+    width = min(k, n_items)
+    if width < n_items:
+        part = np.argpartition(key, width - 1, axis=1)[:, :width]
+    else:
+        part = np.broadcast_to(np.arange(n_items), (n_rows, n_items))
+    order = np.take_along_axis(part, np.argsort(np.take_along_axis(key, part, axis=1), axis=1), axis=1)
+    if exclude is None:
+        return order
+    return np.where(np.take_along_axis(exclude, order, axis=1), -1, order)

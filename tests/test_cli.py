@@ -423,6 +423,17 @@ def test_negative_seed_override_exits_2_naming_the_flag(pipeline, tmp_path, caps
 
 
 @pytest.mark.parametrize("command, cfg_key", EVERY_COMMAND_CONFIG)
+def test_unknown_top_level_key_exits_2_naming_it(pipeline, tmp_path, capsys, command, cfg_key):
+    cfg = rerun_config(pipeline, cfg_key, {"bogus_key": 1}, tmp_path)
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {command} config has unknown key 'bogus_key'; known: ['seed', ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, cfg_key", EVERY_COMMAND_CONFIG)
 def test_bad_config_seed_exits_2_also_under_a_seed_override(pipeline, tmp_path, capsys, command, cfg_key):
     cfg = rerun_config(pipeline, cfg_key, {"seed": "x"}, tmp_path)
     capsys.readouterr()
@@ -835,12 +846,16 @@ def corrupted_table(draw, pipeline):
     return key, data
 
 
+# Top-level keys that no command reads: a typo, a wrong case, an empty name.
+UNKNOWN_KEYS = ["bogus_key", "Seed", "sed", "", "folds ", "portfolios", "test_fracton"]
+
+
 @st.composite
 def corrupted_config(draw, config):
     """The evaluate config with one invalid value, key or text; returns its JSON text."""
     config = dict(config)
     kind = draw(st.sampled_from(["not_an_object", "truncated", "missing_key", "path",
-                                 "folds", "seed", "space"]))
+                                 "folds", "seed", "space", "unknown_key"]))
     if kind == "not_an_object":
         return json.dumps(draw(st.sampled_from([[], [config], 3, "config", None, True])))
     if kind == "truncated":
@@ -855,6 +870,8 @@ def corrupted_config(draw, config):
         config["folds"] = draw(st.sampled_from(NOT_A_FOLD_COUNT))
     elif kind == "seed":
         config["seed"] = draw(st.sampled_from(NOT_A_SEED))
+    elif kind == "unknown_key":
+        config[draw(st.sampled_from(UNKNOWN_KEYS))] = 1
     else:
         bad = draw(st.sampled_from(NOT_A_SPACE))
         config["space"] = {**config["space"], **bad} if isinstance(bad, dict) else bad
@@ -950,8 +967,10 @@ INGEST_CORRUPTIONS = {
 
 @st.composite
 def corrupted_ingest_config(draw, config):
-    """An ingest config with one invalid value; returns its JSON text."""
-    key = draw(st.sampled_from(sorted(INGEST_CORRUPTIONS)))
+    """An ingest config with one invalid value or one unknown key; returns its JSON text."""
+    key = draw(st.sampled_from(sorted(INGEST_CORRUPTIONS) + ["unknown_key"]))
+    if key == "unknown_key":
+        return json.dumps({**config, draw(st.sampled_from(UNKNOWN_KEYS)): 1})
     return json.dumps({**config, key: draw(st.sampled_from(INGEST_CORRUPTIONS[key]))})
 
 
@@ -970,10 +989,12 @@ NOT_SYNTH_PARAMS = {
 
 @st.composite
 def corrupted_synth_config(draw, config):
-    """A synth config with one invalid dataset entry, entry seed, params or seed; returns its JSON text."""
+    """A synth config with one invalid dataset entry, entry seed, params, seed or top-level key;
+    returns its JSON text."""
     config = json.loads(json.dumps(config))
     entries = config["datasets"]
-    kind = draw(st.sampled_from(["entry", "datasets", "params", "entry_seed", "seed", "repeated_name"]))
+    kind = draw(st.sampled_from(["entry", "datasets", "params", "entry_seed", "seed", "repeated_name",
+                                 "unknown_key"]))
     if kind == "entry":
         at = draw(st.integers(0, len(entries)))
         entries[at:at + 1] = [draw(st.sampled_from(NOT_A_DATASET_ENTRY))]
@@ -986,6 +1007,8 @@ def corrupted_synth_config(draw, config):
         draw(st.sampled_from(entries))["seed"] = draw(st.sampled_from(NOT_A_SEED))
     elif kind == "repeated_name":
         entries.append({**draw(st.sampled_from(entries)), "name": draw(st.sampled_from(entries))["name"]})
+    elif kind == "unknown_key":
+        config[draw(st.sampled_from(UNKNOWN_KEYS))] = 1
     else:
         config["seed"] = draw(st.sampled_from(NOT_A_SEED))
     return json.dumps(config)
@@ -993,9 +1016,9 @@ def corrupted_synth_config(draw, config):
 
 @st.composite
 def corrupted_stage_config(draw, config, features):
-    """A ground-truth or features config with one invalid value; returns its JSON text."""
+    """A ground-truth or features config with one invalid value or unknown key; returns its JSON text."""
     config = json.loads(json.dumps(config))
-    kinds = ["portfolio", "entry", "params", "test_fraction", "k"]
+    kinds = ["portfolio", "entry", "params", "test_fraction", "k", "unknown_key"]
     if features:
         kinds += ["probe", "probes", "conceptual_map", "repeated_probe"]
     kind = draw(st.sampled_from(kinds))
@@ -1018,6 +1041,8 @@ def corrupted_stage_config(draw, config, features):
         config["probes"].append({**GENERATED, "name": draw(st.sampled_from(config["probes"]))["name"]})
     elif kind == "conceptual_map":
         config["conceptual_map"] = draw(st.sampled_from(NOT_A_CONCEPTUAL_MAP))
+    elif kind == "unknown_key":
+        config[draw(st.sampled_from(UNKNOWN_KEYS))] = 1
     else:
         config[kind] = draw(st.sampled_from(NOT_A_FRACTION if kind == "test_fraction" else NOT_A_COUNT))
     return json.dumps(config)

@@ -6,6 +6,10 @@ against the stationarity conditions of its constrained least-squares problem
 rather than against its own closed form.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +18,7 @@ from scipy.special import expit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import recselect
 from recselect.data import temporal_split_per_user
 from recselect.errors import (
     ColdStartError,
@@ -37,10 +42,18 @@ from recselect.recommenders import (
     train_portfolio,
 )
 from recselect.recommenders import biasedmf, bpr, ease, implicitmf, itemknn, pop, userknn
-from recselect.recommenders.base import stored_values, wavefronts
+from recselect.recommenders.base import MAX_ITEMS, SNAP_GRID, stored_values, wavefronts
 from recselect.synth import planted_two_population
 
-from conftest import SMALL_PARAMS, dense_b, make_dataset, per_entry_normal_equations, random_dataset
+from conftest import (
+    SMALL_PARAMS,
+    dense_b,
+    generic_wavefronts,
+    int64_key_top_k,
+    make_dataset,
+    per_entry_normal_equations,
+    random_dataset,
+)
 
 
 class _StubModel(RecommenderModel):
@@ -225,6 +238,72 @@ class TestTopK:
         tiny = np.nextafter(0.0, 1.0)  # one ulp above zero
         for row in ([0.0, tiny], [-tiny, 0.0, 4 * tiny]):
             np.testing.assert_array_equal(top_k(np.array([row]), len(row)), [np.arange(len(row))])
+
+
+@st.composite
+def awkward_score_rows(draw):
+    """``top_k`` arguments: score rows at one scale from 1e-300 to 1e300, with exact ties (zeros
+    of both signs among them), NaN and ±inf; a k from 1 to past the width; an optional exclusion mask."""
+    rows, items = draw(st.integers(0, 4)), draw(st.integers(0, 40))
+    values = st.one_of(st.integers(-3, 3).map(float), st.floats(-1.0, 1.0),
+                       st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+    flat = draw(st.lists(values, min_size=rows * items, max_size=rows * items))
+    scores = np.asarray(flat, dtype=np.float64).reshape(rows, items) * 10.0 ** draw(st.integers(-300, 300))
+    exclude = None
+    if draw(st.booleans()):
+        exclude = np.asarray(draw(st.lists(st.booleans(), min_size=rows * items, max_size=rows * items)),
+                             dtype=bool).reshape(rows, items)
+    return scores, draw(st.integers(1, items + 2)), exclude
+
+
+WIDE_ROWS = (np.array([[0.0, 1.0, -0.0, 1.0, np.nan, 0.0, np.inf, 1.0 + 2**-52, -np.inf, 0.0]]) * 1e-300, 3,
+             np.array([[False] * 9 + [True]]))
+
+
+@st.composite
+def sample_sequences(draw):
+    """Users and their one or two distinct items; low ids are hot, as Hypothesis shrinks towards 0."""
+    width = draw(st.sampled_from([1, 2]))
+    n_users, n_items = draw(st.integers(1, 6)), draw(st.integers(width, 8))
+    n = draw(st.integers(0, 60))
+    users = np.asarray(draw(st.lists(st.integers(0, n_users - 1), min_size=n, max_size=n)), dtype=np.int64)
+    pairs = draw(st.lists(st.lists(st.integers(0, n_items - 1), min_size=width, max_size=width, unique=True),
+                          min_size=n, max_size=n))
+    return users, np.asarray(pairs, dtype=np.int64).reshape(n, width), n_users, n_items
+
+
+class TestKernelsEqualTheirReferences:
+    """``wavefronts`` and ``top_k`` give what their generic forms in conftest give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sample_sequences())
+    @example((np.zeros(0, dtype=np.int64), np.zeros((0, 1), dtype=np.int64), 1, 1))
+    @example((np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64), 1, 2))
+    @example((np.zeros(30, dtype=np.int64), np.zeros((30, 1), dtype=np.int64), 1, 1))  # one hot user and item
+    def test_wavefronts_equal_the_generic_loop(self, case):
+        got, want = wavefronts(*case), generic_wavefronts(*case)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("width", [0, 3])
+    def test_wavefronts_take_one_or_two_items_per_sample(self, width):
+        with pytest.raises(ValueError, match="shape"):
+            wavefronts(np.zeros(2, dtype=np.int64), np.zeros((2, width), dtype=np.int64), 1, 3)
+
+    @settings(max_examples=500, deadline=None)
+    @given(awkward_score_rows())
+    @example(WIDE_ROWS)
+    def test_top_k_equals_the_int64_key_form(self, case):
+        got, want = top_k(*case), int64_key_top_k(*case)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_more_items_than_exact_float_keys_allow_is_a_value_error(self):
+        grid = int(SNAP_GRID)
+        assert (2 * grid + 2) * MAX_ITEMS < 2**53 <= (2 * grid + 2) * (MAX_ITEMS + 1)
+        assert MAX_ITEMS == 4_503_599
+        with pytest.raises(ValueError, match="4503599"):
+            top_k(np.broadcast_to(0.0, (1, MAX_ITEMS + 1)), 10)  # a view: no 36 MB row is allocated
 
 
 class TestPopularity:
@@ -959,6 +1038,22 @@ class TestPortfolio:
         for algo, model in models.items():
             assert type(model.train_ops) is int and model.train_ops > 0, algo
             assert model.train_ops == again[algo].train_ops, algo
+
+    def test_train_portfolio_bits_do_not_depend_on_the_blas_thread_count(self):
+        """``train_portfolio`` trains in the job environment. OpenBLAS reads its thread
+        count when it loads, so each count runs in a fresh interpreter."""
+        script = ("import hashlib, numpy as np; "
+                  "from recselect.recommenders import PortfolioConfig, build_train_matrix, train_portfolio; "
+                  "from recselect.synth import planted_two_population; "
+                  "m = build_train_matrix(planted_two_population(users_per_group=10, seed=17)); "
+                  "model = train_portfolio(m, PortfolioConfig({'ease': {}}))['ease']; "
+                  "print(hashlib.sha256(model.score_users(np.arange(m.n_users)).tobytes()).hexdigest())")
+        pythonpath = os.path.dirname(os.path.dirname(recselect.__file__))
+        digests = {threads: subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")}
+        assert digests["1"] == digests["2"] != ""
 
     def test_train_ops_follow_their_formulas(self):
         m = build_train_matrix(random_dataset(np.random.default_rng(32), n_users=9, n_items=12,
