@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import Dataset, open_table, read_header, read_id_rows
 from .errors import EmptyDatasetError
@@ -101,13 +100,23 @@ class PerformanceMatrix:
 _BLOCK_VALUES = 2**18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluableUsers:
-    """The test users a portfolio is scored on, with their relevant items."""
+    """The test users a portfolio is scored on, laid out once for the user blocks of ``matrix``.
+
+    ``rows`` are the users' rows of ``matrix`` and ``n_relevant`` the sizes of
+    their relevant sets. ``seen`` and ``wanted`` are the positions ``user *
+    n_items + item``, ``user`` counting in ``users``, of their training items
+    and of their relevant items known to training, in user order.
+    """
 
     users: list[str]
-    relevant: list[set[str]]
     skipped: int
+    matrix: TrainMatrix = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    n_relevant: np.ndarray = field(repr=False)
+    seen: np.ndarray = field(repr=False)
+    wanted: np.ndarray = field(repr=False)
 
 
 def evaluable_users(matrix: TrainMatrix, test: Dataset) -> EvaluableUsers:
@@ -123,7 +132,14 @@ def evaluable_users(matrix: TrainMatrix, test: Dataset) -> EvaluableUsers:
     skipped = len(test.user_ids) - len(users)
     if skipped:
         logger.warning("skipped %d test user(s) absent from training", skipped)
-    return EvaluableUsers(users, [relevant_by_user[u] for u in users], skipped)
+    n = matrix.n_items
+    rows = np.array([matrix.user_index[u] for u in users], dtype=np.int64)
+    seen = np.concatenate([np.zeros(0, np.int64)] + [matrix.seen[r] for r in rows])
+    seen += np.repeat(np.arange(len(users)) * n, [matrix.seen[r].size for r in rows])
+    wanted = np.fromiter((pos * n + matrix.item_index[i] for pos, u in enumerate(users)
+                          for i in relevant_by_user[u] if i in matrix.item_index), dtype=np.int64)
+    return EvaluableUsers(users, skipped, matrix, rows, np.array([len(relevant_by_user[u]) for u in users]),
+                          seen, wanted)
 
 
 def evaluate_portfolio(
@@ -134,45 +150,46 @@ def evaluate_portfolio(
 ) -> PerformanceMatrix:
     """NDCG@k of every model for every test user trainable and testable.
 
-    ``test`` is a test split, or its ``evaluable_users`` when several calls score
-    the same split. The skipped users are recorded on the returned matrix.
+    ``test`` is a test split, or its ``evaluable_users(matrix, test)`` when
+    several calls score the same split; one laid out for another matrix is a
+    ValueError. The skipped users are recorded on the returned matrix.
     Each model scores blocks of ``_BLOCK_VALUES // n_items`` users with
     ``score_users``, small enough that ``top_k`` ranks a block in cache, and
-    ``top_k`` leaves out each user's training items. Its snapped tie rule
-    keeps a cell from depending on how the scores were summed (block size,
-    BLAS kernel, EASE solve route). Each cell is ``ndcg_at_k`` of the user's
-    list, bit for bit, as with per-user ``recommend_top_k`` calls: a block's
-    DCGs add the same discounts in position order (a miss adds 0.0) and divide
-    by the same ideal DCGs. A NaN or infinite score raises
-    NonFiniteScoresError naming the algorithm and the first such user; no user
-    left to score raises EmptyDatasetError.
+    ``top_k`` leaves out each user's training items, scattered with the
+    relevant ones from the layout into two masks reused by every block. Its
+    snapped tie rule keeps a cell from depending on how the scores were
+    summed (block size, BLAS kernel, EASE solve route). Each cell is
+    ``ndcg_at_k`` of the user's list, bit for bit, as with per-user
+    ``recommend_top_k`` calls: a block's DCGs add the same discounts in
+    position order (a miss adds 0.0) and divide by the same ideal DCGs. A NaN
+    or infinite score raises NonFiniteScoresError naming the algorithm and the
+    first such user; no user left to score raises EmptyDatasetError.
     """
     if not models:
         raise ValueError("models mapping must not be empty")
     if isinstance(test, Dataset):
         test = evaluable_users(matrix, test)
+    if test.matrix is not matrix:
+        raise ValueError("the evaluable users were laid out for another training matrix")
     users = test.users
     if not users:
         raise EmptyDatasetError("no test users could be evaluated")
 
     algorithms = list(models)
-    idx = np.array([matrix.user_index[u] for u in users], dtype=np.int64)
-    # (user position, item index) of each relevant item; an item unknown to training is never ranked.
-    pairs = np.array([(row, matrix.item_index[i]) for row, rel in enumerate(test.relevant)
-                      for i in rel if i in matrix.item_index], dtype=np.int64).reshape(-1, 2)
-    relevant = sp.csr_matrix((np.ones(len(pairs), dtype=bool), (pairs[:, 0], pairs[:, 1])),
-                             shape=(len(users), matrix.n_items))
-    ideal = np.array([_ideal_dcg(n, k) for n in range(k + 1)])[np.minimum([len(r) for r in test.relevant], k)]
+    n_items = matrix.n_items
+    ideal = np.array([_ideal_dcg(n, k) for n in range(k + 1)])[np.minimum(test.n_relevant, k)]
     discounts = [_discount(pos) for pos in range(k)]
     values = np.empty((len(users), len(algorithms)))
-    step = max(1, _BLOCK_VALUES // matrix.n_items)
+    step = max(1, _BLOCK_VALUES // n_items)
+    masks = np.empty((2, min(step, len(users)), n_items), dtype=bool)  # a block's seen and relevant items
     for start in range(0, len(users), step):
-        block = idx[start:start + step]
+        block = test.rows[start:start + step]
         rows = np.arange(block.size)
-        seen = matrix.matrix[block]
-        exclude = np.zeros(seen.shape, dtype=bool)
-        exclude[np.repeat(rows, np.diff(seen.indptr)), seen.indices] = True
-        wanted = relevant[start:start + step].toarray()
+        masks[:] = False
+        for flat, at in zip(masks.reshape(2, -1), (test.seen, test.wanted)):
+            lo, hi = np.searchsorted(at, [start * n_items, (start + block.size) * n_items])  # one run per block
+            flat[at[lo:hi] - start * n_items] = True
+        exclude, wanted = masks[:, :block.size]
         for col, algo in enumerate(algorithms):
             ranked = top_k(checked_scores(models[algo], block, users[start:start + step]), k, exclude)
             hit = wanted[rows[:, None], ranked] & (ranked >= 0)  # a -1 pad would read the last item

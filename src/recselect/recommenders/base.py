@@ -8,10 +8,12 @@ algorithms share them, and the SGD trainers share :func:`wavefronts`.
 Tie rule: each score row is snapped to a relative grid,
 ``q = round(s / scale * 1e9)`` with ``scale`` the row's largest ``|s|``
 (1 when that is zero or subnormal), and items rank by ``q`` descending, then
-by ascending item index, one exact float64 key per item. Scores equal in
-exact arithmetic but differing in their last bits (the same sum taken in
-another order, another BLAS kernel) rank as the tie they are, so a ranking
-does not depend on the numeric route that produced the scores.
+by ascending item index, one exact float64 key per item that also carries
+the item's index: ``top_k`` partitions the keys in place and reads items and
+exclusions back off them. Scores equal in exact arithmetic but differing in
+their last bits (the same sum taken in another order, another BLAS kernel)
+rank as the tie they are, so a ranking does not depend on the numeric route
+that produced the scores.
 """
 
 from __future__ import annotations
@@ -173,14 +175,18 @@ def top_k(scores: np.ndarray, k: int, exclude: np.ndarray | None = None) -> np.n
     (callers that must reject them check first). The result has shape
     (B, min(k, n_items)) and lists each row's items best first; a row with
     fewer than k candidates is padded at the end with -1. The order equals a
-    full stable sort of every row by (-q, item index).
+    full stable sort of every row by (-q, item index). Each key
+    ``(SNAP_GRID - q) * n_items + index`` is a unique integer, so the keys are
+    partitioned in place and only the first k sorted; an item is the key
+    modulo n_items, and -1 marks a key at or above ``(2 * SNAP_GRID + 1) *
+    n_items``, where excluded and non-finite scores land.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError(f"scores must be 2-D (rows, items), got shape {scores.shape}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    n_rows, n_items = scores.shape
+    n_items = scores.shape[1]
     if n_items > MAX_ITEMS:
         raise ValueError(f"top_k ranks at most {MAX_ITEMS} items per row, got {n_items}")
     # Each row's largest |score|, from one max and one min; NaN and ±inf reach one of them.
@@ -203,13 +209,11 @@ def top_k(scores: np.ndarray, k: int, exclude: np.ndarray | None = None) -> np.n
     key += SNAP_GRID * n_items + np.arange(n_items, dtype=np.float64)
     width = min(k, n_items)
     if width < n_items:
-        part = np.argpartition(key, width - 1, axis=1)[:, :width]
-    else:
-        part = np.broadcast_to(np.arange(n_items), (n_rows, n_items))
-    order = np.take_along_axis(part, np.argsort(np.take_along_axis(key, part, axis=1), axis=1), axis=1)
-    if exclude is None:
-        return order
-    return np.where(np.take_along_axis(exclude, order, axis=1), -1, order)
+        key.partition(width - 1, axis=1)  # in place: each row's width smallest keys come first
+    key = np.sort(key[:, :width], axis=1)
+    ranked = np.fmod(key, n_items).astype(np.intp)
+    ranked[key >= (2 * SNAP_GRID + 1) * n_items] = -1  # excluded, NaN or infinite
+    return ranked
 
 
 def checked_scores(model: RecommenderModel, idx: np.ndarray, users) -> np.ndarray:

@@ -24,6 +24,10 @@ SMALL_PARAMS = {
     "ease": {"l2": 2.0},
 }
 
+# biasedmf at a diverging learning rate overflows, then meets inf - inf, on purpose. A test that trains
+# it so declares these two warnings; the pytest configuration turns every other RuntimeWarning into an error.
+DIVERGES = pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+
 
 def force_workers(monkeypatch, n_workers):
     """Run ``pool.map_jobs`` on ``n_workers`` processes (at most one per job) whatever the CPU count."""

@@ -31,7 +31,7 @@ from recselect.errors import ConfigError, SchemaError
 from recselect.ground_truth import evaluate_portfolio
 from recselect.recommenders import AVAILABLE_ALGORITHMS, build_train_matrix, stored_values, train_algorithm
 
-from conftest import force_workers, make_dataset
+from conftest import DIVERGES, force_workers, make_dataset
 
 
 def probe_split():
@@ -194,6 +194,7 @@ class TestLandmarks:
         landmark_portfolio({"p0": probe_split(), "p1": probe_split()}, algos)
         assert calls == {"train": 6, "score": 6}
 
+    @DIVERGES
     def test_training_failure_is_flagged_not_fatal(self, caplog):
         algos = {"pop": {}, "biasedmf": DIVERGING}
         with caplog.at_level(logging.WARNING):
@@ -250,6 +251,7 @@ class TestAssembly:
         assert table.categorical_names == list(CATEGORICAL_NAMES)
         assert table.numeric.shape == (2, len(want))
 
+    @DIVERGES
     def test_failure_columns_appear_only_when_needed(self):
         clean = small_table()
         assert not any(n.startswith("landmark_failed_on_") for n in clean.numeric_names)
@@ -330,6 +332,7 @@ class TestCsv:
         assert back.categorical == table.categorical
         np.testing.assert_array_equal(back.numeric, table.numeric)
 
+    @DIVERGES
     def test_round_trip_with_failure_columns(self, tmp_path):
         table = small_table(with_failure=True)
         path = tmp_path / "af.csv"

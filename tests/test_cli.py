@@ -36,7 +36,7 @@ from recselect.recommenders import (
 from recselect.user_features import RAW_TIMESCALE_FEATURES, USER_FEATURE_NAMES, UserFeatureTable
 from recselect.algo_features import CATEGORICAL_NAMES, DEFAULT_CONCEPTUAL, AlgorithmFeatureTable
 
-from conftest import assert_no_child_process, deadline, force_workers
+from conftest import DIVERGES, assert_no_child_process, deadline, force_workers
 
 LEAN_SPACE = {
     "n_iter": 2,
@@ -535,7 +535,8 @@ class TestParallelJobs:
     @pytest.mark.parametrize("command, changes, names", [
         ("ground-truth", {}, ["performance_matrix.csv", "ground_truth_summary.json"]),
         ("features", {}, ["user_features.csv", "algorithm_features.csv"]),
-        ("features", {"portfolio": DIVERGING_PORTFOLIO}, ["user_features.csv", "algorithm_features.csv"]),
+        pytest.param("features", {"portfolio": DIVERGING_PORTFOLIO}, ["user_features.csv", "algorithm_features.csv"],
+                     marks=DIVERGES),
     ], ids=["ground-truth", "features", "features-with-a-diverging-landmark"])
     def test_one_and_two_workers_write_the_same_bytes(self, pipeline, tmp_path, monkeypatch, command, changes, names):
         runs = []

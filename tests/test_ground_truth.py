@@ -14,6 +14,7 @@ from recselect.errors import EmptyDatasetError, NonFiniteScoresError, SchemaErro
 from recselect.experiment import selector_fold_metrics
 from recselect.ground_truth import (
     PerformanceMatrix,
+    evaluable_users,
     evaluate_portfolio,
     gap_closed,
     ndcg_at_k,
@@ -253,6 +254,38 @@ class TestEvaluatePortfolio:
             assert blocked.users == whole.users and blocked.algorithms == list(SMALL_PARAMS)
             np.testing.assert_array_equal(blocked.values, whole.values)
 
+    @pytest.mark.parametrize("block_rows", [1, 3, None], ids=["1-row", "3-row", "default"])
+    def test_precomputed_users_give_the_bytes_of_the_split(self, monkeypatch, block_rows):
+        """``evaluable_users(matrix, test)`` scores as the split itself does, and both equal per-user
+        ``recommend_top_k`` lists: 40 users in one-user blocks, in 3-user blocks with a 1-user last
+        block, and in one default block, with relevant items unknown to training."""
+        rng = np.random.default_rng(5)
+        split = temporal_split_per_user(random_dataset(rng, n_users=40, n_items=30, min_per_user=4,
+                                                       max_per_user=12), 0.25)
+        test = make_dataset([(it.user, it.item, it.rating, it.timestamp) for it in split.test.interactions]
+                            + [(f"u{u:03d}", f"new{u % 3}", 1.0, 999) for u in range(0, 40, 4)])
+        matrix = build_train_matrix(split.train)
+        models = train_portfolio(matrix, PortfolioConfig({"pop": {}, "itemknn": {"neighbors": 5}}))
+        if block_rows is not None:
+            monkeypatch.setattr(ground_truth, "_BLOCK_VALUES", block_rows * matrix.n_items)
+        users = evaluable_users(matrix, test)
+        assert len(users.users) == 40 and not any(i.startswith("new") for i in matrix.item_index)
+        got, want = evaluate_portfolio(matrix, users, models, k=5), evaluate_portfolio(matrix, test, models, k=5)
+        assert got.users == want.users and got.values.tobytes() == want.values.tobytes()
+        relevant = {}
+        for it in test.interactions:
+            relevant.setdefault(it.user, set()).add(it.item)
+        for user in got.users:
+            for algo, model in models.items():
+                assert got.lookup(user, algo) == ndcg_at_k(recommend_top_k(model, user, k=5).items,
+                                                           relevant[user], k=5), (user, algo)
+
+    def test_users_laid_out_for_another_matrix_are_a_value_error(self, toy_split, toy_matrix):
+        models = train_portfolio(toy_matrix, PortfolioConfig({"pop": {}}))
+        users = evaluable_users(build_train_matrix(toy_split.train), toy_split.test)  # an equal matrix, not this one
+        with pytest.raises(ValueError, match="another training matrix"):
+            evaluate_portfolio(toy_matrix, users, models, k=3)
+
     def test_short_lists_and_relevant_training_items(self):
         """A user with fewer than k candidates gets a list padded with -1, which must not read the
         relevance of the last item; a relevant item the user holds in training is never ranked but
@@ -264,7 +297,9 @@ class TestEvaluatePortfolio:
         assert matrix.item_ids[-1] == "i4"  # the item that -1 indexes
         models = train_portfolio(matrix, PortfolioConfig({"pop": {}}))
         relevant = [{"i4"}, {"i3", "i4"}, {"i0", "i3", "gone"}]
-        test = ground_truth.EvaluableUsers(["a", "b", "c"], relevant, skipped=0)
+        test = evaluable_users(matrix, make_dataset([(user, item, 1.0, 10) for user, rel in zip("abc", relevant)
+                                                     for item in sorted(rel)]))
+        assert test.users == ["a", "b", "c"]
         pm = evaluate_portfolio(matrix, test, models, k=10)
         for user, rel in zip(test.users, relevant):
             want = ndcg_at_k(recommend_top_k(models["pop"], user, k=10).items, rel, k=10)

@@ -258,6 +258,17 @@ def awkward_score_rows(draw):
 
 WIDE_ROWS = (np.array([[0.0, 1.0, -0.0, 1.0, np.nan, 0.0, np.inf, 1.0 + 2**-52, -np.inf, 0.0]]) * 1e-300, 3,
              np.array([[False] * 9 + [True]]))
+# k past the width, so nothing is partitioned; item 0 is excluded in one row and NaN in the other.
+UNPARTITIONED_ROWS = (np.array([[0.5, -1.0, np.nan, 2.0, 0.0, 0.5], [np.nan, -0.0, 3.0, 0.0, np.inf, 1.0]]), 8,
+                      np.array([[True, False, False, False, False, False], [False, False, False, True, False, False]]))
+# Three positive scores (negative in the second row), and the k-th place inside a tie of 17 zeros, +0.0 in the
+# first row and -0.0 in the second, some of them excluded.
+ZERO_TIE_ROWS = (np.where(np.isin(np.arange(20), [4, 11, 17]), [[0.25], [-0.5]] * np.arange(20), [[0.0], [-0.0]]),
+                 4, np.isin(np.arange(20), [0, 1, 5, 12])[None, :].repeat(2, axis=0))
+# Fewer candidates than k, among exclusions, NaN and ±inf; the middle row has none at all.
+SHORT_ROWS = (np.array([[np.nan, 1.0, 2.0, np.nan, -np.inf, 0.0, 3.0], [1.0] * 7,
+                        [0.0, np.nan, np.inf, -1.0, np.nan, np.nan, np.nan]]), 5,
+              np.array([[False, False, True, False, False, True, False], [True] * 7, [True] + [False] * 6]))
 
 
 @st.composite
@@ -294,9 +305,24 @@ class TestKernelsEqualTheirReferences:
     @settings(max_examples=500, deadline=None)
     @given(awkward_score_rows())
     @example(WIDE_ROWS)
+    @example(UNPARTITIONED_ROWS)
+    @example(ZERO_TIE_ROWS)
+    @example(SHORT_ROWS)
     def test_top_k_equals_the_int64_key_form(self, case):
         got, want = top_k(*case), int64_key_top_k(*case)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_the_largest_key_at_max_items_decodes_and_counts_as_excluded(self):
+        """At MAX_ITEMS items the key of the last item, excluded, is the largest one, (2 * SNAP_GRID + 1) *
+        n + n - 1: its item reads back as n - 1 and ranks as -1; every candidate at the lowest score,
+        whose keys lie just below it, reads back as its own index."""
+        n = MAX_ITEMS
+        largest = (2 * int(SNAP_GRID) + 1) * n + n - 1
+        assert largest < 2**53 and np.fmod(float(largest), n) == n - 1
+        exclude = np.zeros((1, n), dtype=bool)
+        exclude[0, -1] = True
+        got = top_k(np.broadcast_to(-1.0, (1, n)), n, exclude)  # every q at -SNAP_GRID: the largest keys
+        assert got[0, -1] == -1 and np.array_equal(got[0, :-1], np.arange(n - 1))
 
     def test_more_items_than_exact_float_keys_allow_is_a_value_error(self):
         grid = int(SNAP_GRID)
