@@ -12,14 +12,16 @@ NDCG in the performance matrix, and aggregate. SBA and VBA run through the
 same selection call with the tiled column means and the true rows as score
 matrices.
 
-The work is scheduled by fit, not by fold. Random-search candidates are
-independent draws (Bergstra & Bengio, JMLR 2012), and every seed derives from
-the run seed, the outer fold, the candidate and the inner fold alone. So one
-``pool.map_jobs`` call runs every (outer fold, candidate) pair, each job
-fitting one candidate on every inner fold; the calling process picks each
-fold's winner, and a second call refits the winners, one job per fold.
-Results are merged in job order, so every report is the same whatever the
-worker count.
+The work is scheduled by inner training set, not by fold. Random-search
+candidates are independent draws (Bergstra & Bengio, JMLR 2012), and every
+seed derives from the run seed, the outer fold, the candidate and the inner
+fold alone. So one ``pool.map_jobs`` call runs every (outer fold, inner fold)
+pair, each job fitting every candidate of the fold on that inner fold's
+training rows, grouped by ``min_samples_leaf`` so that each group shares one
+GBDT presort. The calling process averages each candidate's inner-fold MSEs
+and picks each fold's winner, and a second call refits the winners, one job
+per fold. Results are merged in job order, so every report is the same
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import ConfigError, SearchError
 from .ground_truth import PerformanceMatrix, gap_closed, single_best_algorithm
 from .meta import (
     GBDTParams,
+    Presort,
     build_long,
     build_wide,
     encode_algo_features,
@@ -315,6 +318,13 @@ def _mode_label(mode: str) -> str:
     return "M(User-Only)" if mode == "user_only" else "M(User+Algo)"
 
 
+def _meta_dataset(mode: str, pm: PerformanceMatrix, train: np.ndarray, x: np.ndarray, enc):
+    """The meta-learner's training ``(x, y)`` for the ``train`` rows."""
+    if mode == "user_only":
+        return build_wide(x[train], pm.values[train])
+    return build_long(x[train], pm.values[train], enc.aligned(pm.algorithms))
+
+
 def _fit_predictor(
     mode: str,
     params: GBDTParams,
@@ -323,17 +333,21 @@ def _fit_predictor(
     held_out: np.ndarray,
     x: np.ndarray,
     enc,
+    shared: tuple | None = None,
 ) -> np.ndarray:
     """Fit one meta-learner on the ``train`` rows and score the ``held_out`` rows.
 
     ``x`` holds every user's feature row in ``pm.users`` order; the scores are
-    (``held_out`` rows, algorithms).
+    (``held_out`` rows, algorithms). ``shared``, when given, is the ``train``
+    rows' meta-dataset ``(x, y)`` and a ``Presort`` of its ``x`` for
+    ``params.min_samples_leaf``, built once for several fits.
     """
+    x_fit, y_fit, presort = shared or (*_meta_dataset(mode, pm, train, x, enc), None)
     if mode == "user_only":
-        x_fit, y_fit = build_wide(x[train], pm.values[train])
-        return predict_scores_user_only(fit_multi_output_gbdt(x_fit, y_fit, params), x[held_out])
-    x_fit, y_fit = build_long(x[train], pm.values[train], enc.aligned(pm.algorithms))
-    return predict_scores_user_algo(fit_gbdt(x_fit, y_fit, params), x[held_out], enc, pm.algorithms)
+        model = fit_multi_output_gbdt(x_fit, y_fit, params, presort=presort)
+        return predict_scores_user_only(model, x[held_out])
+    model = fit_gbdt(x_fit, y_fit, params, presort=presort)
+    return predict_scores_user_algo(model, x[held_out], enc, pm.algorithms)
 
 
 def _outer_folds(
@@ -428,11 +442,13 @@ def run_nested_cv(
 def _random_search(pm, space, mode, folds, enc, seed) -> list[dict]:
     """Each outer fold's hyperparameters: random search over inner folds of its training rows.
 
-    Every (outer fold, candidate) pair is one ``map_jobs`` job, which fits the
-    candidate on each inner fold and returns its mean validation MSE. Every
-    seed derives from the run seed, the fold, the candidate and the inner
-    fold, so no job depends on another. A fold's winner is its first
-    candidate with the lowest MSE; NaN never wins.
+    Every (outer fold, inner fold) pair is one ``map_jobs`` job, which fits
+    the fold's candidates on the inner fold's training rows, grouped by
+    ``min_samples_leaf`` with one ``Presort`` alive at a time, and returns
+    their validation MSEs. Every seed derives from the run seed, the fold,
+    the candidate and the inner fold, so no job depends on another. A
+    candidate's MSE is the mean over its inner folds; a fold's winner is its
+    first candidate with the lowest MSE, and NaN never wins.
     """
     searches = []  # per fold: (candidates, inner folds)
     for fold_idx, train, _, _ in folds:
@@ -442,26 +458,31 @@ def _random_search(pm, space, mode, folds, enc, seed) -> list[dict]:
             (candidates, make_user_folds(len(train), space.inner_folds, derive_seed(seed, "inner", fold_idx)))
         )
 
-    def candidate_mse(job) -> float:
-        fold_idx, c_idx = job
+    def inner_fold_mses(job) -> list:
+        fold_idx, i_idx = job
         _, train, _, x = folds[fold_idx]
         candidates, inner = searches[fold_idx]
-        fold_mses = []
-        for i_idx, val in enumerate(inner):
-            params = GBDTParams(
-                **candidates[c_idx], seed=derive_seed(seed, "inner-fit", fold_idx, c_idx, i_idx)
-            ).validate()
-            pred = _fit_predictor(mode, params, pm, np.delete(train, val), train[val], x, enc)
-            fold_mses.append(np.mean(np.mean((pred - pm.values[train[val]]) ** 2, axis=1)))
-        return float(np.mean(fold_mses))
+        fit_rows, val_rows = np.delete(train, inner[i_idx]), train[inner[i_idx]]
+        x_fit, y_fit = _meta_dataset(mode, pm, fit_rows, x, enc)
+        params = [GBDTParams(**candidate, seed=derive_seed(seed, "inner-fit", fold_idx, c_idx, i_idx)).validate()
+                  for c_idx, candidate in enumerate(candidates)]
+        mses, presort = [None] * len(params), None
+        for c_idx in sorted(range(len(params)), key=lambda c: params[c].min_samples_leaf):
+            if presort is None or presort.min_samples_leaf != params[c_idx].min_samples_leaf:
+                presort = None  # drop the last group's presort before sorting for the next
+                presort = Presort(x_fit, params[c_idx].min_samples_leaf)
+            pred = _fit_predictor(mode, params[c_idx], pm, fit_rows, val_rows, x, enc, (x_fit, y_fit, presort))
+            mses[c_idx] = np.mean(np.mean((pred - pm.values[val_rows]) ** 2, axis=1))
+        return mses
 
-    jobs = [(fold_idx, c_idx) for fold_idx in range(len(folds)) for c_idx in range(space.n_iter)]
-    mses = iter(map_jobs(candidate_mse, jobs))
+    jobs = [(fold_idx, i_idx) for fold_idx in range(len(folds)) for i_idx in range(space.inner_folds)]
+    per_job = iter(map_jobs(inner_fold_mses, jobs))
     best_per_fold = []
     for (fold_idx, _, _, _), (candidates, _) in zip(folds, searches):
+        fold_mses = [next(per_job) for _ in range(space.inner_folds)]  # (inner fold, candidate)
         best_params, best_mse = None, np.inf
-        for candidate in candidates:
-            mse = next(mses)
+        for c_idx, candidate in enumerate(candidates):
+            mse = float(np.mean([mses[c_idx] for mses in fold_mses]))
             if mse < best_mse:
                 best_mse, best_params = mse, candidate
         if best_params is None:  # every MSE was NaN or inf, e.g. from non-finite targets

@@ -12,6 +12,7 @@ from .gbdt import (
     BoostedEnsemble,
     GBDTParams,
     MultiOutputGBDT,
+    Presort,
     RegressionTree,
     fit_gbdt,
     fit_multi_output_gbdt,
@@ -31,6 +32,7 @@ __all__ = [
     "GBDTParams",
     "MultiOutputGBDT",
     "OneHotMap",
+    "Presort",
     "RegressionTree",
     "ScalerParams",
     "build_long",

@@ -30,7 +30,10 @@ A fit sorts its rows once, as the exact greedy method of XGBoost does (Chen
   and right rows of each (feature, threshold) it was split at. Boosting keeps
   searching and splitting the same row sets, so most nodes only gather the
   current targets, run one cumsum, score the gains and look up their
-  children's rows. The cache lives as long as the ``fit_gbdt`` call.
+  children's rows. A node's state depends only on its rows and
+  ``min_samples_leaf``, so the sorted rows and the cache form a ``Presort``
+  of ``x`` that every output of ``fit_multi_output_gbdt`` shares, and that
+  callers may share between fits on one ``x`` (``presort=``).
 - Fused search. Each tree lays every target beside its square once, so one
   gather through a node's order and one cumsum along its rows give every
   class's sums and sums of squares. ``cumsum`` adds sequentially along a
@@ -110,47 +113,43 @@ class RegressionTree:
 
     def fit(self, x: np.ndarray, y: np.ndarray, max_depth: int, min_samples_leaf: int) -> "RegressionTree":
         """Grow one tree on every row of ``x``, the way ``fit_gbdt`` grows each of its trees."""
-        return self._grow(_SortedFit(x, max_depth, min_samples_leaf), y, np.arange(y.shape[0]))
+        return self._grow(Presort(x, min_samples_leaf), y, np.arange(y.shape[0]), max_depth)
 
-    def _grow(self, fit: "_SortedFit", y: np.ndarray, rows: np.ndarray) -> "RegressionTree":
-        """Grow the tree on ``rows`` (ascending ids into the fit's rows) against targets ``y``."""
+    def _grow(self, presort: "Presort", y: np.ndarray, rows: np.ndarray, max_depth: int) -> "RegressionTree":
+        """Grow the tree on ``rows`` (ascending ids into the presort's rows) against targets ``y``."""
         nodes: list[list] = []  # [feature, threshold, left, right, value, gain] in depth-first preorder
         self.depth = 0
         self.fitted_values = np.empty(y.shape[0])
         yy = np.empty((y.shape[0], 2))  # each target beside its square: one gather serves both
         yy[:, 0] = y
         np.multiply(y, y, out=yy[:, 1])
-        self._build(fit, y, yy, rows, 0, fit.search_state(rows, 0, fit.order), nodes)
+        self._build(presort, y, yy, rows, 0, max_depth, presort.order, nodes)
         columns = zip(*nodes)
         self.feature, self.threshold, self.left, self.right, self.value, self.gain = (
             np.asarray(column, dtype=dtype) for column, dtype in zip(columns, _NODE_DTYPES)
         )
         return self
 
-    def _build(self, fit, y, yy, idx, depth, state, nodes) -> int:
-        """Grow the subtree over rows ``idx`` (ascending); ``state`` is its search state or None."""
+    def _build(self, presort, y, yy, idx, depth, max_depth, parent_order, nodes) -> int:
+        """Grow the subtree over rows ``idx`` (ascending); ``parent_order`` sorts a superset of them."""
         mean = float(np.add.reduce(y.take(idx))) / idx.shape[0]  # np.mean's arithmetic, minus its overhead
         node = len(nodes)
         record = [-1, 0.0, -1, -1, mean, 0.0]
         nodes.append(record)
         if depth > self.depth:
             self.depth = depth
-        split = None if state is None else fit.best_split(yy, state)
+        state = presort.search_state(idx, parent_order) if depth < max_depth else None
+        split = None if state is None else presort.best_split(yy, state)
         if split is not None:
-            left_rows, right_rows = fit.partition(state, idx, split[0], split[1])
+            left_rows, right_rows = presort.partition(state, idx, split[0], split[1])
             if left_rows.size == 0 or right_rows.size == 0:
                 split = None  # midpoint rounded onto a sample value; keep the leaf
         if split is None:
             self.fitted_values[idx] = mean
             return node
         record[0], record[1], record[5] = split
-        order = state[0]
-        record[2] = self._build(
-            fit, y, yy, left_rows, depth + 1, fit.search_state(left_rows, depth + 1, order), nodes
-        )
-        record[3] = self._build(
-            fit, y, yy, right_rows, depth + 1, fit.search_state(right_rows, depth + 1, order), nodes
-        )
+        record[2] = self._build(presort, y, yy, left_rows, depth + 1, max_depth, state[0], nodes)
+        record[3] = self._build(presort, y, yy, right_rows, depth + 1, max_depth, state[0], nodes)
         return node
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -162,28 +161,34 @@ class RegressionTree:
         np.add.at(totals, self.feature[inner], self.gain[inner])  # in node order
 
 
-# Bound on one fit's node cache. Fits without subsampling at the benchmark's
-# sizes stay under 5 MB; subsampled trees rarely repeat a row set, and deep
-# wide fits would otherwise hold 100 MB or more.
-NODE_CACHE_BYTES = 8 * 2**20
+# Bound on one presort's node cache, which every fit on the presort shares.
+# At the selector_cv benchmark's size an inner fold's presort peaks at 4.6 MB
+# over all its candidates and outputs. The demo evaluate's subsampled trees
+# rarely repeat a row set and reach the bound 1,255 times over 252 presorts;
+# there 6 MB keeps the workers' peak RSS at that of an 8 MB cache per fit.
+# Deep wide fits would otherwise hold 100 MB or more.
+NODE_CACHE_BYTES = 6 * 2**20
 _SUM_SQUARE = np.array([[0], [1]])  # offsets of a flat cumsum position's sum and square
 
 
-class _SortedFit:
-    """The rows of one fit, sorted once, with the search state of every node row set.
+class Presort:
+    """The rows of ``x`` sorted once, with the search state of every node row set.
 
-    ``features`` holds the first column of each rank class, ascending, and
-    ``order[k]`` the fit's rows sorted stably by ``x[:, features[k]]``. Two
-    columns share a rank class when their stable orders are equal and so are
-    their sorted values' strict rises. ``nodes`` maps a node's ascending row
-    ids (``idx.tobytes()``) to its search state, shared by every tree of the
-    fit: the node's presort over the kept columns, its admissible split
-    candidates and its partitions, or None when it has no candidate. It holds
-    at most ``NODE_CACHE_BYTES``, the partitions' row arrays included, and
-    empties when full.
+    It serves every fit on ``x`` with this ``min_samples_leaf``, whatever its
+    targets and other parameters. ``features`` holds the first column of each
+    rank class, ascending, and ``order[k]`` the rows sorted stably by
+    ``x[:, features[k]]``. Two columns share a rank class when their stable
+    orders are equal and so are their sorted values' strict rises. ``nodes``
+    maps a node's ascending row ids (``idx.tobytes()``) to its search state:
+    the node's presort over the kept columns, its admissible split candidates
+    and its partitions, or None when it has no candidate. It holds at most
+    ``NODE_CACHE_BYTES``, the partitions' row arrays included, and empties
+    when full.
     """
 
-    def __init__(self, x: np.ndarray, max_depth: int, min_samples_leaf: int):
+    def __init__(self, x: np.ndarray, min_samples_leaf: int):
+        if x.ndim != 2:
+            raise ValueError("x must be 2-D")
         if not np.isfinite(x).all():
             raise ValueError("x must hold only finite values")
         order = np.argsort(x, axis=0, kind="stable")
@@ -196,20 +201,19 @@ class _SortedFit:
         self.features = np.array(list(first.values()), dtype=np.intp)
         self.order = np.ascontiguousarray(order[self.features])
         self.x = x
-        self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.member = np.zeros(x.shape[0], dtype=bool)  # all False between calls
         self.nodes: dict[bytes, tuple | None] = {}
         self.cached_bytes = 0
 
-    def search_state(self, rows: np.ndarray, depth: int, parent_order: np.ndarray):
+    def search_state(self, rows: np.ndarray, parent_order: np.ndarray):
         """The search state of the node over ``rows``, or None when it cannot split.
 
         On the row set's first appearance its presort is ``parent_order`` (any
         presort whose rows include ``rows``) filtered down to ``rows``. Since
         ``rows`` ascend, that equals a stable argsort of the node's own values.
         """
-        if depth >= self.max_depth or rows.shape[0] < 2 * self.min_samples_leaf:
+        if rows.shape[0] < 2 * self.min_samples_leaf:
             return None
         key = rows.tobytes()
         if key not in self.nodes:
@@ -386,8 +390,11 @@ class BoostedEnsemble:
         return totals / s if s > 0 else totals
 
 
-def fit_gbdt(x: np.ndarray, y: np.ndarray, params: GBDTParams) -> BoostedEnsemble:
-    """Fit one squared-loss boosted ensemble; ``x`` must be finite."""
+def fit_gbdt(x: np.ndarray, y: np.ndarray, params: GBDTParams, *, presort: Presort | None = None) -> BoostedEnsemble:
+    """Fit one squared-loss boosted ensemble; ``x`` must be finite.
+
+    A ``presort`` of this ``x`` for ``params.min_samples_leaf`` is shared with other fits.
+    """
     params.validate()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -400,7 +407,11 @@ def fit_gbdt(x: np.ndarray, y: np.ndarray, params: GBDTParams) -> BoostedEnsembl
     rng = np.random.default_rng(params.seed) if params.subsample < 1.0 else None
     current = np.full(n, float(y.mean()))
     ensemble = BoostedEnsemble(params, float(y.mean()), [], x.shape[1])
-    fit = _SortedFit(x, params.max_depth, params.min_samples_leaf)
+    if presort is None:
+        presort = Presort(x, params.min_samples_leaf)
+    elif presort.min_samples_leaf != params.min_samples_leaf or not (
+            presort.x is x or np.array_equal(presort.x, x)):
+        raise ValueError("presort was built from another x or min_samples_leaf")
     every_row = np.arange(n)
 
     for _ in range(params.num_trees):
@@ -410,7 +421,7 @@ def fit_gbdt(x: np.ndarray, y: np.ndarray, params: GBDTParams) -> BoostedEnsembl
             rows = np.sort(rng.choice(n, size=size, replace=False))
         else:
             rows = every_row
-        tree = RegressionTree()._grow(fit, residual, rows)
+        tree = RegressionTree()._grow(presort, residual, rows, params.max_depth)
         ensemble.trees.append(tree)
         # Without subsampling the tree was grown on every row and already knows
         # each row's leaf value. The ensemble keeps no per-row arrays.
@@ -440,11 +451,16 @@ class MultiOutputGBDT:
         return np.mean([e.feature_importance() for e in self.ensembles], axis=0)
 
 
-def fit_multi_output_gbdt(x: np.ndarray, y: np.ndarray, params: GBDTParams) -> MultiOutputGBDT:
+def fit_multi_output_gbdt(
+    x: np.ndarray, y: np.ndarray, params: GBDTParams, *, presort: Presort | None = None
+) -> MultiOutputGBDT:
+    """One ensemble per column of ``y``, all grown on one ``Presort`` of ``x`` (see ``fit_gbdt``)."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
         raise ValueError("y must be 2-D (rows x outputs)")
+    x = np.asarray(x, dtype=np.float64)
+    presort = Presort(x, params.min_samples_leaf) if presort is None else presort
     ensembles = []
     for j in range(y.shape[1]):
-        ensembles.append(fit_gbdt(x, y[:, j], replace(params, seed=params.seed + j)))
+        ensembles.append(fit_gbdt(x, y[:, j], replace(params, seed=params.seed + j), presort=presort))
     return MultiOutputGBDT(ensembles, params)

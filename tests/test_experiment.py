@@ -38,7 +38,7 @@ from recselect.experiment import (
     selector_fold_metrics,
 )
 from recselect.ground_truth import PerformanceMatrix
-from recselect.meta import GBDTParams, encode_algo_features
+from recselect.meta import GBDTParams, Presort, encode_algo_features
 from recselect.recommenders import top_k
 from recselect.user_features import USER_FEATURE_NAMES, UserFeatureTable
 
@@ -496,6 +496,36 @@ class TestCandidateJobs:
         model = report.methods["model"]
         assert report.best_params_per_fold == chosen
         assert list(zip(model.fold_ndcg, model.fold_top1, model.fold_top3)) == metrics
+
+    def test_jobs_are_inner_training_sets_then_refits(self, monkeypatch):
+        sent = []
+        original = experiment.map_jobs
+
+        def spy(fn, jobs):
+            sent.append(list(jobs))
+            return original(fn, jobs)
+
+        monkeypatch.setattr(experiment, "map_jobs", spy)
+        pm, uf = planted_problem(n_users=18)
+        run_nested_cv(pm, uf, None, "user_only", 3, SUBSAMPLED_SPACE, seed=8)
+        assert len(sent) == 2
+        assert sent[0] == [(fold, inner) for fold in range(3) for inner in range(SUBSAMPLED_SPACE.inner_folds)]
+        assert [fold[0] for fold, _ in sent[1]] == [0, 1, 2]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_inner_training_set_holds_one_presort_per_min_samples_leaf(self, monkeypatch, mode):
+        force_workers(monkeypatch, 1)  # the jobs run here, where the spy sees them
+        built = []
+        monkeypatch.setattr(experiment, "Presort", lambda x, leaf: built.append(leaf) or Presort(x, leaf))
+        pm, uf = planted_problem(n_users=18)
+        run_nested_cv(pm, uf, synthetic_algo_table(), mode, 3, SUBSAMPLED_SPACE, seed=8)
+        leaves = []  # per fold, the candidates' min_samples_leaf
+        for fold in range(3):
+            rng = np.random.default_rng(derive_seed(8, "hpo", fold))
+            leaves.append([SUBSAMPLED_SPACE.sample(rng)["min_samples_leaf"] for _ in range(SUBSAMPLED_SPACE.n_iter)])
+        assert any(len(set(fold)) >= 2 for fold in leaves)  # the draw needs two presorts in some fold
+        assert built == [leaf for fold in leaves for _ in range(SUBSAMPLED_SPACE.inner_folds)
+                         for leaf in sorted(set(fold))]
 
 
 class TestFullEvaluation:

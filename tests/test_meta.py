@@ -28,8 +28,8 @@ from recselect.meta import gbdt
 from recselect.meta.gbdt import (
     BoostedEnsemble,
     GBDTParams,
+    Presort,
     RegressionTree,
-    _SortedFit,
     fit_gbdt,
     fit_multi_output_gbdt,
 )
@@ -406,9 +406,9 @@ class TestFlatTrees:
         rows = np.flatnonzero(keep)  # a node's rows: any ascending subset of two or more
         if rows.size < 2:
             rows = np.arange(len(y))
-        fit = _SortedFit(x, 1, min_samples_leaf)
-        state = fit.search_state(rows, 0, fit.order)
-        got = None if state is None else fit.best_split(np.column_stack([y, y * y]), state)
+        presort = Presort(x, min_samples_leaf)
+        state = presort.search_state(rows, presort.order)
+        got = None if state is None else presort.best_split(np.column_stack([y, y * y]), state)
         want = argsort_per_node_split(x[rows], y[rows], min_samples_leaf)
         assert got == want
 
@@ -742,6 +742,38 @@ class TestExactFit:
             patch.setattr(gbdt, "NODE_CACHE_BYTES", budget)
             model = fit_gbdt(x, y[:, 0], params)
         assert_same_ensemble(model, *reference_gbdt(x, y[:, 0], params))
+
+    @settings(max_examples=40, deadline=None)
+    @given(ranked_columns(), st.lists(st.tuples(st.integers(1, 4), st.integers(0, 5), st.sampled_from([0.1, 0.3, 1.0]),
+                                                st.sampled_from([1.0, 0.5, 0.8]), st.integers(0, 2**16)),
+                                      min_size=2, max_size=4),
+           st.sampled_from([None, 0, 2048]))
+    def test_candidates_fitted_in_turn_on_one_presort_change_no_bit(self, problem, candidates, budget):
+        x, y, params = problem
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(gbdt, "NODE_CACHE_BYTES", budget)
+            presort = Presort(x, params.min_samples_leaf)
+            for j, (max_depth, num_trees, learning_rate, subsample, seed) in enumerate(candidates):
+                candidate = replace(params, max_depth=max_depth, num_trees=num_trees, learning_rate=learning_rate,
+                                    subsample=subsample, seed=seed)
+                model = fit_gbdt(x, y[:, j % 2], candidate, presort=presort)  # other targets too
+                assert_same_ensemble(model, *reference_gbdt(x, y[:, j % 2], candidate))
+            multi = fit_multi_output_gbdt(x, y, params, presort=presort)
+        for j, model in enumerate(multi.ensembles):
+            assert_same_ensemble(model, *reference_gbdt(x, y[:, j], replace(params, seed=params.seed + j)))
+
+    def test_a_presort_of_another_x_or_min_samples_leaf_rejected(self):
+        x = np.arange(12.0).reshape(6, 2)
+        y = np.arange(6.0)
+        presort = Presort(x, 1)
+        for fit, target in ((fit_gbdt, y), (fit_multi_output_gbdt, y[:, None])):
+            for other_x, other_y in ((x[::-1].copy(), target), (x[:, :1].copy(), target), (x[:4], target[:4])):
+                with pytest.raises(ValueError, match="another x"):
+                    fit(other_x, other_y, GBDTParams(num_trees=2), presort=presort)
+            with pytest.raises(ValueError, match="min_samples_leaf"):
+                fit(x, target, GBDTParams(num_trees=2, min_samples_leaf=2), presort=presort)
+            fit(x.copy(), target, GBDTParams(num_trees=2), presort=presort)  # an equal copy is the same x
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_x_rejected(self, bad):
