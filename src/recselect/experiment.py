@@ -6,11 +6,11 @@ Outer folds partition the rows; per fold, the user features are standardized
 with the training rows' statistics, and random-search HPO (inner folds of the
 training rows, validation MSE of predicted vs. true per-algorithm NDCG) picks
 the meta-learner configuration. It is refit on the outer training rows and
-applied to the held-out rows in four steps: predict a (users, algorithms)
-score matrix, select each row's best-ranked algorithm, look up the realized
-NDCG in the performance matrix, and aggregate. SBA and VBA run through the
-same selection call with the tiled column means and the true rows as score
-matrices.
+scores the held-out rows. A run's one record is an out-of-fold (users,
+algorithms) score matrix per method: the refits' rows for the model, the
+tiled column means for SBA and the true rows for VBA. Every fold metric is
+one function of the truth, a score matrix and the folds' test rows: select
+each row's best-ranked algorithm, look up its realized NDCG, and aggregate.
 
 The work is scheduled by inner training set, not by fold. Random-search
 candidates are independent draws (Bergstra & Bengio, JMLR 2012), and every
@@ -193,14 +193,15 @@ class MethodResult:
     """Per-fold metrics of one selection method."""
 
     name: str
-    fold_ndcg: list[float] = field(default_factory=list)
-    fold_top1: list[float] = field(default_factory=list)
-    fold_top3: list[float] = field(default_factory=list)
+    fold_ndcg: list[float]
+    fold_top1: list[float]
+    fold_top3: list[float]
 
-    def add_fold(self, ndcg: float, top1: float, top3: float) -> None:
-        self.fold_ndcg.append(ndcg)
-        self.fold_top1.append(top1)
-        self.fold_top3.append(top3)
+    @classmethod
+    def from_scores(cls, name: str, truth: np.ndarray, scores: np.ndarray, folds: Sequence) -> "MethodResult":
+        """Each fold's metrics of the out-of-fold ``scores``, read at the fold's test rows."""
+        per_fold = [selector_fold_metrics(truth[test], scores[test]) for test in folds]
+        return cls(name, *(list(metric) for metric in zip(*per_fold)))
 
     def mean_ndcg(self) -> float:
         return float(np.mean(self.fold_ndcg))
@@ -245,10 +246,9 @@ def selector_fold_metrics(truth: np.ndarray, scores: np.ndarray) -> tuple[float,
 
 @dataclass
 class EvaluationReport:
-    """Outcome of one nested-CV run plus its SBA/VBA reference rows."""
+    """Outcome of one nested-CV run: each method's fold metrics and the record they are read from."""
 
     mode: str
-    predictor: str
     algorithms: list[str]
     n_folds: int
     seed: int
@@ -256,7 +256,12 @@ class EvaluationReport:
     sba_algorithm: str
     methods: dict[str, MethodResult]
     best_params_per_fold: list[dict]
-    model_label: str
+    scores: dict[str, np.ndarray]  # per method, out-of-fold (users, algorithms) in pm.users order; not written
+    folds: list[np.ndarray]  # each outer fold's test rows; not written
+
+    @property
+    def model_label(self) -> str:
+        return self.methods["model"].name
 
     def gap_closed_pct(self) -> float | None:
         sba = self.methods["sba"].mean_ndcg()
@@ -269,7 +274,6 @@ class EvaluationReport:
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
-            "predictor": self.predictor,
             "algorithms": self.algorithms,
             "n_folds": self.n_folds,
             "seed": self.seed,
@@ -380,10 +384,10 @@ def run_nested_cv(
 ) -> EvaluationReport:
     """Outer-fold evaluation of one meta-learner mode against SBA and VBA.
 
-    ``predictor`` swaps the fitted model for diagnostic selectors that reuse
-    the identical fold plumbing: "oracle" scores with the true rows (must
-    reproduce VBA exactly) and "single_best" scores every user with the
-    global column means (must reproduce SBA exactly).
+    Every fold metric is read from each method's out-of-fold score matrix
+    (see the module docstring). ``predictor`` stays only for perfbench:
+    "oracle" and "single_best" take VBA's and SBA's matrix as the model's,
+    so they must reproduce VBA and SBA exactly.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}")
@@ -394,20 +398,13 @@ def run_nested_cv(
     space = space or DEFAULT_SPACE
 
     sba_algorithm, _ = single_best_algorithm(pm)
-    column_means = pm.column_means()
     enc = encode_algo_features(algo_table) if (mode == "user_algo" and algo_table is not None) else None
 
-    methods = {
-        "sba": MethodResult("SBA"),
-        "vba": MethodResult("VBA"),
-        "model": MethodResult(_mode_label(mode) if predictor == "model" else predictor),
-    }
-
     folds = list(_outer_folds(pm, user_features, n_folds, seed))
+    scores = {"sba": np.tile(pm.column_means(), (len(pm.users), 1)), "vba": pm.values}
     if predictor != "model":
         best_params_per_fold = [{} for _ in folds]
-        fold_scores = [pm.values[test] if predictor == "oracle" else np.tile(column_means, (len(test), 1))
-                       for _, _, test, _ in folds]
+        scores["model"] = scores["vba" if predictor == "oracle" else "sba"]
     else:
         best_params_per_fold = _random_search(pm, space, mode, folds, enc, seed)
 
@@ -417,25 +414,25 @@ def run_nested_cv(
             params = GBDTParams(**best, seed=derive_seed(seed, "refit", fold_idx)).validate()
             return _fit_predictor(mode, params, pm, train, test, x, enc)
 
-        fold_scores = map_jobs(refit, list(zip(folds, best_params_per_fold)))
+        refits = map_jobs(refit, list(zip(folds, best_params_per_fold)))
+        scores["model"] = np.empty_like(pm.values)
+        for (_, _, test, _), fold_scores in zip(folds, refits):
+            scores["model"][test] = fold_scores
 
-    for (_, _, test, _), scores in zip(folds, fold_scores):
-        truth = pm.values[test]
-        sba_scores = np.tile(column_means, (len(test), 1))
-        for name, method_scores in (("model", scores), ("sba", sba_scores), ("vba", truth)):
-            methods[name].add_fold(*selector_fold_metrics(truth, method_scores))
-
+    test_rows = [test for _, _, test, _ in folds]
+    labels = {"sba": "SBA", "vba": "VBA", "model": _mode_label(mode) if predictor == "model" else predictor}
     return EvaluationReport(
         mode=mode,
-        predictor=predictor,
         algorithms=list(pm.algorithms),
         n_folds=n_folds,
         seed=seed,
         n_users=len(pm.users),
         sba_algorithm=sba_algorithm,
-        methods=methods,
+        methods={name: MethodResult.from_scores(label, pm.values, scores[name], test_rows)
+                 for name, label in labels.items()},
         best_params_per_fold=best_params_per_fold,
-        model_label=methods["model"].name,
+        scores=scores,
+        folds=test_rows,
     )
 
 
@@ -573,22 +570,17 @@ def run_ablation(
 ) -> AblationReport:
     """Meta-learner runs restricted to category subsets of algorithm features.
 
-    The empty set is the user-only configuration and delegates to the exact
-    user-only run; the full set delegates to the unrestricted user+algo run.
+    The empty set is the user-only configuration and equals the user-only
+    run; the full set equals the unrestricted user+algo run.
     """
     category_sets = list(category_sets) if category_sets is not None else list(DEFAULT_ABLATION_SETS)
     entries: dict[str, EvaluationReport] = {}
     for categories in category_sets:
-        label = ablation_label(frozenset(categories))
-        if not categories:
-            entries[label] = run_nested_cv(
-                pm, user_features, None, "user_only", n_folds, space, seed
-            )
-        else:
-            table = algo_table.filter_categories(set(categories))
-            entries[label] = run_nested_cv(
-                pm, user_features, table, "user_algo", n_folds, space, seed
-            )
+        table = algo_table.filter_categories(set(categories)) if categories else None
+        mode = "user_algo" if categories else "user_only"
+        entries[ablation_label(frozenset(categories))] = run_nested_cv(
+            pm, user_features, table, mode, n_folds, space, seed
+        )
     return AblationReport(n_folds=n_folds, seed=seed, entries=entries)
 
 

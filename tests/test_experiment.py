@@ -292,6 +292,13 @@ class TestSelectorFoldMetrics:
             row_metrics([0.5, 0.4], [np.nan, np.nan])
 
 
+def assert_metrics_read_from_scores(report, pm):
+    """Each method's fold lists are its out-of-fold scores' metrics at the folds' test rows."""
+    for name, method in report.methods.items():
+        per_fold = [selector_fold_metrics(pm.values[test], report.scores[name][test]) for test in report.folds]
+        assert [method.fold_ndcg, method.fold_top1, method.fold_top3] == [list(m) for m in zip(*per_fold)]
+
+
 class TestNestedCv:
     def test_non_finite_targets_name_the_failed_search(self, monkeypatch):
         force_workers(monkeypatch, 2)
@@ -304,6 +311,8 @@ class TestNestedCv:
     def test_oracle_predictor_reproduces_vba_exactly(self):
         pm, uf = planted_problem()
         report = run_nested_cv(pm, uf, None, "user_only", n_folds=3, seed=5, predictor="oracle")
+        assert np.array_equal(report.scores["model"], pm.values)
+        assert_metrics_read_from_scores(report, pm)
         assert report.methods["model"].fold_ndcg == report.methods["vba"].fold_ndcg
         assert report.methods["model"].fold_top1 == [100.0] * 3
         assert report.best_params_per_fold == [{}, {}, {}]
@@ -311,6 +320,8 @@ class TestNestedCv:
     def test_single_best_predictor_reproduces_sba_exactly(self):
         pm, uf = planted_problem()
         report = run_nested_cv(pm, uf, None, "user_only", n_folds=3, seed=5, predictor="single_best")
+        assert np.array_equal(report.scores["model"], np.tile(pm.column_means(), (len(pm.users), 1)))
+        assert_metrics_read_from_scores(report, pm)
         assert report.methods["model"].fold_ndcg == report.methods["sba"].fold_ndcg
         assert report.methods["model"].fold_top1 == report.methods["sba"].fold_top1
 
@@ -339,6 +350,8 @@ class TestNestedCv:
         a = run_nested_cv(pm, uf, None, "user_only", n_folds=3, space=LEAN_SPACE, seed=9)
         b = run_nested_cv(pm, uf, None, "user_only", n_folds=3, space=LEAN_SPACE, seed=9)
         assert a.to_dict() == b.to_dict()
+        assert list(a.scores) == list(b.scores) == ["sba", "vba", "model"]
+        assert all(np.array_equal(a.scores[name], b.scores[name]) for name in a.scores)
 
     def test_scaler_fits_on_training_rows_only(self, monkeypatch):
         pm, uf = planted_problem()
@@ -385,6 +398,10 @@ class TestNestedCv:
         report = run_nested_cv(pm, uf, None, "user_only", n_folds=3, seed=5, predictor="oracle")
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["n_users"] == 24
+        # the out-of-fold matrices and the fold rows stay in memory
+        assert set(payload) == {"mode", "algorithms", "n_folds", "seed", "n_users", "sba_algorithm",
+                                "model_label", "methods", "best_params_per_fold", "gap_closed_pct"}
+        assert payload["model_label"] == "oracle"
         method = payload["methods"]["model"]
         for key in ("mean_ndcg", "ci_ndcg", "mean_top1_pct", "ci_top1_pct", "fold_ndcg"):
             assert key in method
@@ -450,10 +467,11 @@ class TestParallelFolds:
 def per_fold_search_reference(pm, uf, table, mode, n_folds, space, seed):
     """Nested CV with one job per outer fold: its candidates searched in turn, then its refit.
 
-    Returns each fold's chosen hyperparameters and its (NDCG, top-1, top-3) metrics.
+    Returns each fold's chosen hyperparameters, its (NDCG, top-1, top-3)
+    metrics and its refit's score matrix.
     """
     enc = encode_algo_features(table) if mode == "user_algo" else None
-    chosen, metrics = [], []
+    chosen, metrics, refit_scores = [], [], []
     for fold_idx, train, test, x in experiment._outer_folds(pm, uf, n_folds, seed):
         rng = np.random.default_rng(derive_seed(seed, "hpo", fold_idx))
         candidates = [space.sample(rng) for _ in range(space.n_iter)]
@@ -470,9 +488,9 @@ def per_fold_search_reference(pm, uf, table, mode, n_folds, space, seed):
                 best_mse, best_params = mse, candidate
         params = GBDTParams(**best_params, seed=derive_seed(seed, "refit", fold_idx))
         chosen.append(best_params)
-        metrics.append(selector_fold_metrics(pm.values[test], experiment._fit_predictor(
-            mode, params, pm, train, test, x, enc)))
-    return chosen, metrics
+        refit_scores.append(experiment._fit_predictor(mode, params, pm, train, test, x, enc))
+        metrics.append(selector_fold_metrics(pm.values[test], refit_scores[-1]))
+    return chosen, metrics, refit_scores
 
 
 SUBSAMPLED_SPACE = SearchSpace(
@@ -492,10 +510,14 @@ class TestCandidateJobs:
         pm, uf = planted_problem(n_users=18)
         table = synthetic_algo_table()
         report = run_nested_cv(pm, uf, table, mode, 3, SUBSAMPLED_SPACE, seed=8)
-        chosen, metrics = per_fold_search_reference(pm, uf, table, mode, 3, SUBSAMPLED_SPACE, 8)
+        chosen, metrics, refit_scores = per_fold_search_reference(pm, uf, table, mode, 3, SUBSAMPLED_SPACE, 8)
         model = report.methods["model"]
         assert report.best_params_per_fold == chosen
         assert list(zip(model.fold_ndcg, model.fold_top1, model.fold_top3)) == metrics
+        assert sorted(int(row) for test in report.folds for row in test) == list(range(len(pm.users)))
+        for test, want in zip(report.folds, refit_scores, strict=True):
+            assert np.array_equal(report.scores["model"][test], want)
+        assert_metrics_read_from_scores(report, pm)
 
     def test_jobs_are_inner_training_sets_then_refits(self, monkeypatch):
         sent = []
