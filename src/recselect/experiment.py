@@ -12,16 +12,17 @@ tiled column means for SBA and the true rows for VBA. Every fold metric is
 one function of the truth, a score matrix and the folds' test rows: select
 each row's best-ranked algorithm, look up its realized NDCG, and aggregate.
 
-The work is scheduled by inner training set, not by fold. Random-search
-candidates are independent draws (Bergstra & Bengio, JMLR 2012), and every
-seed derives from the run seed, the outer fold, the candidate and the inner
-fold alone. So one ``pool.map_jobs`` call runs every (outer fold, inner fold)
-pair, each job fitting every candidate of the fold on that inner fold's
-training rows, grouped by ``min_samples_leaf`` so that each group shares one
-GBDT presort. The calling process averages each candidate's inner-fold MSEs
-and picks each fold's winner, and a second call refits the winners, one job
-per fold. Results are merged in job order, so every report is the same
-whatever the worker count.
+Every fit runs in one kind of job, ``_fit_and_score``: fit a list of
+candidates on one row set and return each one's scores on another. Its fits
+share the row set's meta-dataset, and those with one ``min_samples_leaf``
+share one GBDT presort. Random-search candidates are independent draws
+(Bergstra & Bengio, JMLR 2012), and every seed derives from the run seed, the
+outer fold, the candidate and the inner fold alone. So one ``pool.map_jobs``
+call runs a job per (outer fold, inner fold) pair, carrying the fold's
+candidates. The calling process turns their validation scores into MSEs and
+picks each fold's winner, and a second call runs a job per outer fold,
+carrying its winner. Results are merged in job order, so every report is the
+same whatever the worker count.
 """
 
 from __future__ import annotations
@@ -329,29 +330,38 @@ def _meta_dataset(mode: str, pm: PerformanceMatrix, train: np.ndarray, x: np.nda
     return build_long(x[train], pm.values[train], enc.aligned(pm.algorithms))
 
 
-def _fit_predictor(
+def _fit_and_score(
     mode: str,
-    params: GBDTParams,
     pm: PerformanceMatrix,
-    train: np.ndarray,
-    held_out: np.ndarray,
-    x: np.ndarray,
     enc,
-    shared: tuple | None = None,
-) -> np.ndarray:
-    """Fit one meta-learner on the ``train`` rows and score the ``held_out`` rows.
+    x: np.ndarray,
+    fit_rows: np.ndarray,
+    score_rows: np.ndarray,
+    params: Sequence[GBDTParams],
+) -> list[np.ndarray]:
+    """Fit one meta-learner per entry of ``params`` on the ``fit_rows`` and score the ``score_rows``.
 
-    ``x`` holds every user's feature row in ``pm.users`` order; the scores are
-    (``held_out`` rows, algorithms). ``shared``, when given, is the ``train``
-    rows' meta-dataset ``(x, y)`` and a ``Presort`` of its ``x`` for
-    ``params.min_samples_leaf``, built once for several fits.
+    ``x`` holds every user's feature row in ``pm.users`` order. The
+    ``fit_rows``' meta-dataset is built once, and the fits run in
+    ``min_samples_leaf`` order: each group shares one ``Presort`` of its
+    ``x``, with at most one alive at a time. Returns one (``score_rows``,
+    algorithms) score array per entry of ``params``, in ``params`` order.
     """
-    x_fit, y_fit, presort = shared or (*_meta_dataset(mode, pm, train, x, enc), None)
-    if mode == "user_only":
-        model = fit_multi_output_gbdt(x_fit, y_fit, params, presort=presort)
-        return predict_scores_user_only(model, x[held_out])
-    model = fit_gbdt(x_fit, y_fit, params, presort=presort)
-    return predict_scores_user_algo(model, x[held_out], enc, pm.algorithms)
+    x_fit, y_fit = _meta_dataset(mode, pm, fit_rows, x, enc)
+    x_score = x[score_rows]
+    scores, presort = [None] * len(params), None
+    for c_idx in sorted(range(len(params)), key=lambda c: params[c].min_samples_leaf):
+        if presort is None or presort.min_samples_leaf != params[c_idx].min_samples_leaf:
+            presort = None  # drop the last group's presort before sorting for the next
+            presort = Presort(x_fit, params[c_idx].min_samples_leaf)
+        if mode == "user_only":
+            model = fit_multi_output_gbdt(x_fit, y_fit, params[c_idx], presort=presort)
+            scores[c_idx] = predict_scores_user_only(model, x_score)
+        else:
+            model = fit_gbdt(x_fit, y_fit, params[c_idx], presort=presort)
+            scores[c_idx] = predict_scores_user_algo(model, x_score, enc, pm.algorithms)
+        del model  # not kept alive through the next presort and fit
+    return scores
 
 
 def _outer_folds(
@@ -407,16 +417,11 @@ def run_nested_cv(
         scores["model"] = scores["vba" if predictor == "oracle" else "sba"]
     else:
         best_params_per_fold = _random_search(pm, space, mode, folds, enc, seed)
-
-        def refit(job) -> np.ndarray:
-            """Fit one fold's winner on its training rows and score its test rows."""
-            (fold_idx, train, test, x), best = job
-            params = GBDTParams(**best, seed=derive_seed(seed, "refit", fold_idx)).validate()
-            return _fit_predictor(mode, params, pm, train, test, x, enc)
-
-        refits = map_jobs(refit, list(zip(folds, best_params_per_fold)))
+        refits = [(x, train, test, [GBDTParams(**best, seed=derive_seed(seed, "refit", fold_idx)).validate()])
+                  for (fold_idx, train, test, x), best in zip(folds, best_params_per_fold)]
+        fitted = map_jobs(lambda job: _fit_and_score(mode, pm, enc, *job), refits)
         scores["model"] = np.empty_like(pm.values)
-        for (_, _, test, _), fold_scores in zip(folds, refits):
+        for (_, _, test, _), [fold_scores] in zip(refits, fitted):
             scores["model"][test] = fold_scores
 
     test_rows = [test for _, _, test, _ in folds]
@@ -439,43 +444,31 @@ def run_nested_cv(
 def _random_search(pm, space, mode, folds, enc, seed) -> list[dict]:
     """Each outer fold's hyperparameters: random search over inner folds of its training rows.
 
-    Every (outer fold, inner fold) pair is one ``map_jobs`` job, which fits
-    the fold's candidates on the inner fold's training rows, grouped by
-    ``min_samples_leaf`` with one ``Presort`` alive at a time, and returns
-    their validation MSEs. Every seed derives from the run seed, the fold,
-    the candidate and the inner fold, so no job depends on another. A
-    candidate's MSE is the mean over its inner folds; a fold's winner is its
-    first candidate with the lowest MSE, and NaN never wins.
+    Every (outer fold, inner fold) pair is one ``_fit_and_score`` job, run by
+    one ``map_jobs`` call: it fits the fold's candidates on the inner fold's
+    training rows and returns their scores on its validation rows. Every seed
+    derives from the run seed, the fold, the candidate and the inner fold, so
+    no job depends on another. Back in the calling process, a candidate's MSE
+    is the mean over its inner folds of the validation MSE of its scores
+    against the true per-algorithm NDCG; a fold's winner is its first
+    candidate with the lowest MSE, and NaN never wins.
     """
-    searches = []  # per fold: (candidates, inner folds)
-    for fold_idx, train, _, _ in folds:
+    candidates_per_fold, jobs = [], []  # jobs: (x, fit rows, validation rows, params) per (fold, inner fold)
+    for fold_idx, train, _, x in folds:
         rng = np.random.default_rng(derive_seed(seed, "hpo", fold_idx))
         candidates = [space.sample(rng) for _ in range(space.n_iter)]
-        searches.append(
-            (candidates, make_user_folds(len(train), space.inner_folds, derive_seed(seed, "inner", fold_idx)))
-        )
+        candidates_per_fold.append(candidates)
+        inner = make_user_folds(len(train), space.inner_folds, derive_seed(seed, "inner", fold_idx))
+        for i_idx, val in enumerate(inner):
+            params = [GBDTParams(**candidate, seed=derive_seed(seed, "inner-fit", fold_idx, c_idx, i_idx)).validate()
+                      for c_idx, candidate in enumerate(candidates)]
+            jobs.append((x, np.delete(train, val), train[val], params))
 
-    def inner_fold_mses(job) -> list:
-        fold_idx, i_idx = job
-        _, train, _, x = folds[fold_idx]
-        candidates, inner = searches[fold_idx]
-        fit_rows, val_rows = np.delete(train, inner[i_idx]), train[inner[i_idx]]
-        x_fit, y_fit = _meta_dataset(mode, pm, fit_rows, x, enc)
-        params = [GBDTParams(**candidate, seed=derive_seed(seed, "inner-fit", fold_idx, c_idx, i_idx)).validate()
-                  for c_idx, candidate in enumerate(candidates)]
-        mses, presort = [None] * len(params), None
-        for c_idx in sorted(range(len(params)), key=lambda c: params[c].min_samples_leaf):
-            if presort is None or presort.min_samples_leaf != params[c_idx].min_samples_leaf:
-                presort = None  # drop the last group's presort before sorting for the next
-                presort = Presort(x_fit, params[c_idx].min_samples_leaf)
-            pred = _fit_predictor(mode, params[c_idx], pm, fit_rows, val_rows, x, enc, (x_fit, y_fit, presort))
-            mses[c_idx] = np.mean(np.mean((pred - pm.values[val_rows]) ** 2, axis=1))
-        return mses
-
-    jobs = [(fold_idx, i_idx) for fold_idx in range(len(folds)) for i_idx in range(space.inner_folds)]
-    per_job = iter(map_jobs(inner_fold_mses, jobs))
+    scored = map_jobs(lambda job: _fit_and_score(mode, pm, enc, *job), jobs)
+    per_job = ([np.mean(np.mean((pred - pm.values[val_rows]) ** 2, axis=1)) for pred in preds]
+               for (_, _, val_rows, _), preds in zip(jobs, scored))
     best_per_fold = []
-    for (fold_idx, _, _, _), (candidates, _) in zip(folds, searches):
+    for fold_idx, candidates in enumerate(candidates_per_fold):
         fold_mses = [next(per_job) for _ in range(space.inner_folds)]  # (inner fold, candidate)
         best_params, best_mse = None, np.inf
         for c_idx, candidate in enumerate(candidates):
@@ -629,7 +622,6 @@ def run_importance(
 ) -> ImportanceReport:
     """Split-gain importance of the pair model, aggregated over folds."""
     enc = encode_algo_features(algo_table)
-    algo_x = enc.aligned(pm.algorithms)
     base = params or GBDTParams()
 
     names = list(user_features.names) + list(enc.feature_names)
@@ -638,8 +630,7 @@ def run_importance(
         """Split-gain importance of the pair model fitted on one outer fold's training rows."""
         fold_idx, train, _, x = fold
         fold_params = replace(base, seed=derive_seed(seed, "importance", fold_idx)).validate()
-        x_fit, y_fit = build_long(x[train], pm.values[train], algo_x)
-        return fit_gbdt(x_fit, y_fit, fold_params).feature_importance()
+        return fit_gbdt(*_meta_dataset("user_algo", pm, train, x, enc), fold_params).feature_importance()
 
     vectors = map_jobs(fold_importance, list(_outer_folds(pm, user_features, n_folds, seed)))
     for importance in vectors:

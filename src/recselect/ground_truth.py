@@ -94,9 +94,11 @@ class PerformanceMatrix:
         return cls(users, algorithms, rows)
 
 
-# Score values per block of users: a block's (users, items) score matrix and
-# the arrays top_k derives from it, each passed over about ten times, stay in a
-# core's L2 cache (2**18 float64 values are 2 MB; 51 users at 5,120 items).
+# Score values per block of users, a bound on each block's memory: its (users,
+# items) score matrix is 2 MB of float64 (51 users at 5,120 items), and with
+# the arrays top_k derives from it an EASE block peaks at about 4.6 MB. The
+# time of evaluate_portfolio at that size is flat from 16 to 204 users per
+# block, so the value is no cache fit.
 _BLOCK_VALUES = 2**18
 
 
@@ -154,7 +156,7 @@ def evaluate_portfolio(
     several calls score the same split; one laid out for another matrix is a
     ValueError. The skipped users are recorded on the returned matrix.
     Each model scores blocks of ``_BLOCK_VALUES // n_items`` users with
-    ``score_users``, small enough that ``top_k`` ranks a block in cache, and
+    ``score_users``, which bounds the memory a block takes, and
     ``top_k`` leaves out each user's training items, scattered with the
     relevant ones from the layout into two masks reused by every block. Its
     snapped tie rule keeps a cell from depending on how the scores were

@@ -128,14 +128,6 @@ PROBE_GENERATORS = {
 }
 
 
-def default_probes(seed: int = 0) -> dict[str, Dataset]:
-    """The three standard probe datasets, sub-seeded per probe name."""
-    return {
-        name: gen(seed=seed + offset)
-        for offset, (name, gen) in enumerate(PROBE_GENERATORS.items())
-    }
-
-
 EVENT_TYPES = ("view", "addtocart", "transaction")
 
 

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 import recselect.pool as pool
 from recselect.data import Dataset, Interaction, temporal_split_per_user
 from recselect.recommenders import build_train_matrix
+from recselect.synth import PROBE_GENERATORS
 
 
 # Every available algorithm with parameters small enough for test-size matrices.
@@ -27,6 +28,14 @@ SMALL_PARAMS = {
 # biasedmf at a diverging learning rate overflows, then meets inf - inf, on purpose. A test that trains
 # it so declares these two warnings; the pytest configuration turns every other RuntimeWarning into an error.
 DIVERGES = pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+
+
+def default_probes(seed: int = 0) -> dict[str, Dataset]:
+    """The three standard probe datasets, sub-seeded per probe name."""
+    return {
+        name: gen(seed=seed + offset)
+        for offset, (name, gen) in enumerate(PROBE_GENERATORS.items())
+    }
 
 
 def force_workers(monkeypatch, n_workers):

@@ -47,8 +47,10 @@ from recselect.recommenders import PortfolioConfig, algorithm_source_path, train
 from recselect.recommenders import biasedmf, bpr, implicitmf
 from recselect.recommenders.base import build_train_matrix
 from recselect.recommenders.ease import ease_weights
-from recselect.synth import default_probes, planted_two_population
+from recselect.synth import planted_two_population
 from recselect.user_features import USER_FEATURE_NAMES, UserFeatureTable, user_feature_table
+
+from conftest import default_probes
 
 PORTFOLIO = {
     "pop": {},

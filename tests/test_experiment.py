@@ -38,7 +38,17 @@ from recselect.experiment import (
     selector_fold_metrics,
 )
 from recselect.ground_truth import PerformanceMatrix
-from recselect.meta import GBDTParams, Presort, encode_algo_features
+from recselect.meta import (
+    GBDTParams,
+    Presort,
+    build_long,
+    build_wide,
+    encode_algo_features,
+    fit_gbdt,
+    fit_multi_output_gbdt,
+    predict_scores_user_algo,
+    predict_scores_user_only,
+)
 from recselect.recommenders import top_k
 from recselect.user_features import USER_FEATURE_NAMES, UserFeatureTable
 
@@ -464,8 +474,17 @@ class TestParallelFolds:
         assert pool._worker_count(50) == 1
 
 
+def fit_and_score_alone(mode, pm, enc, x, fit_rows, score_rows, params):
+    """One meta-learner fitted on the ``fit_rows`` with its own presort; its scores of the ``score_rows``."""
+    if mode == "user_only":
+        model = fit_multi_output_gbdt(*build_wide(x[fit_rows], pm.values[fit_rows]), params)
+        return predict_scores_user_only(model, x[score_rows])
+    model = fit_gbdt(*build_long(x[fit_rows], pm.values[fit_rows], enc.aligned(pm.algorithms)), params)
+    return predict_scores_user_algo(model, x[score_rows], enc, pm.algorithms)
+
+
 def per_fold_search_reference(pm, uf, table, mode, n_folds, space, seed):
-    """Nested CV with one job per outer fold: its candidates searched in turn, then its refit.
+    """Nested CV with one fit at a time: each fold's candidates searched in turn, then its refit.
 
     Returns each fold's chosen hyperparameters, its (NDCG, top-1, top-3)
     metrics and its refit's score matrix.
@@ -481,14 +500,14 @@ def per_fold_search_reference(pm, uf, table, mode, n_folds, space, seed):
             fold_mses = []
             for i_idx, val in enumerate(inner):
                 params = GBDTParams(**candidate, seed=derive_seed(seed, "inner-fit", fold_idx, c_idx, i_idx))
-                pred = experiment._fit_predictor(mode, params, pm, np.delete(train, val), train[val], x, enc)
+                pred = fit_and_score_alone(mode, pm, enc, x, np.delete(train, val), train[val], params)
                 fold_mses.append(np.mean(np.mean((pred - pm.values[train[val]]) ** 2, axis=1)))
             mse = float(np.mean(fold_mses))
             if mse < best_mse:
                 best_mse, best_params = mse, candidate
         params = GBDTParams(**best_params, seed=derive_seed(seed, "refit", fold_idx))
         chosen.append(best_params)
-        refit_scores.append(experiment._fit_predictor(mode, params, pm, train, test, x, enc))
+        refit_scores.append(fit_and_score_alone(mode, pm, enc, x, train, test, params))
         metrics.append(selector_fold_metrics(pm.values[test], refit_scores[-1]))
     return chosen, metrics, refit_scores
 
@@ -529,10 +548,62 @@ class TestCandidateJobs:
 
         monkeypatch.setattr(experiment, "map_jobs", spy)
         pm, uf = planted_problem(n_users=18)
-        run_nested_cv(pm, uf, None, "user_only", 3, SUBSAMPLED_SPACE, seed=8)
+        report = run_nested_cv(pm, uf, None, "user_only", 3, SUBSAMPLED_SPACE, seed=8)
+        folds = list(experiment._outer_folds(pm, uf, 3, 8))
         assert len(sent) == 2
-        assert sent[0] == [(fold, inner) for fold in range(3) for inner in range(SUBSAMPLED_SPACE.inner_folds)]
-        assert [fold[0] for fold, _ in sent[1]] == [0, 1, 2]
+        hpo, refits = sent
+        assert len(hpo) == len(folds) * SUBSAMPLED_SPACE.inner_folds
+        for job_idx, (x, fit_rows, val_rows, params) in enumerate(hpo):  # (x, fit rows, score rows, params)
+            fold_idx, i_idx = divmod(job_idx, SUBSAMPLED_SPACE.inner_folds)
+            _, train, _, fold_x = folds[fold_idx]
+            val = make_user_folds(len(train), SUBSAMPLED_SPACE.inner_folds, derive_seed(8, "inner", fold_idx))[i_idx]
+            assert np.array_equal(x, fold_x)
+            assert np.array_equal(fit_rows, np.delete(train, val)) and np.array_equal(val_rows, train[val])
+            assert [p.seed for p in params] == [derive_seed(8, "inner-fit", fold_idx, c_idx, i_idx)
+                                                for c_idx in range(SUBSAMPLED_SPACE.n_iter)]
+        assert len(refits) == len(folds)
+        for (x, fit_rows, test_rows, params), (fold_idx, train, test, fold_x), best in zip(
+                refits, folds, report.best_params_per_fold):
+            assert np.array_equal(x, fold_x)
+            assert np.array_equal(fit_rows, train) and np.array_equal(test_rows, test)
+            assert params == [GBDTParams(**best, seed=derive_seed(8, "refit", fold_idx))]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_both_calls_run_fit_and_score_on_their_jobs(self, monkeypatch, mode):
+        force_workers(monkeypatch, 1)  # the jobs run here, where the spies see them
+        calls = []  # per map_jobs call: its jobs, the _fit_and_score calls it made and its results
+        original_map, original_fit = experiment.map_jobs, experiment._fit_and_score
+
+        def map_spy(fn, jobs):
+            calls.append({"jobs": list(jobs), "fits": []})
+            calls[-1]["results"] = original_map(fn, jobs)
+            return calls[-1]["results"]
+
+        def fit_spy(*args):
+            calls[-1]["fits"].append(args)
+            return original_fit(*args)
+
+        monkeypatch.setattr(experiment, "map_jobs", map_spy)
+        monkeypatch.setattr(experiment, "_fit_and_score", fit_spy)
+        pm, uf = planted_problem(n_users=18)
+        run_nested_cv(pm, uf, synthetic_algo_table(), mode, 3, SUBSAMPLED_SPACE, seed=0)
+        assert len(calls) == 2
+        for call in calls:
+            assert len(call["fits"]) == len(call["jobs"])
+            for (fit_mode, fit_pm, _, *job_args), job in zip(call["fits"], call["jobs"]):
+                assert fit_mode == mode and fit_pm is pm
+                assert all(arg is part for arg, part in zip(job_args, job, strict=True))
+        hpo, refits = calls
+        enc = hpo["fits"][0][2]
+        assert any(sorted(p.min_samples_leaf for p in params) != [p.min_samples_leaf for p in params]
+                   for *_, params in hpo["jobs"])  # some job fits its candidates out of params order
+        for (x, fit_rows, val_rows, params), per_candidate in zip(hpo["jobs"], hpo["results"], strict=True):
+            assert len(per_candidate) == SUBSAMPLED_SPACE.n_iter
+            for scores, candidate in zip(per_candidate, params, strict=True):  # in params order
+                assert scores.shape == (len(val_rows), len(pm.algorithms))
+                assert np.array_equal(scores, fit_and_score_alone(mode, pm, enc, x, fit_rows, val_rows, candidate))
+        for (_, _, test_rows, _), [scores] in zip(refits["jobs"], refits["results"], strict=True):
+            assert scores.shape == (len(test_rows), len(pm.algorithms))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_each_inner_training_set_holds_one_presort_per_min_samples_leaf(self, monkeypatch, mode):
@@ -540,14 +611,15 @@ class TestCandidateJobs:
         built = []
         monkeypatch.setattr(experiment, "Presort", lambda x, leaf: built.append(leaf) or Presort(x, leaf))
         pm, uf = planted_problem(n_users=18)
-        run_nested_cv(pm, uf, synthetic_algo_table(), mode, 3, SUBSAMPLED_SPACE, seed=8)
+        report = run_nested_cv(pm, uf, synthetic_algo_table(), mode, 3, SUBSAMPLED_SPACE, seed=8)
         leaves = []  # per fold, the candidates' min_samples_leaf
         for fold in range(3):
             rng = np.random.default_rng(derive_seed(8, "hpo", fold))
             leaves.append([SUBSAMPLED_SPACE.sample(rng)["min_samples_leaf"] for _ in range(SUBSAMPLED_SPACE.n_iter)])
         assert any(len(set(fold)) >= 2 for fold in leaves)  # the draw needs two presorts in some fold
+        refits = [best["min_samples_leaf"] for best in report.best_params_per_fold]  # one presort per refit
         assert built == [leaf for fold in leaves for _ in range(SUBSAMPLED_SPACE.inner_folds)
-                         for leaf in sorted(set(fold))]
+                         for leaf in sorted(set(fold))] + refits
 
 
 class TestFullEvaluation:

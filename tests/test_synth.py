@@ -10,7 +10,6 @@ from recselect.synth import (
     EVENT_TYPES,
     PLANTED_NAME,
     PROBE_GENERATORS,
-    default_probes,
     neighborhood_clustered,
     planted_two_population,
     popularity_skewed,
@@ -18,6 +17,8 @@ from recselect.synth import (
     write_sample_event_log,
 )
 from recselect.user_features import build_popularity_table
+
+from conftest import default_probes
 
 
 @pytest.fixture(scope="module")
