@@ -10,7 +10,6 @@ from .data import (
     Dataset,
     DatasetStats,
     IngestConfig,
-    Interaction,
     SplitPair,
     dataset_stats,
     filter_min_interactions,
@@ -61,7 +60,6 @@ __all__ = [
     "DivergenceError",
     "EmptyDatasetError",
     "IngestConfig",
-    "Interaction",
     "MatrixInversionError",
     "NonFiniteScoresError",
     "PerformanceMatrix",

@@ -1,6 +1,9 @@
-"""Interaction datasets: ingestion, cleaning, filtering, and temporal splitting.
+"""Logs of user-item interactions as columns: ingestion, cleaning, filtering, and temporal splitting.
 
-The canonical on-disk form is a CSV with header ``user,item,rating,timestamp``.
+A :class:`Dataset` holds a log as aligned arrays, one entry per interaction
+in log order; filtering, user sampling and the temporal split each keep a
+row subset with :meth:`Dataset.select`. The canonical on-disk form is a CSV
+with header ``user,item,rating,timestamp`` and one row per (user, item) pair.
 Raw event logs with arbitrary column names and categorical event types are
 normalized into that form by :func:`ingest_raw`.
 """
@@ -13,7 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,43 +26,48 @@ CANONICAL_COLUMNS = ("user", "item", "rating", "timestamp")
 DEDUP_MODES = ("mean", "sum")
 
 
-@dataclass(frozen=True)
-class Interaction:
-    """One (user, item) event after normalization."""
-
-    user: str
-    item: str
-    rating: float
-    timestamp: int
+def _code(ids: Iterable[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ids in order of first appearance, and each id's position among them."""
+    index: dict[str, int] = {}
+    codes = np.fromiter((index.setdefault(i, len(index)) for i in ids), dtype=np.int64)
+    return list(index), codes
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered interaction log plus dense id maps.
+    """An interaction log as aligned columns in log order.
 
-    Dense indices are assigned by first appearance in ``interactions``, so two
-    datasets with equal interaction sequences have equal id maps.
+    ``users`` and ``items`` index ``user_ids`` and ``item_ids``, which list
+    the ids in order of first appearance, so equal columns give equal id lists.
     """
 
     name: str
-    interactions: tuple[Interaction, ...]
-    user_ids: list[str] = field(init=False, compare=False, repr=False)
-    item_ids: list[str] = field(init=False, compare=False, repr=False)
-    user_index: dict[str, int] = field(init=False, compare=False, repr=False)
-    item_index: dict[str, int] = field(init=False, compare=False, repr=False)
+    user_ids: list[str]
+    item_ids: list[str]
+    users: np.ndarray = field(repr=False)  # int64 codes
+    items: np.ndarray = field(repr=False)  # int64 codes
+    ratings: np.ndarray = field(repr=False)  # float64
+    timestamps: np.ndarray = field(repr=False)  # int64
 
-    def __post_init__(self):
-        users: dict[str, int] = {}
-        items: dict[str, int] = {}
-        for it in self.interactions:
-            if it.user not in users:
-                users[it.user] = len(users)
-            if it.item not in items:
-                items[it.item] = len(items)
-        self.user_index = users
-        self.item_index = items
-        self.user_ids = list(users)
-        self.item_ids = list(items)
+    @classmethod
+    def from_log(cls, name: str, users: Sequence[str], items: Sequence[str], ratings, timestamps) -> "Dataset":
+        """The log of the given id sequences, ratings and timestamps, ids coded by first appearance."""
+        user_ids, user_codes = _code(users)
+        item_ids, item_codes = _code(items)
+        ratings = np.asarray(ratings, dtype=np.float64)
+        timestamps = np.asarray(timestamps, dtype=np.int64)
+        if not user_codes.size == item_codes.size == ratings.size == timestamps.size:
+            raise ValueError("users, items, ratings and timestamps must have one entry per interaction")
+        return cls(name, user_ids, item_ids, user_codes, item_codes, ratings, timestamps)
+
+    def select(self, mask: np.ndarray) -> "Dataset":
+        """The rows where ``mask`` holds, in log order, with their ids coded again."""
+        return Dataset.from_log(self.name, [self.user_ids[u] for u in self.users[mask].tolist()],
+                                [self.item_ids[i] for i in self.items[mask].tolist()], self.ratings[mask],
+                                self.timestamps[mask])
+
+    def __len__(self) -> int:
+        return self.users.size
 
     @property
     def n_users(self) -> int:
@@ -68,13 +76,6 @@ class Dataset:
     @property
     def n_items(self) -> int:
         return len(self.item_ids)
-
-    def by_user(self) -> dict[str, list[Interaction]]:
-        """Group interactions per user, preserving log order within each user."""
-        grouped: dict[str, list[Interaction]] = {u: [] for u in self.user_ids}
-        for it in self.interactions:
-            grouped[it.user].append(it)
-        return grouped
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,12 @@ def _parse_rating(raw: str, weights: Mapping[str, float] | None, row_index: int)
 
 def _parse_timestamp(raw: str, row_index: int) -> int:
     try:
-        return int(float(raw))
+        value = float(raw)
     except ValueError:
         raise RowParseError(row_index, f"timestamp {raw!r} is not numeric") from None
+    if not (math.isfinite(value) and -2**63 <= int(value) < 2**63):
+        raise RowParseError(row_index, f"timestamp {raw!r} is not a finite number within the int64 range")
+    return int(value)
 
 
 def ingest_raw(rows: Iterable[Mapping[str, str]] | str | os.PathLike, config: IngestConfig) -> Dataset:
@@ -205,30 +209,26 @@ def ingest_raw(rows: Iterable[Mapping[str, str]] | str | os.PathLike, config: In
     if not acc:
         raise EmptyDatasetError(f"no interactions ingested for dataset {config.name!r}")
 
-    interactions = []
-    for (user, item), (total, count, ts) in acc.items():
-        rating = total / count if config.dedup == "mean" else total
-        interactions.append(Interaction(user, item, rating, ts))
-    return Dataset(config.name, tuple(interactions))
+    mean = config.dedup == "mean"
+    return Dataset.from_log(config.name, [user for user, _ in acc], [item for _, item in acc],
+                            [total / count if mean else total for total, count, _ in acc.values()],
+                            [ts for _, _, ts in acc.values()])
 
 
 def filter_min_interactions(dataset: Dataset, min_interactions: int = 10) -> Dataset:
     """Drop users with fewer than ``min_interactions`` interactions.
 
     Applied to users only, once, before splitting. Items that lose all their
-    interactions disappear from the rebuilt id maps.
+    interactions disappear from the rebuilt id lists.
     """
     if min_interactions < 1:
         raise ValueError("min_interactions must be >= 1")
-    counts: dict[str, int] = {}
-    for it in dataset.interactions:
-        counts[it.user] = counts.get(it.user, 0) + 1
-    kept = tuple(it for it in dataset.interactions if counts[it.user] >= min_interactions)
-    if not kept:
+    kept = np.bincount(dataset.users, minlength=dataset.n_users)[dataset.users] >= min_interactions
+    if not kept.any():
         raise EmptyDatasetError(
             f"no users with >= {min_interactions} interactions in dataset {dataset.name!r}"
         )
-    return Dataset(dataset.name, kept)
+    return dataset.select(kept)
 
 
 def temporal_split_per_user(dataset: Dataset, test_fraction: float = 0.2) -> SplitPair:
@@ -241,37 +241,27 @@ def temporal_split_per_user(dataset: Dataset, test_fraction: float = 0.2) -> Spl
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
-    positions: dict[str, list[int]] = {}
-    for pos, it in enumerate(dataset.interactions):
-        positions.setdefault(it.user, []).append(pos)
-    for user, user_positions in positions.items():
-        if len(user_positions) < 2:
-            raise EmptyDatasetError(
-                f"user {user!r} of dataset {dataset.name!r} has 1 interaction, so its training part "
-                "would be empty; every user needs at least 2 to split"
-            )
-
-    test_positions: set[int] = set()
-    for user_positions in positions.values():
-        order = sorted(user_positions, key=lambda p: (dataset.interactions[p].timestamp, p))
-        n_test = max(1, math.floor(test_fraction * len(order)))
-        test_positions.update(order[len(order) - n_test:])
-
-    train = tuple(it for pos, it in enumerate(dataset.interactions) if pos not in test_positions)
-    test = tuple(it for pos, it in enumerate(dataset.interactions) if pos in test_positions)
-    return SplitPair(
-        train=Dataset(dataset.name, train),
-        test=Dataset(dataset.name, test),
-        test_fraction=test_fraction,
-    )
+    counts = np.bincount(dataset.users, minlength=dataset.n_users)
+    if (counts < 2).any():
+        user = dataset.user_ids[int(np.argmax(counts < 2))]
+        raise EmptyDatasetError(
+            f"user {user!r} of dataset {dataset.name!r} has 1 interaction, so its training part "
+            "would be empty; every user needs at least 2 to split"
+        )
+    # Each user's rows in a run, by timestamp; lexsort is stable, so log order breaks ties.
+    order = np.lexsort((dataset.timestamps, dataset.users))
+    n_test = np.maximum(1, np.floor(test_fraction * counts).astype(np.int64))
+    first_test = np.cumsum(counts) - n_test  # each user's first test position in ``order``
+    test = np.zeros(len(dataset), dtype=bool)
+    test[order] = np.arange(len(dataset)) >= first_test[dataset.users[order]]
+    return SplitPair(train=dataset.select(~test), test=dataset.select(test), test_fraction=test_fraction)
 
 
 def dataset_stats(dataset: Dataset) -> DatasetStats:
     """User/item/interaction counts and sparsity = 1 - |log| / (|U|*|I|)."""
-    n = len(dataset.interactions)
-    if n == 0:
+    if not len(dataset):
         raise EmptyDatasetError("cannot compute stats of an empty dataset")
-    return DatasetStats.from_counts(dataset.n_users, dataset.n_items, n)
+    return DatasetStats.from_counts(dataset.n_users, dataset.n_items, len(dataset))
 
 
 def sample_users(dataset: Dataset, fraction: float, seed: int) -> Dataset:
@@ -282,19 +272,20 @@ def sample_users(dataset: Dataset, fraction: float, seed: int) -> Dataset:
         return dataset
     rng = np.random.default_rng(seed)
     n_keep = max(1, int(round(fraction * dataset.n_users)))
-    keep = set(rng.permutation(dataset.n_users)[:n_keep].tolist())
-    kept_users = {u for u, idx in dataset.user_index.items() if idx in keep}
-    interactions = tuple(it for it in dataset.interactions if it.user in kept_users)
-    return Dataset(dataset.name, interactions)
+    keep = np.zeros(dataset.n_users, dtype=bool)
+    keep[rng.permutation(dataset.n_users)[:n_keep]] = True
+    return dataset.select(keep[dataset.users])
 
 
 def write_interactions_csv(dataset: Dataset, path: str | os.PathLike) -> None:
     """Write the canonical ``user,item,rating,timestamp`` CSV."""
+    user_ids, item_ids = dataset.user_ids, dataset.item_ids
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_COLUMNS)
-        for it in dataset.interactions:
-            writer.writerow([it.user, it.item, repr(it.rating), it.timestamp])
+        # tolist() gives Python floats, whose repr is the shortest round-trip text.
+        writer.writerows([user_ids[u], item_ids[i], repr(r), t] for u, i, r, t in zip(
+            dataset.users.tolist(), dataset.items.tolist(), dataset.ratings.tolist(), dataset.timestamps.tolist()))
 
 
 @contextlib.contextmanager
@@ -309,25 +300,35 @@ def open_table(path: str | os.PathLike):
 
 
 def read_interactions_csv(path: str | os.PathLike, name: str | None = None) -> Dataset:
-    """Read a canonical CSV produced by :func:`write_interactions_csv`."""
+    """Read a canonical CSV produced by :func:`write_interactions_csv`.
+
+    A repeated (user, item) pair, which the split could put in training and in
+    test alike, is a RowParseError naming both rows.
+    """
     with open_table(path) as reader:
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CANONICAL_COLUMNS:
             raise SchemaError(f"expected header {','.join(CANONICAL_COLUMNS)!r} in {path}")
-        interactions = []
+        users, items, ratings, timestamps = [], [], [], []
+        first_row: dict[tuple[str, str], int] = {}
         for row_index, row in enumerate(reader):
             if len(row) != 4:
                 raise RowParseError(row_index, f"expected 4 fields, got {len(row)}")
             user, item, rating_raw, ts_raw = (f.strip() for f in row)
             if not user or not item:
                 raise RowParseError(row_index, "empty user or item id")
-            rating = _parse_rating(rating_raw, None, row_index)
-            interactions.append(Interaction(user, item, rating, _parse_timestamp(ts_raw, row_index)))
-    if not interactions:
+            earlier = first_row.setdefault((user, item), row_index)
+            if earlier != row_index:
+                raise RowParseError(row_index, f"user {user!r} and item {item!r} repeat row {earlier}")
+            users.append(user)
+            items.append(item)
+            ratings.append(_parse_rating(rating_raw, None, row_index))
+            timestamps.append(_parse_timestamp(ts_raw, row_index))
+    if not users:
         raise EmptyDatasetError(f"no interactions in {path}")
     if name is None:
         name = os.path.splitext(os.path.basename(str(path)))[0]
-    return Dataset(name, tuple(interactions))
+    return Dataset.from_log(name, users, items, ratings, timestamps)
 
 
 def read_header(path: str | os.PathLike, reader, first: str) -> list[str]:

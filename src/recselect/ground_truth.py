@@ -124,24 +124,26 @@ class EvaluableUsers:
 def evaluable_users(matrix: TrainMatrix, test: Dataset) -> EvaluableUsers:
     """The test users that are trainable and testable; the others are counted and logged.
 
-    Users absent from the training matrix (or with empty relevant sets, which
-    cannot occur for datasets produced by the splitter) are skipped.
+    Users absent from the training matrix are skipped. A user's relevant set
+    is the distinct items of its test rows, so it is never empty.
     """
-    relevant_by_user: dict[str, set[str]] = {}
-    for it in test.interactions:
-        relevant_by_user.setdefault(it.user, set()).add(it.item)
-    users = [u for u in test.user_ids if relevant_by_user.get(u) and u in matrix.user_index]
-    skipped = len(test.user_ids) - len(users)
+    index = np.array([matrix.user_index.get(u, -1) for u in test.user_ids], dtype=np.int64)
+    known, rows = index >= 0, index[index >= 0]
+    users = [u for u, row in zip(test.user_ids, index.tolist()) if row >= 0]
+    skipped = test.n_users - len(users)
     if skipped:
         logger.warning("skipped %d test user(s) absent from training", skipped)
     n = matrix.n_items
-    rows = np.array([matrix.user_index[u] for u in users], dtype=np.int64)
     seen = np.concatenate([np.zeros(0, np.int64)] + [matrix.seen[r] for r in rows])
     seen += np.repeat(np.arange(len(users)) * n, [matrix.seen[r].size for r in rows])
-    wanted = np.fromiter((pos * n + matrix.item_index[i] for pos, u in enumerate(users)
-                          for i in relevant_by_user[u] if i in matrix.item_index), dtype=np.int64)
-    return EvaluableUsers(users, skipped, matrix, rows, np.array([len(relevant_by_user[u]) for u in users]),
-                          seen, wanted)
+    pairs = np.unique(test.users * test.n_items + test.items)  # each user's distinct relevant items
+    pair_users, pair_items = np.divmod(pairs, test.n_items)
+    columns = np.array([matrix.item_index.get(i, -1) for i in test.item_ids], dtype=np.int64)[pair_items]
+    position = np.cumsum(known) - 1  # each known test user's place in ``users``
+    trained = known[pair_users] & (columns >= 0)
+    wanted = np.sort(position[pair_users[trained]] * n + columns[trained])
+    n_relevant = np.bincount(pair_users, minlength=test.n_users)[known]
+    return EvaluableUsers(users, skipped, matrix, rows, n_relevant, seen, wanted)
 
 
 def evaluate_portfolio(

@@ -58,23 +58,20 @@ class TrainMatrix:
 
 def build_train_matrix(train: Dataset) -> TrainMatrix:
     """Build the CSR rating matrix from a training split."""
-    if not train.interactions:
+    if not len(train):
         raise EmptyDatasetError("cannot build a training matrix from an empty dataset")
-    rows = np.fromiter((train.user_index[it.user] for it in train.interactions), dtype=np.int64)
-    cols = np.fromiter((train.item_index[it.item] for it in train.interactions), dtype=np.int64)
-    vals = np.fromiter((it.rating for it in train.interactions), dtype=np.float64)
     shape = (train.n_users, train.n_items)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    matrix = sp.csr_matrix((train.ratings, (train.users, train.items)), shape=shape)
     matrix.sum_duplicates()
 
     seen = np.split(matrix.indices.astype(np.int64), matrix.indptr[1:-1])  # canonical CSR: sorted, unique
-    item_counts = np.bincount(cols, minlength=shape[1]).astype(np.int64)
+    item_counts = np.bincount(train.items, minlength=shape[1])
     return TrainMatrix(
         matrix=matrix,
         user_ids=list(train.user_ids),
         item_ids=list(train.item_ids),
-        user_index=dict(train.user_index),
-        item_index=dict(train.item_index),
+        user_index={u: i for i, u in enumerate(train.user_ids)},
+        item_index={i: j for j, i in enumerate(train.item_ids)},
         seen=seen,
         item_counts=item_counts,
     )

@@ -13,21 +13,18 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Iterable
 
 import numpy as np
 
-from .data import Dataset, Interaction
+from .data import Dataset
 
 PLANTED_NAME = "planted_two_population"
 
 
-def _assemble(name: str, rows: Iterable[tuple[str, str, float]]) -> Dataset:
-    """Attach sequential timestamps in row order."""
-    interactions = tuple(
-        Interaction(user, item, rating, ts) for ts, (user, item, rating) in enumerate(rows)
-    )
-    return Dataset(name, interactions)
+def _log(name: str, users: list[str], items: list[str], ratings=None) -> Dataset:
+    """The log of the given rows, rated 1.0 unless ``ratings`` are given, stamped with the row sequence."""
+    return Dataset.from_log(name, users, items, np.ones(len(users)) if ratings is None else ratings,
+                            np.arange(len(users)))
 
 
 def planted_two_population(
@@ -61,25 +58,22 @@ def planted_two_population(
         [f"c{c:02d}_{j:02d}" for j in range(cluster_size)] for c in range(clusters)
     ]
 
-    rows: list[tuple[str, str, float]] = []
+    users: list[str] = []
+    items: list[str] = []
     for u in range(users_per_group):
-        user = f"main{u:04d}"
         heads = rng.choice(head_items, size=4, replace=False, p=head_probs)
-        for j in range(12):
-            rows.append((user, f"junk_{u:04d}_{j:02d}", 1.0))
-        # One trained head, then the three held-out heads (most recent).
-        for h in heads:
-            rows.append((user, head[int(h)], 1.0))
+        # Twelve junk items, one trained head, then the three held-out heads (most recent).
+        items += [f"junk_{u:04d}_{j:02d}" for j in range(12)] + [head[int(h)] for h in heads]
+        users += [f"main{u:04d}"] * 16
 
     users_per_cluster = max(1, users_per_group // clusters)
     for u in range(users_per_group):
-        user = f"niche{u:04d}"
         cluster = (u // users_per_cluster) % clusters
         chosen = rng.permutation(cluster_size)[:11]
-        for j in chosen:
-            rows.append((user, cluster_items[cluster][int(j)], 1.0))
+        items += [cluster_items[cluster][int(j)] for j in chosen]
+        users += [f"niche{u:04d}"] * 11
 
-    return _assemble(PLANTED_NAME, rows)
+    return _log(PLANTED_NAME, users, items)
 
 
 def popularity_skewed(seed: int = 7, n_users: int = 80, n_items: int = 60, per_user: int = 15) -> Dataset:
@@ -87,12 +81,13 @@ def popularity_skewed(seed: int = 7, n_users: int = 80, n_items: int = 60, per_u
     rng = np.random.default_rng(seed)
     weights = 1.0 / np.arange(1, n_items + 1)
     probs = weights / weights.sum()
-    rows = []
+    users, items, ratings = [], [], []
     for u in range(n_users):
-        items = rng.choice(n_items, size=per_user, replace=False, p=probs)
-        for i in items:
-            rows.append((f"u{u:04d}", f"i{int(i):04d}", float(rng.integers(1, 6))))
-    return _assemble("popularity_skewed", rows)
+        chosen = rng.choice(n_items, size=per_user, replace=False, p=probs)
+        users += [f"u{u:04d}"] * per_user
+        items += [f"i{int(i):04d}" for i in chosen]
+        ratings += [float(rng.integers(1, 6)) for _ in chosen]  # one draw per item, after the choice
+    return _log("popularity_skewed", users, items, ratings)
 
 
 def neighborhood_clustered(
@@ -100,25 +95,24 @@ def neighborhood_clustered(
 ) -> Dataset:
     """Users draw almost exclusively from one item cluster."""
     rng = np.random.default_rng(seed)
-    rows = []
+    users, items = [], []
     for c in range(clusters):
         for u in range(users_per_cluster):
-            user = f"u{c:02d}_{u:02d}"
             chosen = rng.permutation(cluster_size)[:per_user]
-            for j in chosen:
-                rows.append((user, f"c{c:02d}_{int(j):02d}", 1.0))
-    return _assemble("neighborhood_clustered", rows)
+            users += [f"u{c:02d}_{u:02d}"] * chosen.size
+            items += [f"c{c:02d}_{int(j):02d}" for j in chosen]
+    return _log("neighborhood_clustered", users, items)
 
 
 def uniform_sparse(seed: int = 9, n_users: int = 80, n_items: int = 120, per_user: int = 12) -> Dataset:
     """Uniform item choice; no exploitable structure."""
     rng = np.random.default_rng(seed)
-    rows = []
+    users, items = [], []
     for u in range(n_users):
-        items = rng.choice(n_items, size=per_user, replace=False)
-        for i in items:
-            rows.append((f"u{u:04d}", f"i{int(i):04d}", 1.0))
-    return _assemble("uniform_sparse", rows)
+        chosen = rng.choice(n_items, size=per_user, replace=False)
+        users += [f"u{u:04d}"] * per_user
+        items += [f"i{int(i):04d}" for i in chosen]
+    return _log("uniform_sparse", users, items)
 
 
 PROBE_GENERATORS = {

@@ -4,13 +4,14 @@ Fifteen features per user: interaction counts, rating statistics (population
 standard deviation; Shannon entropy, base 2, over distinct rating values),
 timestamp statistics on the raw timestamp scale, and statistics of the
 training popularity of the items the user interacted with. Nothing here may
-see test interactions; the popularity table is likewise train-only.
+see test interactions; item popularity is likewise counted on the training
+log. :func:`user_feature_table` hands each user's slices of the log's columns,
+taken from one stable argsort by user, to :func:`compute_user_features`.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import dataclass
 
@@ -47,14 +48,6 @@ RAW_TIMESCALE_FEATURES = (
 )
 
 
-def build_popularity_table(train: Dataset) -> dict[str, int]:
-    """Training interaction count per item id."""
-    counts: dict[str, int] = {}
-    for it in train.interactions:
-        counts[it.item] = counts.get(it.item, 0) + 1
-    return counts
-
-
 def rating_entropy(ratings: np.ndarray) -> float:
     """Shannon entropy (bits) of the empirical distribution over distinct values."""
     _, counts = np.unique(ratings, return_counts=True)
@@ -62,22 +55,20 @@ def rating_entropy(ratings: np.ndarray) -> float:
     return float(-(probs * np.log2(probs)).sum())
 
 
-def compute_user_features(
-    interactions: list,
-    popularity: dict[str, int],
-) -> np.ndarray:
-    """Feature vector for one user's training interactions (log order)."""
-    if not interactions:
+def compute_user_features(items: np.ndarray, ratings: np.ndarray, timestamps: np.ndarray,
+                          popularity: np.ndarray) -> np.ndarray:
+    """Feature vector of one user's training rows (log order); ``popularity`` counts each item code."""
+    if not items.size:
         raise ValueError("cannot compute features for an empty history")
-    ratings = np.asarray([it.rating for it in interactions], dtype=np.float64)
-    timestamps = np.sort(np.asarray([it.timestamp for it in interactions], dtype=np.float64))
-    pops = np.asarray([popularity.get(it.item, 0) for it in interactions], dtype=np.float64)
+    ratings = ratings.astype(np.float64)
+    timestamps = np.sort(timestamps.astype(np.float64))
+    pops = popularity[items].astype(np.float64)
 
     diffs = np.diff(timestamps)
     return np.array(
         [
-            float(len(interactions)),
-            float(len({it.item for it in interactions})),
+            float(items.size),
+            float(np.unique(items).size),
             float(ratings.mean()),
             float(ratings.std()),
             float(ratings.min()),
@@ -134,9 +125,11 @@ class UserFeatureTable:
 
 def user_feature_table(train: Dataset) -> UserFeatureTable:
     """All users' features from the training split, with item popularity counted on it."""
-    popularity = build_popularity_table(train)
-    grouped = train.by_user()
-    rows = [compute_user_features(grouped[user], popularity) for user in train.user_ids]
+    popularity = np.bincount(train.items, minlength=train.n_items)
+    order = np.argsort(train.users, kind="stable")  # each user's rows in a run, in log order
+    ends = np.cumsum(np.bincount(train.users, minlength=train.n_users))[:-1]
+    rows = [compute_user_features(train.items[at], train.ratings[at], train.timestamps[at], popularity)
+            for at in np.split(order, ends) if at.size]  # only an empty log has an empty run
     matrix = np.vstack(rows) if rows else np.empty((0, len(USER_FEATURE_NAMES)))
     if not np.all(np.isfinite(matrix)):
         raise ValueError("user features must be finite")

@@ -7,9 +7,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 import recselect.pool as pool
-from recselect.data import Dataset, Interaction, temporal_split_per_user
+from recselect.data import Dataset, temporal_split_per_user
 from recselect.recommenders import build_train_matrix
 from recselect.synth import PROBE_GENERATORS
 
@@ -66,7 +67,35 @@ def deadline(seconds):
 
 def make_dataset(rows, name="toy"):
     """Build a Dataset from (user, item, rating, timestamp) tuples."""
-    return Dataset(name, tuple(Interaction(u, i, float(r), int(t)) for u, i, r, t in rows))
+    users, items, ratings, timestamps = zip(*rows) if rows else ((), (), (), ())
+    return Dataset.from_log(name, users, items, ratings, timestamps)
+
+
+def log_rows(dataset):
+    """The log's (user, item, rating, timestamp) tuples in log order."""
+    return list(zip([dataset.user_ids[u] for u in dataset.users.tolist()],
+                    [dataset.item_ids[i] for i in dataset.items.tolist()],
+                    dataset.ratings.tolist(), dataset.timestamps.tolist()))
+
+
+@st.composite
+def interaction_logs(draw, min_per_user=1):
+    """(user, item, rating, timestamp) rows of up to five interleaved users, each with at least
+    ``min_per_user`` rows: repeated items, tied timestamps and graded ratings."""
+    n_users = draw(st.integers(1, 5))
+    users = draw(st.permutations(list(range(n_users)) * min_per_user + draw(st.lists(st.integers(0, n_users - 1),
+                                                                                       max_size=20))))
+    timestamps = st.integers(0, 4) | st.integers(-2**62, 2**62)
+    return [(f"u{u}", f"i{draw(st.integers(0, 6))}", draw(st.sampled_from([0.5, 1.0, 2.5, 4.0, 1 / 3])),
+             draw(timestamps)) for u in users]
+
+
+def rows_by_user(dataset):
+    """Each user's (item, rating, timestamp) tuples in log order, users in ``user_ids`` order."""
+    grouped = {u: [] for u in dataset.user_ids}
+    for user, item, rating, timestamp in log_rows(dataset):
+        grouped[user].append((item, rating, timestamp))
+    return grouped
 
 
 @pytest.fixture

@@ -302,12 +302,10 @@ def test_criterion_5_recommender_math_oracles():
             fd = (bpr_loss(p_u, q_i, q_j + step) - bpr_loss(p_u, q_i, q_j - step)) / (2 * eps)
             assert np.isclose(g_j[axis], fd, rtol=1e-4, atol=1e-7)
 
-    from recselect.data import Dataset, Interaction
-    rows = [
-        ("u0", "a"), ("u0", "b"), ("u1", "b"), ("u1", "c"),
-        ("u2", "c"), ("u2", "d"), ("u3", "d"), ("u3", "a"),
-    ]
-    ds = Dataset("four", [Interaction(u, i, 1.0, float(t)) for t, (u, i) in enumerate(rows)])
+    from recselect.data import Dataset
+    users = ["u0", "u0", "u1", "u1", "u2", "u2", "u3", "u3"]
+    items = ["a", "b", "b", "c", "c", "d", "d", "a"]
+    ds = Dataset.from_log("four", users, items, np.ones(8), np.arange(8))
     m = build_train_matrix(ds)
     csr = m.matrix.tocsr()
     csr_t = m.matrix.T.tocsr()

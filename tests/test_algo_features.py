@@ -31,7 +31,7 @@ from recselect.errors import ConfigError, SchemaError
 from recselect.ground_truth import evaluate_portfolio
 from recselect.recommenders import AVAILABLE_ALGORITHMS, build_train_matrix, stored_values, train_algorithm
 
-from conftest import DIVERGES, force_workers, make_dataset
+from conftest import DIVERGES, force_workers, log_rows, make_dataset
 
 
 def probe_split():
@@ -209,8 +209,7 @@ class TestLandmarks:
     def test_skipped_test_users_are_logged_once_per_probe(self, monkeypatch, caplog, n_workers):
         force_workers(monkeypatch, n_workers)
         split = probe_split()
-        rows = [(it.user, it.item, it.rating, it.timestamp) for it in split.test.interactions]
-        split = dataclasses.replace(split, test=make_dataset(rows + [("ghost", "i1", 1.0, 99)]))
+        split = dataclasses.replace(split, test=make_dataset(log_rows(split.test) + [("ghost", "i1", 1.0, 99)]))
         with caplog.at_level(logging.WARNING):
             landmark_portfolio({"p0": split}, {"pop": {}, "itemknn": {"neighbors": 2}, "ease": {"l2": 2.0}})
         assert sum("skipped 1 test user" in r.getMessage() for r in caplog.records) == 1

@@ -455,6 +455,25 @@ def test_one_interaction_user_exits_1_with_one_error_line(pipeline, tmp_path, ca
     assert err.startswith("error: user 'lonely' ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, source, row, message", [
+    ("ground-truth", "bench.csv", "main0000,i0,1.0,inf", "timestamp 'inf' is not a finite number"),
+    ("ground-truth", "bench.csv", None, "repeat row 0"),  # the first data row again
+    ("ingest", "raw_events.csv", "v001,view,sku001,1e400", "timestamp '1e400' is not a finite number"),
+])
+def test_bad_interaction_row_exits_1_with_one_error_line(pipeline, tmp_path, capsys, command, source, row, message):
+    with open(os.path.join(pipeline["synth_out"], source), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    data = tmp_path / source
+    data.write_text("\n".join(lines + [row or lines[1]]) + "\n", encoding="utf-8")
+    key = "dataset" if command == "ground-truth" else "path"
+    cfg = rerun_config(pipeline, STAGE_CONFIGS[command], {key: str(data)}, tmp_path)
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: row {len(lines) - 1}: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestFeaturesCommand:
     def test_user_table_covers_all_users(self, pipeline):
         table = UserFeatureTable.from_csv(os.path.join(pipeline["feat_out"], "user_features.csv"))

@@ -20,7 +20,22 @@ from recselect.data import (
 )
 from recselect.errors import EmptyDatasetError, RowParseError, SchemaError
 
-from conftest import make_dataset, random_dataset
+from conftest import interaction_logs, log_rows, make_dataset, random_dataset, rows_by_user
+
+
+def reference_split(rows, test_fraction):
+    """The per-user split by loops: each user's positions sorted by (timestamp, position), the
+    last ``max(1, floor(test_fraction * n))`` to test; returns the train and test rows in log order."""
+    positions = {}
+    for pos, (user, _, _, _) in enumerate(rows):
+        positions.setdefault(user, []).append(pos)
+    test_positions = set()
+    for user_positions in positions.values():
+        order = sorted(user_positions, key=lambda p: (rows[p][3], p))
+        n_test = max(1, math.floor(test_fraction * len(order)))
+        test_positions.update(order[len(order) - n_test:])
+    return ([row for pos, row in enumerate(rows) if pos not in test_positions],
+            [row for pos, row in enumerate(rows) if pos in test_positions])
 
 
 class TestIngest:
@@ -39,7 +54,7 @@ class TestIngest:
             event_weights={"view": 1.0, "addtocart": 2.0, "transaction": 4.0},
         )
         ds = ingest_raw(rows, config)
-        got = {(it.user, it.item): it.rating for it in ds.interactions}
+        got = {(u, i): r for u, i, r, _ in log_rows(ds)}
         assert got == {("v1", "s1"): 1.0, ("v1", "s2"): 4.0, ("v2", "s1"): 2.0}
 
     def test_unknown_event_label_is_a_row_error(self):
@@ -58,10 +73,7 @@ class TestIngest:
         config = IngestConfig(name="d", user_col="u", item_col="i", rating_col="r",
                               timestamp_col="t", dedup="sum")
         ds = ingest_raw(rows, config)
-        assert len(ds.interactions) == 1
-        it = ds.interactions[0]
-        assert it.rating == 5.0
-        assert it.timestamp == 9  # later clock survives regardless of row order
+        assert log_rows(ds) == [("a", "x", 5.0, 9)]  # later clock survives regardless of row order
 
     def test_duplicate_pairs_mean(self):
         rows = [
@@ -71,25 +83,31 @@ class TestIngest:
         config = IngestConfig(name="d", user_col="u", item_col="i", rating_col="r",
                               timestamp_col="t", dedup="mean")
         ds = ingest_raw(rows, config)
-        assert ds.interactions[0].rating == 2.5
+        assert ds.ratings.tolist() == [2.5]
 
     def test_missing_timestamp_column_uses_row_order(self):
         rows = [{"u": "a", "i": "x"}, {"u": "a", "i": "y"}, {"u": "b", "i": "x"}]
         config = IngestConfig(name="d", user_col="u", item_col="i")
         ds = ingest_raw(rows, config)
-        assert [it.timestamp for it in ds.interactions] == [0, 1, 2]
-        assert all(it.rating == 1.0 for it in ds.interactions)
+        assert ds.timestamps.tolist() == [0, 1, 2]
+        assert ds.ratings.tolist() == [1.0, 1.0, 1.0]
 
     def test_blank_timestamp_value_falls_back_to_row_index(self):
         rows = [{"u": "a", "i": "x", "t": "50"}, {"u": "a", "i": "y", "t": ""}]
         config = IngestConfig(name="d", user_col="u", item_col="i", timestamp_col="t")
         ds = ingest_raw(rows, config)
-        assert [it.timestamp for it in ds.interactions] == [50, 1]
+        assert ds.timestamps.tolist() == [50, 1]
 
     def test_missing_required_column_is_schema_error(self):
         rows = [{"u": "a", "r": "1"}]
         config = IngestConfig(name="d", user_col="u", item_col="i")
         with pytest.raises(SchemaError, match="'i'"):
+            ingest_raw(rows, config)
+
+    def test_timestamp_outside_int64_names_the_row(self):
+        rows = [{"u": "a", "i": "x", "t": "5"}, {"u": "a", "i": "y", "t": "1e400"}]
+        config = IngestConfig(name="d", user_col="u", item_col="i", timestamp_col="t")
+        with pytest.raises(RowParseError, match=r"row 1: timestamp '1e400' .* int64"):
             ingest_raw(rows, config)
 
     def test_non_numeric_rating_names_the_row(self):
@@ -118,7 +136,7 @@ class TestIngest:
         ]
         config = IngestConfig(name="d", user_col="u", item_col="i", timestamp_col="t")
         ds = ingest_raw(rows, config)
-        assert [(it.user, it.item) for it in ds.interactions] == [("b", "y"), ("a", "x")]
+        assert [(u, i) for u, i, _, _ in log_rows(ds)] == [("b", "y"), ("a", "x")]
         assert ds.user_ids == ["b", "a"]
 
     def test_csv_path_and_dict_rows_agree(self, tmp_path):
@@ -131,7 +149,7 @@ class TestIngest:
             [{"u": "a", "i": "x", "r": "2", "t": "5"}, {"u": "b", "i": "y", "r": "3", "t": "6"}],
             config,
         )
-        assert from_file.interactions == from_rows.interactions
+        assert log_rows(from_file) == log_rows(from_rows)
 
     def test_event_weights_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -169,22 +187,22 @@ class TestFilterMinInteractions:
         ds = random_dataset(rng, n_users=20, min_per_user=2, max_per_user=12)
         once = filter_min_interactions(ds, 5)
         twice = filter_min_interactions(once, 5)
-        assert once.interactions == twice.interactions
+        assert log_rows(once) == log_rows(twice)
 
 
 class TestTemporalSplit:
     def test_eighty_twenty_on_ten_interactions(self):
         rows = [("a", f"i{j}", 1.0, j) for j in range(10)]
         split = temporal_split_per_user(make_dataset(rows), 0.2)
-        assert len(split.train.interactions) == 8
-        assert len(split.test.interactions) == 2
-        assert {it.item for it in split.test.interactions} == {"i8", "i9"}
+        assert len(split.train) == 8
+        assert len(split.test) == 2
+        assert set(split.test.item_ids) == {"i8", "i9"}
 
     def test_minimum_one_test_interaction(self):
         rows = [("a", "x", 1.0, 0), ("a", "y", 1.0, 1)]
         split = temporal_split_per_user(make_dataset(rows), 0.2)
-        assert len(split.test.interactions) == 1
-        assert split.test.interactions[0].item == "y"
+        assert len(split.test) == 1
+        assert split.test.item_ids == ["y"]
 
     def test_every_user_in_both_sides(self):
         rng = np.random.default_rng(7)
@@ -197,24 +215,32 @@ class TestTemporalSplit:
         rng = np.random.default_rng(11)
         ds = random_dataset(rng)
         split = temporal_split_per_user(ds, 0.3)
-        merged = sorted(split.train.interactions + split.test.interactions,
-                        key=lambda it: (it.user, it.item, it.timestamp))
-        original = sorted(ds.interactions, key=lambda it: (it.user, it.item, it.timestamp))
-        assert merged == original
+        assert sorted(log_rows(split.train) + log_rows(split.test)) == sorted(log_rows(ds))
 
     def test_test_side_holds_the_latest_timestamps(self):
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, n_users=10, min_per_user=4, max_per_user=9)
         split = temporal_split_per_user(ds, 0.25)
-        train_by_user = split.train.by_user()
-        for user, test_its in split.test.by_user().items():
-            max_train = max(it.timestamp for it in train_by_user[user])
-            assert all(it.timestamp >= max_train for it in test_its)
+        train_by_user = rows_by_user(split.train)
+        for user, test_rows in rows_by_user(split.test).items():
+            max_train = max(t for _, _, t in train_by_user[user])
+            assert all(t >= max_train for _, _, t in test_rows)
 
     def test_timestamp_ties_resolve_by_log_order(self):
         rows = [("a", "first", 1.0, 5), ("a", "second", 1.0, 5), ("a", "third", 1.0, 5)]
         split = temporal_split_per_user(make_dataset(rows), 0.2)
-        assert [it.item for it in split.test.interactions] == ["third"]
+        assert split.test.item_ids == ["third"]
+
+    @given(rows=interaction_logs(min_per_user=2),
+           fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_user_reference_bit_for_bit(self, rows, fraction):
+        split = temporal_split_per_user(make_dataset(rows), fraction)
+        for got, want in zip((split.train, split.test), reference_split(rows, fraction)):
+            assert got.user_ids == list(dict.fromkeys(row[0] for row in want))
+            assert got.item_ids == list(dict.fromkeys(row[1] for row in want))
+            assert log_rows(got) == want
+            assert got.ratings.tobytes() == np.array([row[2] for row in want]).tobytes()
 
     def test_single_interaction_user_rejected(self):
         ds = make_dataset([("a", "x", 1.0, 0), ("a", "y", 1.0, 1), ("b", "x", 1.0, 2)])
@@ -233,7 +259,7 @@ class TestTemporalSplit:
     def test_test_count_formula(self, n, fraction):
         rows = [("a", f"i{j}", 1.0, j) for j in range(n)]
         split = temporal_split_per_user(make_dataset(rows), fraction)
-        assert len(split.test.interactions) == max(1, math.floor(fraction * n))
+        assert len(split.test) == max(1, math.floor(fraction * n))
 
 
 class TestDatasetStats:
@@ -266,14 +292,32 @@ class TestCsvRoundTrip:
         write_interactions_csv(ds, path)
         back = read_interactions_csv(path)
         assert back.name == "roundtrip"
-        assert back.interactions == ds.interactions
+        assert log_rows(back) == log_rows(ds)
 
     def test_fractional_ratings_survive_exactly(self, tmp_path):
         ds = make_dataset([("a", "x", 2.5, 0), ("a", "y", 1 / 3, 1)])
         path = tmp_path / "frac.csv"
         write_interactions_csv(ds, path)
         back = read_interactions_csv(path)
-        assert [it.rating for it in back.interactions] == [2.5, 1 / 3]
+        assert back.ratings.tolist() == [2.5, 1 / 3]
+
+    @pytest.mark.parametrize("timestamp", ["inf", "-inf", "nan", "1e400", "9.3e18", "-1e19"])
+    def test_timestamp_outside_int64_is_a_row_error(self, tmp_path, timestamp):
+        path = tmp_path / "d.csv"
+        path.write_text(f"user,item,rating,timestamp\na,x,1.0,0\na,y,1.0,{timestamp}\n")
+        with pytest.raises(RowParseError, match=rf"row 1: timestamp '{timestamp}' .* int64"):
+            read_interactions_csv(path)
+
+    def test_timestamps_at_the_int64_ends_are_read(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("user,item,rating,timestamp\na,x,1.0,-9223372036854775808\na,y,1.0,9.2233720368547748e18\n")
+        assert read_interactions_csv(path).timestamps.tolist() == [-2**63, 2**63 - 1024]
+
+    def test_repeated_pair_is_a_row_error_naming_both_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("user,item,rating,timestamp\na,x,1.0,1\na,y,1.0,2\nb,x,1.0,3\na,x,1.0,9\n")
+        with pytest.raises(RowParseError, match=r"row 3: user 'a' and item 'x' repeat row 0"):
+            read_interactions_csv(path)
 
     def test_wrong_header_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -300,7 +344,7 @@ class TestSampleUsers:
         ds = random_dataset(rng, n_users=30)
         a = sample_users(ds, 0.3, seed=9)
         b = sample_users(ds, 0.3, seed=9)
-        assert a.interactions == b.interactions
+        assert log_rows(a) == log_rows(b)
 
     def test_full_fraction_is_identity(self):
         rng = np.random.default_rng(5)

@@ -32,7 +32,7 @@ from recselect.recommenders import implicitmf
 from recselect.recommenders.ease import EaseModel
 from recselect.synth import planted_two_population
 
-from conftest import SMALL_PARAMS, dense_b, lu_solve_side, make_dataset, random_dataset
+from conftest import SMALL_PARAMS, dense_b, log_rows, lu_solve_side, make_dataset, random_dataset, rows_by_user
 
 
 def brute_force_ndcg(ranking, relevant, k):
@@ -230,9 +230,7 @@ class TestEvaluatePortfolio:
         matrix = build_train_matrix(split.train)
         pm = evaluate_portfolio(matrix, split.test, models, k=5)
 
-        relevant = {}
-        for it in split.test.interactions:
-            relevant.setdefault(it.user, set()).add(it.item)
+        relevant = {u: {item for item, _, _ in rows} for u, rows in rows_by_user(split.test).items()}
         for user in pm.users:
             for algo, model in models.items():
                 rec = recommend_top_k(model, user, k=5, exclude_seen=True)
@@ -262,7 +260,7 @@ class TestEvaluatePortfolio:
         rng = np.random.default_rng(5)
         split = temporal_split_per_user(random_dataset(rng, n_users=40, n_items=30, min_per_user=4,
                                                        max_per_user=12), 0.25)
-        test = make_dataset([(it.user, it.item, it.rating, it.timestamp) for it in split.test.interactions]
+        test = make_dataset(log_rows(split.test)
                             + [(f"u{u:03d}", f"new{u % 3}", 1.0, 999) for u in range(0, 40, 4)])
         matrix = build_train_matrix(split.train)
         models = train_portfolio(matrix, PortfolioConfig({"pop": {}, "itemknn": {"neighbors": 5}}))
@@ -272,9 +270,7 @@ class TestEvaluatePortfolio:
         assert len(users.users) == 40 and not any(i.startswith("new") for i in matrix.item_index)
         got, want = evaluate_portfolio(matrix, users, models, k=5), evaluate_portfolio(matrix, test, models, k=5)
         assert got.users == want.users and got.values.tobytes() == want.values.tobytes()
-        relevant = {}
-        for it in test.interactions:
-            relevant.setdefault(it.user, set()).add(it.item)
+        relevant = {u: {item for item, _, _ in rows} for u, rows in rows_by_user(test).items()}
         for user in got.users:
             for algo, model in models.items():
                 assert got.lookup(user, algo) == ndcg_at_k(recommend_top_k(model, user, k=5).items,
@@ -379,10 +375,7 @@ class TestEvaluatePortfolio:
     def test_unknown_test_users_are_skipped_and_counted(self, toy_split, toy_matrix):
         models = train_portfolio(toy_split.train, PortfolioConfig({"pop": {}}))
         extra = make_dataset([("ghost", "i1", 1.0, 99)])
-        test = make_dataset(
-            [(it.user, it.item, it.rating, it.timestamp) for it in toy_split.test.interactions]
-            + [(it.user, it.item, it.rating, it.timestamp) for it in extra.interactions]
-        )
+        test = make_dataset(log_rows(toy_split.test) + log_rows(extra))
         pm = evaluate_portfolio(toy_matrix, test, models, k=3)
         assert pm.skipped_users == 1
         assert "ghost" not in pm.users

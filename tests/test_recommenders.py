@@ -50,6 +50,7 @@ from conftest import (
     dense_b,
     generic_wavefronts,
     int64_key_top_k,
+    log_rows,
     make_dataset,
     per_entry_normal_equations,
     random_dataset,
@@ -97,7 +98,7 @@ class TestTrainMatrix:
                            ("u", "z", 3.0, 4), ("v", "x", 1.0, 5), ("u", "y", 5.0, 6)])
         m = build_train_matrix(ds)
         for user in m.user_ids:
-            want = np.unique([m.item_index[it.item] for it in ds.interactions if it.user == user])
+            want = np.unique([m.item_index[item] for u, item, _, _ in log_rows(ds) if u == user])
             assert m.seen[m.user_index[user]].dtype == np.int64
             np.testing.assert_array_equal(m.seen[m.user_index[user]], want)
         assert m.seen[m.user_index["w"]].size == 1

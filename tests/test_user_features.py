@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from recselect.data import temporal_split_per_user
 from recselect.errors import SchemaError
@@ -10,17 +10,47 @@ from recselect.user_features import (
     RAW_TIMESCALE_FEATURES,
     USER_FEATURE_NAMES,
     UserFeatureTable,
-    build_popularity_table,
     compute_user_features,
     rating_entropy,
     user_feature_table,
 )
 
-from conftest import make_dataset
+from conftest import interaction_logs, make_dataset, rows_by_user
 
 
 def idx(name):
     return USER_FEATURE_NAMES.index(name)
+
+
+def reference_table(rows):
+    """The feature matrix by per-user loops over (user, item, rating, timestamp) rows: per-user
+    arrays of ratings, timestamps and item popularities, users in order of first appearance."""
+    popularity = {}
+    grouped = {}
+    for user, item, rating, timestamp in rows:
+        popularity[item] = popularity.get(item, 0) + 1
+        grouped.setdefault(user, []).append((item, rating, timestamp))
+    matrix = []
+    for history in grouped.values():
+        ratings = np.asarray([r for _, r, _ in history], dtype=np.float64)
+        timestamps = np.sort(np.asarray([t for _, _, t in history], dtype=np.float64))
+        pops = np.asarray([popularity[i] for i, _, _ in history], dtype=np.float64)
+        diffs = np.diff(timestamps)
+        matrix.append([
+            float(len(history)), float(len({i for i, _, _ in history})),
+            float(ratings.mean()), float(ratings.std()), float(ratings.min()), float(ratings.max()),
+            float(np.median(ratings)), rating_entropy(ratings),
+            float(timestamps[-1] - timestamps[0]), float(timestamps[0]), float(timestamps[-1]),
+            float(diffs.mean()) if diffs.size else 0.0,
+            float(pops.mean()), float(np.median(pops)), float(pops.std()),
+        ])
+    return list(grouped), np.array(matrix)
+
+
+def one_user_features(ds, popularity=None):
+    """``compute_user_features`` of a one-user log, popularity counted on it unless given."""
+    popularity = np.bincount(ds.items) if popularity is None else np.asarray(popularity)
+    return compute_user_features(ds.items, ds.ratings, ds.timestamps, popularity)
 
 
 class TestNames:
@@ -63,8 +93,7 @@ class TestEntropy:
 class TestComputeUserFeatures:
     def fixture(self):
         ds = make_dataset([("u", "A", 2.0, 100), ("u", "B", 4.0, 50), ("u", "A", 4.0, 200)])
-        pops = build_popularity_table(ds)
-        return compute_user_features(ds.by_user()["u"], pops)
+        return one_user_features(ds)
 
     def test_hand_worked_vector(self):
         vec = self.fixture()
@@ -90,12 +119,12 @@ class TestComputeUserFeatures:
 
     def test_std_is_population_not_sample(self):
         ds = make_dataset([("u", "A", 1.0, 0), ("u", "B", 2.0, 1), ("u", "C", 3.0, 2)])
-        vec = compute_user_features(ds.by_user()["u"], build_popularity_table(ds))
+        vec = one_user_features(ds)
         assert vec[idx("std_rating")] == pytest.approx(0.816496580927726)
 
     def test_single_interaction_degenerate_values(self):
         ds = make_dataset([("u", "A", 3.5, 42)])
-        vec = compute_user_features(ds.by_user()["u"], {"A": 1})
+        vec = one_user_features(ds, [1])
         assert vec[idx("num_interactions")] == 1.0
         assert vec[idx("std_rating")] == 0.0
         assert vec[idx("rating_entropy")] == 0.0
@@ -106,17 +135,17 @@ class TestComputeUserFeatures:
 
     def test_timestamps_sorted_before_differencing(self):
         ds = make_dataset([("u", "A", 1.0, 300), ("u", "B", 1.0, 0), ("u", "C", 1.0, 30)])
-        vec = compute_user_features(ds.by_user()["u"], build_popularity_table(ds))
+        vec = one_user_features(ds)
         assert vec[idx("avg_time_diff_interactions")] == pytest.approx(150.0)
 
     def test_unknown_item_counts_as_zero_popularity(self):
         ds = make_dataset([("u", "ghost", 1.0, 0)])
-        vec = compute_user_features(ds.by_user()["u"], {})
+        vec = one_user_features(ds, [0])  # no training count
         assert vec[idx("avg_item_pop_interacted")] == 0.0
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            compute_user_features([], {})
+            compute_user_features(np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))
 
 
 class TestPopularityTable:
@@ -125,7 +154,9 @@ class TestPopularityTable:
             ("u", "A", 1.0, 0), ("u", "A", 1.0, 1),
             ("v", "A", 1.0, 2), ("v", "B", 1.0, 3),
         ])
-        assert build_popularity_table(ds) == {"A": 3, "B": 1}
+        table = user_feature_table(ds)
+        assert table.row("u")[idx("avg_item_pop_interacted")] == 3.0  # A: three interactions, two users
+        assert table.row("v")[idx("median_item_pop_interacted")] == 2.0  # (3 + 1) / 2
 
     def test_popularity_is_shared_across_users(self):
         ds = make_dataset([
@@ -138,6 +169,16 @@ class TestPopularityTable:
         assert table.row("u1")[idx("avg_item_pop_interacted")] == 2.0  # (3 + 1) / 2
 
 
+class TestColumns:
+    @given(rows=interaction_logs())
+    @settings(max_examples=200, deadline=None)
+    def test_table_matches_the_per_user_reference_bit_for_bit(self, rows):
+        table = user_feature_table(make_dataset(rows))
+        users, matrix = reference_table(rows)
+        assert table.users == users
+        assert table.matrix.tobytes() == matrix.tobytes()
+
+
 class TestTrainOnly:
     def test_features_ignore_the_test_side(self):
         rows = []
@@ -147,12 +188,10 @@ class TestTrainOnly:
         ds = make_dataset(rows)
         split = temporal_split_per_user(ds, 0.34)
         table = user_feature_table(split.train)
-        per_user_train = split.train.by_user()
+        per_user_train = rows_by_user(split.train)
         for u in table.users:
             assert table.row(u)[idx("num_interactions")] == len(per_user_train[u])
-            assert table.row(u)[idx("last_interaction_ts")] == max(
-                it.timestamp for it in per_user_train[u]
-            )
+            assert table.row(u)[idx("last_interaction_ts")] == max(t for _, _, t in per_user_train[u])
 
 
 class TestTable:
