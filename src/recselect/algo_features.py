@@ -19,6 +19,7 @@ import numpy as np
 
 from .astgraph import AST_METRIC_NAMES, AstGraphMetrics, analyze_ast_file
 from .codemetrics import CODE_METRIC_NAMES, CodeMetrics, analyze_file
+from .config import expect, is_boolean
 from .data import SplitPair, open_table, read_header, read_id_rows
 from .errors import ConfigError, RecselectError
 from .ground_truth import evaluable_users, evaluate_portfolio
@@ -52,32 +53,24 @@ class ConceptualTags:
     handles_cold_start: bool
 
     def __post_init__(self):
-        if self.family not in FAMILY_VOCAB:
-            raise ConfigError(f"unknown family {self.family!r}; allowed: {FAMILY_VOCAB}")
-        if self.learning_paradigm not in PARADIGM_VOCAB:
-            raise ConfigError(
-                f"unknown learning paradigm {self.learning_paradigm!r}; allowed: {PARADIGM_VOCAB}"
-            )
+        expect("conceptual family", self.family, FAMILY_VOCAB.__contains__, f"one of {FAMILY_VOCAB}")
+        expect("learning paradigm", self.learning_paradigm, PARADIGM_VOCAB.__contains__, f"one of {PARADIGM_VOCAB}")
 
 
 def load_conceptual_map(
     algorithms: Sequence[str], source: Mapping[str, Sequence] | None = None
 ) -> dict[str, ConceptualTags]:
     """Tags for every requested algorithm; missing entries are a config error."""
-    raw = DEFAULT_CONCEPTUAL if source is None else source
-    if not isinstance(raw, Mapping):
-        raise ConfigError(f"conceptual map must be an object, found {raw!r}")
+    raw = expect("conceptual map", DEFAULT_CONCEPTUAL if source is None else source,
+                 lambda m: isinstance(m, Mapping), "an object")
     tags = {}
     for algo in algorithms:
         if algo not in raw:
             raise ConfigError(f"conceptual map has no entry for algorithm {algo!r}")
-        if not isinstance(raw[algo], (list, tuple)) or len(raw[algo]) != 3:
-            raise ConfigError(
-                f"conceptual map entry {algo!r} must be [family, paradigm, cold start], found {raw[algo]!r}"
-            )
-        family, paradigm, cold = raw[algo]
-        if not isinstance(cold, bool):
-            raise ConfigError(f"conceptual map entry {algo!r} must give cold start as true or false, found {cold!r}")
+        family, paradigm, cold = expect(f"conceptual map entry {algo!r}", raw[algo],
+                                        lambda e: isinstance(e, (list, tuple)) and len(e) == 3,
+                                        "[family, paradigm, cold start]")
+        expect(f"conceptual map entry {algo!r} cold start", cold, is_boolean, "true or false")
         tags[algo] = ConceptualTags(family, paradigm, cold)
     return tags
 

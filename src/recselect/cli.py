@@ -2,9 +2,11 @@
 ablate, importance.
 
 Every command takes --config (JSON), --out (directory), and optionally --seed
-(overrides the config seed). Each run writes its artifacts plus a manifest
-recording the echoed config, the seeds actually used, and SHA-256 hashes of
-every file the stage read, which together reproduce the outputs exactly.
+(overrides the config seed). It checks its config by the rules of
+``recselect.config`` before it reads a dataset or writes a file. Each run
+writes its artifacts plus a manifest recording the echoed config, the seeds
+actually used, and SHA-256 hashes of every file the stage read, which
+together reproduce the outputs exactly.
 Exit codes: 0 on success, 2 for configuration problems, 1 for runtime
 failures.
 """
@@ -16,7 +18,6 @@ import csv
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -30,6 +31,17 @@ from .algo_features import (
     landmark_portfolio,
     load_conceptual_map,
     static_metrics_for_portfolio,
+)
+from .config import (
+    check_keys,
+    check_parameters,
+    expect,
+    is_boolean,
+    is_file_name,
+    is_integer,
+    is_number,
+    keyword_defaults,
+    load_config,
 )
 from .data import (
     IngestConfig,
@@ -65,21 +77,20 @@ from .recommenders import (
     PortfolioConfig,
     algorithm_source_path,
     build_train_matrix,
-    check_keys,
-    check_parameters,
-    keyword_defaults,
     save_model,
     train_algorithm,
     train_parameters,
 )
-from .synth import (
-    PROBE_GENERATORS,
-    planted_two_population,
-    write_sample_event_log,
-)
+from .synth import PROBE_GENERATORS, planted_two_population, sample_event_log, write_event_log
 from .user_features import RAW_TIMESCALE_FEATURES, UserFeatureTable, user_feature_table
 
-DATASET_KINDS = {"planted": planted_two_population, **PROBE_GENERATORS}
+# Each synth kind's generator, and the function that writes what it generates.
+SYNTH_KINDS = {
+    "planted": (planted_two_population, write_interactions_csv),
+    **{kind: (generator, write_interactions_csv) for kind, generator in PROBE_GENERATORS.items()},
+    "event_log": (sample_event_log, write_event_log),
+}
+_REQUIRED = object()  # the default of a key the config must give
 
 
 def _sha256(path: str) -> str:
@@ -90,25 +101,15 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object, found {type(config).__name__}")
-    return config
-
-
 class Stage:
     """One command's config, output directory, seed and ``--mode``, and what it read.
 
-    Handlers name every file they open through ``path`` where they read it, so
-    ``inputs`` lists exactly the files the manifest hashes. ``manifest`` holds
-    the stage's extra deterministic manifest fields.
+    Each getter applies one rule of ``config`` to a key of the config, or of
+    an ``entry`` in it. Handlers call the getters before they read a dataset
+    and name every file they open through ``path`` where they read it, so
+    ``inputs`` lists exactly the files the manifest hashes. They name every
+    file they write through ``output``, which creates the output directory.
+    ``manifest`` holds the stage's extra deterministic manifest fields.
     """
 
     def __init__(self, config: dict, out_dir: str, seed: int | None, mode: str | None = None):
@@ -118,36 +119,24 @@ class Stage:
         self.inputs: list[str] = []
         self.manifest: dict = {}
         config_seed = self.integer("seed", 0, 0)  # checked also where ``--seed`` overrides it
-        if seed is not None and seed < 0:
-            raise ConfigError(f"--seed must be an integer >= 0, found {seed}")
-        self.seed = seed if seed is not None else config_seed
+        self.seed = config_seed if seed is None else expect("--seed", seed, lambda s: s >= 0, "an integer >= 0")
 
-    def require(self, key: str, entry: dict | None = None):
+    def value(self, key: str, default, entry: dict | None, accepts, expected: str):
+        """The value of ``key`` in ``entry`` (the config when None), else ``default``, once ``accepts`` holds."""
         source = self.config if entry is None else entry
-        if key not in source:
+        if default is _REQUIRED and key not in source:
             raise ConfigError(f"config is missing required key {key!r}")
-        return source[key]
+        return expect(f"config key {key!r}", source.get(key, default), accepts, expected)
 
     def string(self, key: str, entry: dict | None = None) -> str:
-        value = self.require(key, entry)
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string, found {value!r}")
-        return value
+        return self.value(key, _REQUIRED, entry, lambda v: isinstance(v, str), "a string")
 
     def optional_string(self, key: str) -> str | None:
-        value = self.config.get(key)
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be null or a string, found {value!r}")
-        return value
+        return self.value(key, None, None, lambda v: v is None or isinstance(v, str), "null or a string")
 
-    def weights(self, key: str) -> dict[str, float] | None:
-        """Null, or an object whose values are all finite numbers."""
-        value = self.config.get(key)
-        if value is not None and not (isinstance(value, dict) and all(
-            not isinstance(w, bool) and isinstance(w, (int, float)) and math.isfinite(w) for w in value.values()
-        )):
-            raise ConfigError(f"config key {key!r} must be null or an object of finite numbers, found {value!r}")
-        return value
+    def file_name(self, key: str, default=_REQUIRED, entry: dict | None = None) -> str:
+        """A name that output files take, so it must stay inside the output directory."""
+        return self.value(key, default, entry, is_file_name, "a file name without a path separator")
 
     def path(self, key: str, entry: dict | None = None) -> str:
         """The file path under ``key``, recorded as an input of this stage."""
@@ -156,37 +145,33 @@ class Stage:
         return path
 
     def integer(self, key: str, default: int, minimum: int, entry: dict | None = None) -> int:
-        value = (self.config if entry is None else entry).get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-            raise ConfigError(f"config key {key!r} must be an integer >= {minimum}, found {value!r}")
-        return value
+        return self.value(key, default, entry, lambda v: is_integer(v) and v >= minimum, f"an integer >= {minimum}")
 
-    def number(self, key: str, default: float, entry: dict | None = None) -> float:
-        value = (self.config if entry is None else entry).get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number, found {value!r}")
-        return value
+    def fraction(self, key: str, default: float, entry: dict | None = None, one: bool = False) -> float:
+        """A number in (0, 1), or in (0, 1] when ``one`` is set."""
+        return self.value(key, default, entry, lambda v: is_number(v) and 0 < v and (v < 1 or one and v == 1),
+                          f"a number in (0, 1{']' if one else ')'}")
 
     def boolean(self, key: str, default: bool) -> bool:
-        value = self.config.get(key, default)
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} must be true or false, found {value!r}")
-        return value
+        return self.value(key, default, None, is_boolean, "true or false")
 
-    def objects(self, key: str, default: list | None = None) -> list[dict]:
-        value = self.require(key) if default is None else self.config.get(key, default)
-        if not isinstance(value, list) or not all(isinstance(e, dict) for e in value):
-            raise ConfigError(f"config key {key!r} must be a list of objects, found {value!r}")
-        return value
+    def objects(self, key: str, default=_REQUIRED) -> list[dict]:
+        return self.value(key, default, None, lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+                          "a list of objects")
 
     def portfolio(self) -> PortfolioConfig:
         """The ``portfolio`` given inline or as a file path, else the default one."""
         raw = self.config.get("portfolio")
         if isinstance(raw, str):
-            raw = _load_config(self.path("portfolio"))
+            raw = load_config(self.path("portfolio"))
         portfolio = PortfolioConfig() if raw is None else PortfolioConfig.from_dict(raw)
         self.manifest["unavailable_algorithms"] = portfolio.unavailable
         return portfolio
+
+    def output(self, name: str) -> str:
+        """The path of the output file ``name``; the output directory is created on the first call."""
+        os.makedirs(self.out_dir, exist_ok=True)
+        return os.path.join(self.out_dir, name)
 
 
 def _write_manifest(command: str, stage: Stage, outputs: list[str]) -> None:
@@ -203,66 +188,64 @@ def _write_manifest(command: str, stage: Stage, outputs: list[str]) -> None:
         "outputs": sorted(os.path.basename(p) for p in outputs),
         **stage.manifest,
     }
-    write_json(manifest, os.path.join(stage.out_dir, f"manifest_{command.replace('-', '_')}.json"))
+    write_json(manifest, stage.output(f"manifest_{command.replace('-', '_')}.json"))
 
 
-def _generate(stage: Stage, entry: dict, kind: str, generator, default_seed: int):
-    """``generator`` called with the entry's checked ``params`` and its ``seed``."""
+def _generator(stage: Stage, entry: dict, kind: str, generator, default_seed: int):
+    """``generator`` bound to the entry's checked ``params`` and its ``seed``, ready to call."""
     defaults = keyword_defaults(generator)
     del defaults["seed"]  # set by the entry's own ``seed``
     params = check_parameters(f"kind {kind!r}", entry.get("params", {}), defaults)
-    return generator(seed=stage.integer("seed", default_seed, 0, entry), **params)
+    return functools.partial(generator, seed=stage.integer("seed", default_seed, 0, entry), **params)
 
 
 def cmd_synth(stage: Stage) -> list[str]:
-    outputs = []
+    """Every entry is checked, and every dataset generated, before the first file is written."""
+    planned = {}  # file name -> (generate, write)
     for entry in stage.objects("datasets"):
         check_keys("synth dataset entry", entry, ("kind", "name", "seed", "params"))
         kind = stage.string("kind", entry)
-        name = stage.string("name", entry) if "name" in entry else kind
-        path, seed = os.path.join(stage.out_dir, f"{name}.csv"), derive_seed(stage.seed, name)
-        if path in outputs:
-            raise ConfigError(f"datasets use the name {name!r} in more than one entry")
-        if kind == "event_log":
-            _generate(stage, entry, kind, functools.partial(write_sample_event_log, path), seed)
-        elif kind in DATASET_KINDS:
-            write_interactions_csv(_generate(stage, entry, kind, DATASET_KINDS[kind], seed), path)
-        else:
+        if kind not in SYNTH_KINDS:
             raise ConfigError(f"unknown synth kind {kind!r}")
-        outputs.append(path)
+        name = stage.file_name("name", kind, entry)
+        if f"{name}.csv" in planned:
+            raise ConfigError(f"datasets use the name {name!r} in more than one entry")
+        generator, write = SYNTH_KINDS[kind]
+        planned[f"{name}.csv"] = (_generator(stage, entry, kind, generator, derive_seed(stage.seed, name)), write)
+    generated = [(file, generate(), write) for file, (generate, write) in planned.items()]
+    outputs = []
+    for file, data, write in generated:
+        outputs.append(stage.output(file))
+        write(data, outputs[-1])
     return outputs
 
 
 def cmd_ingest(stage: Stage) -> list[str]:
+    name = stage.file_name("name")
     ingest_cfg = IngestConfig(
-        name=stage.string("name"),
+        name=name,
         user_col=stage.string("user_col"),
         item_col=stage.string("item_col"),
         rating_col=stage.optional_string("rating_col"),
         timestamp_col=stage.optional_string("timestamp_col"),
-        event_weights=stage.weights("event_weights"),
+        event_weights=stage.value("event_weights", None, None, lambda v: v is None or isinstance(v, dict),
+                                  "null or an object"),  # IngestConfig checks each weight
         dedup=stage.config.get("dedup", "sum"),  # IngestConfig checks it against DEDUP_MODES
     )
-    dataset = ingest_raw(stage.path("path"), ingest_cfg)
-    dataset = filter_min_interactions(dataset, stage.integer("min_interactions", 10, 1))
+    min_interactions = stage.integer("min_interactions", 10, 1)
+    dataset = filter_min_interactions(ingest_raw(stage.path("path"), ingest_cfg), min_interactions)
     stats = dataset_stats(dataset)
 
-    clean_path = os.path.join(stage.out_dir, f"{ingest_cfg.name}_clean.csv")
+    clean_path = stage.output(f"{name}_clean.csv")
     write_interactions_csv(dataset, clean_path)
-    stats_json = os.path.join(stage.out_dir, f"{ingest_cfg.name}_stats.json")
-    write_json({"dataset": ingest_cfg.name, **stats.as_dict()}, stats_json)
-    stats_csv = os.path.join(stage.out_dir, f"{ingest_cfg.name}_stats.csv")
+    stats_json = stage.output(f"{name}_stats.json")
+    write_json({"dataset": name, **stats.as_dict()}, stats_json)
+    stats_csv = stage.output(f"{name}_stats.csv")
     with open(stats_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "users", "items", "interactions", "sparsity"])
-        writer.writerow(
-            [ingest_cfg.name, stats.users, stats.items, stats.interactions, f"{stats.sparsity:.6f}"]
-        )
+        writer.writerow([name, stats.users, stats.items, stats.interactions, f"{stats.sparsity:.6f}"])
     return [clean_path, stats_json, stats_csv]
-
-
-def _split(stage: Stage, dataset, entry: dict | None = None):
-    return temporal_split_per_user(dataset, stage.number("test_fraction", 0.2, entry))
 
 
 def cmd_ground_truth(stage: Stage) -> list[str]:
@@ -272,7 +255,8 @@ def cmd_ground_truth(stage: Stage) -> list[str]:
     for algo, params in portfolio.algorithms.items():
         if "seed" in train_parameters(algo) and "seed" not in params:
             params["seed"] = derive_seed(stage.seed, "train", algo)
-    split = _split(stage, read_interactions_csv(stage.path("dataset")))
+    test_fraction = stage.fraction("test_fraction", 0.2)
+    split = temporal_split_per_user(read_interactions_csv(stage.path("dataset")), test_fraction)
 
     matrix = build_train_matrix(split.train)
     users = evaluable_users(matrix, split.test)
@@ -292,7 +276,7 @@ def cmd_ground_truth(stage: Stage) -> list[str]:
     pm = PerformanceMatrix(users.users, algorithms, np.column_stack(map_jobs(column, algorithms)),
                            skipped_users=users.skipped)
 
-    pm_path = os.path.join(stage.out_dir, "performance_matrix.csv")
+    pm_path = stage.output("performance_matrix.csv")
     pm.to_csv(pm_path)
     sba_algo, sba_mean = single_best_algorithm(pm)
     vba_mean = virtual_best_algorithm(pm)
@@ -308,7 +292,7 @@ def cmd_ground_truth(stage: Stage) -> list[str]:
         ),
         "column_mean_ndcg": dict(zip(pm.algorithms, pm.column_means().tolist())),
     }
-    summary_path = os.path.join(stage.out_dir, "ground_truth_summary.json")
+    summary_path = stage.output("ground_truth_summary.json")
     write_json(summary, summary_path)
 
     outputs = [pm_path, summary_path]
@@ -317,26 +301,27 @@ def cmd_ground_truth(stage: Stage) -> list[str]:
     return outputs
 
 
-def _probe_split(stage: Stage, name: str, entry: dict):
-    check_keys(f"probe {name!r}", entry, ("name", "path", "kind", "params", "seed", "sample_users",
-                                          "sample_seed", "test_fraction"))
+def _probe(stage: Stage, name: str, entry: dict):
+    """The probe entry, checked, as a call that reads or generates its dataset and splits it."""
+    source = ("path",) if "path" in entry else ("kind", "params", "seed")  # read or generated, never both
+    check_keys(f"probe {name!r}", entry, ("name", "sample_users", "sample_seed", "test_fraction") + source)
+    test_fraction = stage.fraction("test_fraction", 0.2, entry)
+    sample = None
+    if "sample_users" in entry:
+        sample = (stage.fraction("sample_users", 1.0, entry, one=True),
+                  stage.integer("sample_seed", derive_seed(stage.seed, "sample", name), 0, entry))
     if "path" in entry:
-        for key in ("kind", "params", "seed"):
-            if key in entry:
-                raise ConfigError(f"probe {name!r} is read from its 'path' and takes no {key!r}")
-        dataset = read_interactions_csv(stage.path("path", entry), name=name)
+        load = functools.partial(read_interactions_csv, stage.path("path", entry), name=name)
     else:
         kind = stage.string("kind", entry)
         if kind not in PROBE_GENERATORS:
             raise ConfigError(f"unknown probe kind {kind!r}")
-        dataset = _generate(stage, entry, kind, PROBE_GENERATORS[kind], derive_seed(stage.seed, "probe", name))
-    if "sample_users" in entry:
-        dataset = sample_users(
-            dataset,
-            stage.number("sample_users", 1.0, entry),
-            stage.integer("sample_seed", derive_seed(stage.seed, "sample", name), 0, entry),
-        )
-    return _split(stage, dataset, entry)
+        load = _generator(stage, entry, kind, PROBE_GENERATORS[kind], derive_seed(stage.seed, "probe", name))
+
+    def split():
+        dataset = load() if sample is None else sample_users(load(), *sample)
+        return temporal_split_per_user(dataset, test_fraction)
+    return split
 
 
 def cmd_features(stage: Stage) -> list[str]:
@@ -345,26 +330,26 @@ def cmd_features(stage: Stage) -> list[str]:
     algorithms = portfolio.ordered_ids()
     conceptual = stage.config.get("conceptual_map")
     if isinstance(conceptual, str):
-        conceptual = _load_config(stage.path("conceptual_map"))
+        conceptual = load_config(stage.path("conceptual_map"))
     tags = load_conceptual_map(algorithms, conceptual)
-    split = _split(stage, read_interactions_csv(stage.path("dataset")))
-
-    table = user_feature_table(split.train)
-    user_path = os.path.join(stage.out_dir, "user_features.csv")
-    table.to_csv(user_path)
-
+    test_fraction = stage.fraction("test_fraction", 0.2)
     probes = {}
     for entry in stage.objects("probes", []):
         name = stage.string("name", entry)
         if name in probes:
             raise ConfigError(f"probes use the name {name!r} in more than one entry")
-        probes[name] = _probe_split(stage, name, entry)
+        probes[name] = _probe(stage, name, entry)
+
+    split = temporal_split_per_user(read_interactions_csv(stage.path("dataset")), test_fraction)
+    table = user_feature_table(split.train)
     code, ast_metrics = static_metrics_for_portfolio(algorithms)
-    landmarks = landmark_portfolio(probes, portfolio.algorithms, k=k)
+    landmarks = landmark_portfolio({name: load() for name, load in probes.items()}, portfolio.algorithms, k=k)
     algo_table = assemble_algorithm_features(
         code, ast_metrics, landmarks, tags, algorithms, list(probes)
     )
-    algo_path = os.path.join(stage.out_dir, "algorithm_features.csv")
+    user_path = stage.output("user_features.csv")
+    table.to_csv(user_path)
+    algo_path = stage.output("algorithm_features.csv")
     algo_table.to_csv(algo_path)
     stage.manifest["raw_timescale_features"] = list(RAW_TIMESCALE_FEATURES)
     # The Code and AST columns measure these files; keyed by package path, so no checkout path shows.
@@ -400,10 +385,10 @@ def _load_eval_inputs(stage: Stage, need_algo: bool = True):
     return pm, user_features, algo_table
 
 
-def _write_report_files(out_dir: str, stem: str, report) -> list[str]:
-    json_path = os.path.join(out_dir, f"{stem}.json")
+def _write_report_files(stage: Stage, stem: str, report) -> list[str]:
+    json_path = stage.output(f"{stem}.json")
     write_json(report.to_dict(), json_path)
-    md_path = os.path.join(out_dir, f"{stem}.md")
+    md_path = stage.output(f"{stem}.md")
     with open(md_path, "w", encoding="utf-8") as fh:
         fh.write(report.render_markdown())
     return [json_path, md_path]
@@ -412,18 +397,18 @@ def _write_report_files(out_dir: str, stem: str, report) -> list[str]:
 def cmd_evaluate(stage: Stage) -> list[str]:
     """One ``run_nested_cv`` per reported mode, on the same folds, space and seed."""
     modes = MODES if stage.mode == "both" else (stage.mode,)
-    pm, user_features, algo_table = _load_eval_inputs(stage, need_algo="user_algo" in modes)
     space = _space(stage)
     n_folds = stage.integer("folds", 10, 2)
+    pm, user_features, algo_table = _load_eval_inputs(stage, need_algo="user_algo" in modes)
     # Looked up on the module at call time, so a hook set on ``experiment.run_nested_cv``
     # (perfbench's tracer) sees each run, as it sees the runs inside ``run_ablation``.
     reports = [experiment.run_nested_cv(pm, user_features, algo_table, mode, n_folds, space, stage.seed)
                for mode in modes]
     if len(reports) == 1:
-        return _write_report_files(stage.out_dir, f"evaluation_{stage.mode}", reports[0])
+        return _write_report_files(stage, f"evaluation_{stage.mode}", reports[0])
 
-    outputs = _write_report_files(stage.out_dir, "evaluation_both", CombinedReport(*reports))
-    summary_csv = os.path.join(stage.out_dir, "evaluation_both.csv")
+    outputs = _write_report_files(stage, "evaluation_both", CombinedReport(*reports))
+    summary_csv = stage.output("evaluation_both.csv")
     with open(summary_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "mean_ndcg", "ci_ndcg", "top1_pct", "top3_pct", "gap_closed_pct"])
@@ -443,34 +428,33 @@ def cmd_evaluate(stage: Stage) -> list[str]:
     return outputs
 
 
+def _is_category_sets(raw) -> bool:
+    if not (isinstance(raw, list) and raw and all(isinstance(s, list) for s in raw)):
+        return False
+    return all(c in FEATURE_CATEGORIES for s in raw for c in s) and len(set(map(frozenset, raw))) == len(raw)
+
+
 def cmd_ablate(stage: Stage) -> list[str]:
-    pm, user_features, algo_table = _load_eval_inputs(stage)
     sets = None
     if "category_sets" in stage.config:
-        raw = stage.config["category_sets"]
-        if isinstance(raw, list) and all(isinstance(s, list) and all(c in FEATURE_CATEGORIES for c in s) for s in raw):
-            sets = [frozenset(s) for s in raw]
-        if not sets or len(set(sets)) < len(sets):
-            raise ConfigError(
-                f"config key 'category_sets' must be a non-empty list of distinct lists of "
-                f"feature categories {list(FEATURE_CATEGORIES)}, found {raw!r}"
-            )
-    report = run_ablation(
-        pm, user_features, algo_table, sets, stage.integer("folds", 5, 2), _space(stage), stage.seed
-    )
-    return _write_report_files(stage.out_dir, "ablation", report)
+        raw = stage.value("category_sets", _REQUIRED, None, _is_category_sets,
+                          f"a non-empty list of distinct lists of feature categories {list(FEATURE_CATEGORIES)}")
+        sets = [frozenset(s) for s in raw]
+    n_folds, space = stage.integer("folds", 5, 2), _space(stage)
+    pm, user_features, algo_table = _load_eval_inputs(stage)
+    report = run_ablation(pm, user_features, algo_table, sets, n_folds, space, stage.seed)
+    return _write_report_files(stage, "ablation", report)
 
 
 def cmd_importance(stage: Stage) -> list[str]:
-    pm, user_features, algo_table = _load_eval_inputs(stage)
     params = stage.config.get("params", {})
     if isinstance(params, dict) and "seed" in params:
         raise ConfigError("importance 'params' takes no 'seed': each fold seeds its model from the run seed")
-    report = run_importance(
-        pm, user_features, algo_table, stage.integer("folds", 5, 2), GBDTParams.from_dict(params), stage.seed
-    )
-    outputs = _write_report_files(stage.out_dir, "importance", report)
-    csv_path = os.path.join(stage.out_dir, "importance.csv")
+    params, n_folds = GBDTParams.from_dict(params), stage.integer("folds", 5, 2)
+    pm, user_features, algo_table = _load_eval_inputs(stage)
+    report = run_importance(pm, user_features, algo_table, n_folds, params, stage.seed)
+    outputs = _write_report_files(stage, "importance", report)
+    csv_path = stage.output("importance.csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "mean_importance", "std_importance"])
@@ -519,9 +503,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         handler, keys = COMMANDS[args.command]
-        stage = Stage(_load_config(args.config), args.out, args.seed, getattr(args, "mode", None))
+        stage = Stage(load_config(args.config), args.out, args.seed, getattr(args, "mode", None))
         check_keys(f"{args.command} config", stage.config, ("seed",) + keys)
-        os.makedirs(args.out, exist_ok=True)
         outputs = handler(stage)
         _write_manifest(args.command, stage, outputs)
     except (ConfigError, ValueError) as exc:

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import is_number
 from .errors import EmptyDatasetError, RowParseError, SchemaError
 
 CANONICAL_COLUMNS = ("user", "item", "rating", "timestamp")
@@ -130,8 +131,8 @@ class IngestConfig:
             if not self.event_weights:
                 raise ValueError("event_weights must not be empty when given")
             for event, weight in self.event_weights.items():
-                if not (math.isfinite(weight) and weight > 0):
-                    raise ValueError(f"event weight for {event!r} must be finite and > 0")
+                if not (is_number(weight) and weight > 0):
+                    raise ValueError(f"event weight for {event!r} must be a finite number > 0, found {weight!r}")
 
 
 def _parse_rating(raw: str, weights: Mapping[str, float] | None, row_index: int) -> float:
@@ -150,12 +151,16 @@ def _parse_rating(raw: str, weights: Mapping[str, float] | None, row_index: int)
 
 def _parse_timestamp(raw: str, row_index: int) -> int:
     try:
-        value = float(raw)
+        value = int(raw)  # exact at any size, where float() rounds clocks above 2**53
     except ValueError:
-        raise RowParseError(row_index, f"timestamp {raw!r} is not numeric") from None
-    if not (math.isfinite(value) and -2**63 <= int(value) < 2**63):
+        try:
+            number = float(raw)
+        except ValueError:
+            raise RowParseError(row_index, f"timestamp {raw!r} is not numeric") from None
+        value = int(number) if math.isfinite(number) else None
+    if value is None or not -2**63 <= value < 2**63:
         raise RowParseError(row_index, f"timestamp {raw!r} is not a finite number within the int64 range")
-    return int(value)
+    return value
 
 
 def ingest_raw(rows: Iterable[Mapping[str, str]] | str | os.PathLike, config: IngestConfig) -> Dataset:

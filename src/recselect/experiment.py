@@ -37,6 +37,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .algo_features import FEATURE_CATEGORIES, AlgorithmFeatureTable
+from .config import check_keys, check_parameters, expect, is_integer, is_number
 from .errors import ConfigError, SearchError
 from .ground_truth import PerformanceMatrix, gap_closed, single_best_algorithm
 from .meta import (
@@ -53,7 +54,7 @@ from .meta import (
     standardize_fit,
 )
 from .pool import map_jobs
-from .recommenders import check_keys, top_k
+from .recommenders import top_k
 from .user_features import UserFeatureTable
 
 logger = logging.getLogger(__name__)
@@ -92,6 +93,42 @@ def assert_user_disjoint(folds: Sequence[Sequence]) -> None:
             seen.add(user)
 
 
+def _range_extremes(name: str, spec: dict) -> list:
+    """The least and the greatest value a ``low``..``high`` range can draw."""
+    kind, low, high = spec["type"], spec.get("low"), spec.get("high")
+    is_bound = (lambda v: is_integer(v) and -2**63 <= v < 2**63 - 1) if kind == "int_range" else is_number
+    if not (is_bound(low) and is_bound(high) and low <= high and (kind != "log_uniform" or low > 0)):
+        raise ConfigError(
+            f"{kind} distribution of {name!r} needs {'int64' if kind == 'int_range' else 'finite'} "
+            f"bounds low <= high{' and low > 0' if kind == 'log_uniform' else ''}, found {low!r} and {high!r}"
+        )
+    if kind == "int_range":
+        return [low, high]
+    # A draw is low + (high - low) * u for a u in [0, 1), on a log scale for log_uniform. Rounding can
+    # carry it past ``high``, but never past its value at u = 1.
+    forward, back = (np.log, np.exp) if kind == "log_uniform" else (float, float)
+    start, end = forward(low), forward(high)
+    return [float(back(start)), float(back(start + (end - start)))]
+
+
+# Each distribution type: (name, spec) -> the values its draws lie between or are one of, and one draw.
+DISTRIBUTIONS = {
+    "int_range": (_range_extremes, lambda rng, s: int(rng.integers(s["low"], s["high"] + 1))),
+    "uniform": (_range_extremes, lambda rng, s: float(rng.uniform(s["low"], s["high"]))),
+    "log_uniform": (_range_extremes, lambda rng, s: float(np.exp(rng.uniform(np.log(s["low"]), np.log(s["high"]))))),
+    "choice": (lambda name, s: expect(f"choice distribution of {name!r} values", s.get("values"),
+                                      lambda v: isinstance(v, list) and v != [], "a non-empty list"),
+               lambda rng, s: s["values"][int(rng.integers(len(s["values"])))]),
+}
+_TUNABLE = {f.name: f.default for f in fields(GBDTParams) if f.name != "seed"}
+
+
+def _distribution(name: str, spec: dict) -> tuple:
+    if spec.get("type") not in DISTRIBUTIONS:
+        raise ConfigError(f"unknown distribution type {spec.get('type')!r} for {name!r}")
+    return DISTRIBUTIONS[spec["type"]]
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """Random-search distributions over GBDT hyperparameters."""
@@ -109,71 +146,34 @@ class SearchSpace:
     )
 
     def sample(self, rng: np.random.Generator) -> dict:
-        params = {}
-        for name in self.distributions:  # insertion order fixes the draw order
-            spec = self.distributions[name]
-            kind = spec["type"]
-            if kind == "int_range":
-                params[name] = int(rng.integers(spec["low"], spec["high"] + 1))
-            elif kind == "log_uniform":
-                params[name] = float(np.exp(rng.uniform(np.log(spec["low"]), np.log(spec["high"]))))
-            elif kind == "uniform":
-                params[name] = float(rng.uniform(spec["low"], spec["high"]))
-            elif kind == "choice":
-                params[name] = spec["values"][int(rng.integers(len(spec["values"])))]
-            else:
-                raise ConfigError(f"unknown distribution type {kind!r} for {name!r}")
-        return params
+        # insertion order fixes the draw order
+        return {name: _distribution(name, spec)[1](rng, spec) for name, spec in self.distributions.items()}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SearchSpace":
-        """A validated space: every bad count, name, type or bound is a ConfigError."""
-        if not isinstance(raw, dict):
-            raise ConfigError(f"search space must be a JSON object, found {raw!r}")
+        """A validated space: every bad count, name, type or bound is a ConfigError.
+
+        Each distribution is checked by what it can draw: GBDT params are
+        validated at both ends of a range and at every value of a choice. Each
+        GBDT rule is a type and an interval, so every draw between the ends
+        passes too, whatever the seed.
+        """
+        expect("search space", raw, lambda r: isinstance(r, dict), "a JSON object")
         check_keys("search space", raw, ("n_iter", "inner_folds", "distributions"))
         space = cls(**raw)
-        if not (_is_integer(space.n_iter) and space.n_iter >= 1
-                and _is_integer(space.inner_folds) and space.inner_folds >= 2):
-            raise ConfigError("search space needs integers n_iter >= 1 and inner_folds >= 2")
-        if not isinstance(space.distributions, dict):
-            raise ConfigError(f"search space distributions must be a JSON object, found {space.distributions!r}")
+        expect("search space 'n_iter'", space.n_iter, lambda n: is_integer(n) and n >= 1, "an integer >= 1")
+        expect("search space 'inner_folds'", space.inner_folds, lambda n: is_integer(n) and n >= 2, "an integer >= 2")
+        expect("search space distributions", space.distributions, lambda d: isinstance(d, dict), "a JSON object")
+        check_keys("search space distributions", space.distributions, _TUNABLE)
         for name, spec in space.distributions.items():
-            _check_distribution(name, spec)
+            expect(f"distribution of {name!r}", spec, lambda s: isinstance(s, dict), "a JSON object")
+            for value in _distribution(name, spec)[0](name, spec):
+                params = check_parameters(f"search space {spec['type']}", {name: value}, _TUNABLE)
+                try:
+                    GBDTParams(**params).validate()
+                except ValueError as exc:
+                    raise ConfigError(f"{spec['type']} distribution of {name!r} draws {value!r}, but {exc}") from exc
         return space
-
-
-_TUNABLE = tuple(f.name for f in fields(GBDTParams) if f.name != "seed")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _check_distribution(name, spec) -> None:
-    """ConfigError unless ``spec`` is a distribution ``SearchSpace.sample`` can draw ``name`` from."""
-    if name not in _TUNABLE:
-        raise ConfigError(f"search space tunes unknown parameter {name!r}; known: {list(_TUNABLE)}")
-    if not isinstance(spec, dict):
-        raise ConfigError(f"distribution of {name!r} must be a JSON object, found {spec!r}")
-    kind = spec.get("type")
-    if kind == "choice":
-        values = spec.get("values")
-        if not isinstance(values, list) or not values or not all(_is_number(v) for v in values):
-            raise ConfigError(f"choice distribution of {name!r} needs a non-empty list of numbers")
-        return
-    if kind not in ("int_range", "uniform", "log_uniform"):
-        raise ConfigError(f"unknown distribution type {kind!r} for {name!r}")
-    low, high = spec.get("low"), spec.get("high")
-    is_bound = _is_integer if kind == "int_range" else _is_number
-    if not (is_bound(low) and is_bound(high) and low <= high and (kind != "log_uniform" or low > 0)):
-        raise ConfigError(
-            f"{kind} distribution of {name!r} needs {'integer' if kind == 'int_range' else 'finite'} "
-            f"bounds low <= high{' and low > 0' if kind == 'log_uniform' else ''}, found {low!r} and {high!r}"
-        )
 
 
 DEFAULT_SPACE = SearchSpace()

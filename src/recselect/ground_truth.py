@@ -35,15 +35,19 @@ def ndcg_at_k(ranking: Sequence[str], relevant: AbstractSet[str], k: int = 10) -
     for pos, item in enumerate(ranking[:k]):
         if item in relevant:
             dcg += _discount(pos)
-    return dcg / _ideal_dcg(len(relevant), k)
+    return dcg / _ideal_dcgs(min(k, len(relevant)))[-1]
 
 
 def _discount(pos: int) -> float:
     return 1.0 / math.log2(pos + 2)
 
 
-def _ideal_dcg(n_relevant: int, k: int) -> float:
-    return sum(_discount(pos) for pos in range(min(k, n_relevant)))
+def _ideal_dcgs(n: int) -> np.ndarray:
+    """The ideal DCG of 0 to ``n`` relevant items: the discounts summed in position order.
+
+    ``cumsum`` adds sequentially, so each entry has the bits of a plain float loop.
+    """
+    return np.cumsum([0.0] + [_discount(pos) for pos in range(n)])
 
 
 @dataclass
@@ -181,8 +185,8 @@ def evaluate_portfolio(
 
     algorithms = list(models)
     n_items = matrix.n_items
-    ideal = np.array([_ideal_dcg(n, k) for n in range(k + 1)])[np.minimum(test.n_relevant, k)]
-    discounts = [_discount(pos) for pos in range(k)]
+    ideal = _ideal_dcgs(min(k, int(test.n_relevant.max())))[np.minimum(test.n_relevant, k)]
+    discounts = [_discount(pos) for pos in range(min(k, n_items))]  # top_k ranks at most n_items
     values = np.empty((len(users), len(algorithms)))
     step = max(1, _BLOCK_VALUES // n_items)
     masks = np.empty((2, min(step, len(users)), n_items), dtype=bool)  # a block's seen and relevant items

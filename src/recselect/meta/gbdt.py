@@ -57,6 +57,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ..config import check_parameters
+
 
 @dataclass(frozen=True)
 class GBDTParams:
@@ -68,14 +70,7 @@ class GBDTParams:
     seed: int = 0
 
     def validate(self) -> "GBDTParams":
-        for name in ("num_trees", "max_depth", "min_samples_leaf", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, found {value!r}")
-        for name in ("learning_rate", "subsample"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.number)) or not np.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, found {value!r}")
+        """These params, once each value is in its range; ``from_dict`` checks the types of config values."""
         if self.num_trees < 0:
             raise ValueError("num_trees must be >= 0")
         if self.learning_rate <= 0:
@@ -89,11 +84,9 @@ class GBDTParams:
         return self
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "GBDTParams":
-        names = [f.name for f in fields(cls)]
-        if not isinstance(raw, dict) or not set(raw) <= set(names):
-            raise ValueError(f"GBDT params must be an object with keys from {names}, found {raw!r}")
-        return cls(**raw).validate()
+    def from_dict(cls, raw) -> "GBDTParams":
+        """Validated params from a config object, each value of its field's type."""
+        return cls(**check_parameters("GBDT", raw, {f.name: f.default for f in fields(cls)})).validate()
 
 
 _NODE_DTYPES = (np.intp, np.float64, np.intp, np.intp, np.float64, np.float64)

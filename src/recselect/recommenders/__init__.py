@@ -9,10 +9,9 @@ dropped.
 
 from __future__ import annotations
 
-import inspect
-import math
 from dataclasses import dataclass, field
 
+from ..config import check_keys, check_parameters, expect, keyword_defaults
 from ..data import Dataset
 from ..errors import ConfigError
 from ..pool import job_environment
@@ -61,40 +60,11 @@ def algorithm_source_path(algorithm_id: str) -> str:
     return _REGISTRY[algorithm_id][1].__file__
 
 
-def keyword_defaults(fn) -> dict[str, object]:
-    """The parameters of ``fn`` that have a default, mapped to that default."""
-    params = inspect.signature(fn).parameters.values()
-    return {p.name: p.default for p in params if p.default is not p.empty}
-
-
 def train_parameters(algorithm_id: str) -> dict[str, object]:
     """The keyword names of an algorithm's trainer other than ``matrix``, with their defaults."""
     if algorithm_id not in _REGISTRY:
         raise ConfigError(f"algorithm {algorithm_id!r} is not available; known: {sorted(_REGISTRY)}")
     return keyword_defaults(_REGISTRY[algorithm_id][0])
-
-
-def check_parameters(owner: str, params, defaults: dict[str, object]) -> dict:
-    """A copy of ``params`` once each name is in ``defaults`` and each value has its default's type.
-
-    An int also passes where the default is a float, and a float must be finite.
-    """
-    if not isinstance(params, dict):
-        raise ConfigError(f"{owner} params must be an object, found {params!r}")
-    for name, value in params.items():
-        if name not in defaults:
-            raise ConfigError(f"{owner} takes no parameter {name!r}; known: {sorted(defaults)}")
-        kind = type(defaults[name])
-        if type(value) not in ((int, float) if kind is float else (kind,)) or not math.isfinite(value):
-            raise ConfigError(f"{owner} parameter {name!r} must be of type {kind.__name__}, found {value!r}")
-    return dict(params)
-
-
-def check_keys(owner: str, entry: dict, known: tuple[str, ...]) -> None:
-    """ConfigError naming the first key of ``entry`` that is not in ``known``."""
-    for key in entry:
-        if key not in known:
-            raise ConfigError(f"{owner} has unknown key {key!r}; known: {list(known)}")
 
 
 @dataclass
@@ -113,39 +83,30 @@ class PortfolioConfig:
     @classmethod
     def from_dict(cls, raw) -> "PortfolioConfig":
         """Parse ``{"algorithms": [...]}``, each entry a name or a ``name``/``params``/``status``/``reason`` object."""
-        if not isinstance(raw, dict):
-            raise ConfigError(f"portfolio must be an object, found {raw!r}")
+        expect("portfolio", raw, lambda r: isinstance(r, dict), "an object")
         check_keys("portfolio", raw, ("algorithms",))
-        entries = raw.get("algorithms", [])
-        if not isinstance(entries, list):
-            raise ConfigError(f"portfolio 'algorithms' must be a list, found {entries!r}")
+        entries = expect("portfolio 'algorithms'", raw.get("algorithms", []), lambda e: isinstance(e, list), "a list")
         algorithms = {}
         unavailable = dict(UNAVAILABLE)
         named = set()
         for entry in entries:
             if isinstance(entry, str):
                 entry = {"name": entry}
-            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-                raise ConfigError(
-                    f"portfolio entry must be a name or an object with a string 'name', found {entry!r}"
-                )
-            name, status = entry["name"], entry.get("status", "enabled")
-            check_keys(f"portfolio entry {name!r}", entry, ("name", "params", "status", "reason"))
+            expect("portfolio entry", entry, lambda e: isinstance(e, dict) and isinstance(e.get("name"), str),
+                   "a name or an object with a string 'name'")
+            name = entry["name"]
+            status = expect(f"portfolio entry {name!r} status", entry.get("status", "enabled"),
+                            ("enabled", "unavailable").__contains__, "'enabled' or 'unavailable'")
+            # An enabled entry takes params, an unavailable one the reason it is unavailable.
+            check_keys(f"{status} portfolio entry {name!r}", entry,
+                       ("name", "status", "params" if status == "enabled" else "reason"))
             if name in named:
                 raise ConfigError(f"portfolio names {name!r} in more than one entry")
             named.add(name)
-            if status == "unavailable":
-                if "params" in entry:
-                    raise ConfigError(f"portfolio entry {name!r} is unavailable and takes no 'params'")
-                unavailable[name] = entry.get("reason", "unavailable")
-            elif status == "enabled":
-                if "reason" in entry:
-                    raise ConfigError(f"portfolio entry {name!r} is enabled and takes no 'reason'")
+            if status == "enabled":
                 algorithms[name] = entry.get("params", {})
             else:
-                raise ConfigError(
-                    f"portfolio entry {name!r} has status {status!r}; expected 'enabled' or 'unavailable'"
-                )
+                unavailable[name] = entry.get("reason", "unavailable")
         if not algorithms:
             raise ConfigError("portfolio config enables no algorithms")
         return cls(algorithms=algorithms, unavailable=unavailable)
@@ -179,8 +140,6 @@ __all__ = [
     "UNAVAILABLE",
     "algorithm_source_path",
     "build_train_matrix",
-    "check_parameters",
-    "keyword_defaults",
     "load_model",
     "recommend_top_k",
     "save_model",

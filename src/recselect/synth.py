@@ -16,13 +16,17 @@ import os
 
 import numpy as np
 
+from .config import expect
 from .data import Dataset
+from .errors import ConfigError
 
 PLANTED_NAME = "planted_two_population"
 
 
 def _log(name: str, users: list[str], items: list[str], ratings=None) -> Dataset:
     """The log of the given rows, rated 1.0 unless ``ratings`` are given, stamped with the row sequence."""
+    if not users:
+        raise ConfigError(f"the {name} parameters generate no interactions")
     return Dataset.from_log(name, users, items, np.ones(len(users)) if ratings is None else ratings,
                             np.arange(len(users)))
 
@@ -50,6 +54,10 @@ def planted_two_population(
     Designed for the default 0.2 temporal test fraction; every rating is 1.0
     and timestamps are the global row sequence.
     """
+    # Each mainstream user draws 4 distinct heads, and each niche user 11 items of one cluster.
+    for name, value, low in (("users_per_group", users_per_group, 1), ("head_items", head_items, 4),
+                             ("clusters", clusters, 1), ("cluster_size", cluster_size, 11)):
+        expect(f"{PLANTED_NAME} parameter {name!r}", value, lambda v: v >= low, f">= {low}")
     rng = np.random.default_rng(seed)
     head = [f"h{i:03d}" for i in range(head_items)]
     weights = np.arange(head_items + 5, 5, -1, dtype=np.float64)
@@ -78,6 +86,7 @@ def planted_two_population(
 
 def popularity_skewed(seed: int = 7, n_users: int = 80, n_items: int = 60, per_user: int = 15) -> Dataset:
     """Zipf-weighted item choice with light explicit ratings."""
+    expect("popularity_skewed parameter 'per_user'", per_user, lambda v: v <= n_items, f"<= n_items = {n_items}")
     rng = np.random.default_rng(seed)
     weights = 1.0 / np.arange(1, n_items + 1)
     probs = weights / weights.sum()
@@ -106,6 +115,7 @@ def neighborhood_clustered(
 
 def uniform_sparse(seed: int = 9, n_users: int = 80, n_items: int = 120, per_user: int = 12) -> Dataset:
     """Uniform item choice; no exploitable structure."""
+    expect("uniform_sparse parameter 'per_user'", per_user, lambda v: v <= n_items, f"<= n_items = {n_items}")
     rng = np.random.default_rng(seed)
     users, items = [], []
     for u in range(n_users):
@@ -123,16 +133,26 @@ PROBE_GENERATORS = {
 
 
 EVENT_TYPES = ("view", "addtocart", "transaction")
+EVENT_LOG_COLUMNS = ("visitor_id", "event", "item_sku", "server_ts")
 
 
-def write_sample_event_log(path: str | os.PathLike, seed: int = 11, n_rows: int = 600) -> None:
-    """A small retail-style raw event log for exercising ingestion."""
+def sample_event_log(seed: int = 11, n_rows: int = 600) -> list[list]:
+    """The rows of a small retail-style raw event log for exercising ingestion, in ``EVENT_LOG_COLUMNS`` order."""
+    expect("event_log parameter 'n_rows'", n_rows, lambda n: n >= 1, ">= 1")
     rng = np.random.default_rng(seed)
+    rows = []
+    for row in range(n_rows):
+        visitor = f"v{int(rng.integers(40)):03d}"
+        sku = f"sku{int(rng.integers(50)):03d}"
+        event = EVENT_TYPES[int(rng.choice(3, p=[0.8, 0.15, 0.05]))]
+        rows.append([visitor, event, sku, 1_600_000_000 + row * 17])
+    return rows
+
+
+def write_event_log(rows: list[list], path: str | os.PathLike) -> None:
+    """Write event log rows under an ``EVENT_LOG_COLUMNS`` header."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["visitor_id", "event", "item_sku", "server_ts"])
-        for row in range(n_rows):
-            visitor = f"v{int(rng.integers(40)):03d}"
-            sku = f"sku{int(rng.integers(50)):03d}"
-            event = EVENT_TYPES[int(rng.choice(3, p=[0.8, 0.15, 0.05]))]
-            writer.writerow([visitor, event, sku, 1_600_000_000 + row * 17])
+        writer.writerow(EVENT_LOG_COLUMNS)
+        writer.writerows(rows)
+

@@ -386,6 +386,18 @@ def test_manifest_inputs_are_exactly_the_files_the_stage_read(pipeline, tmp_path
     ("features", {"portfolio": {"algorithms": ["pop", {"name": "fism", "status": "unavailable",
                                                        "params": {"factors": 8}}]}}),
     ("ground-truth", {"portfolio": {"algorithms": [{"name": "pop", "reason": "fast"}]}}),
+    # Each of these was caught only after the stage had read a dataset or written a file.
+    ("features", {"probes": [{"name": "p", "kind": "fractal"}]}),
+    ("synth", {"datasets": [{"kind": "uniform_sparse", "name": "a"}, {"kind": "fractal", "name": "b"}]}),
+    ("synth", {"datasets": [{"kind": "uniform_sparse", "name": "a"},
+                            {"kind": "planted", "name": "b", "params": {"head_items": 3}}]}),
+    ("synth", {"datasets": [{"kind": "uniform_sparse", "name": "a"}, {"kind": "event_log", "params": {"n_rows": 0}}]}),
+    ("synth", {"datasets": [{"kind": "uniform_sparse", "name": "../x"}]}),
+    ("synth", {"datasets": [{"kind": "uniform_sparse", "name": ".."}]}),
+    ("ingest", {"name": "sub/retail"}),
+    ("ingest", {"name": ""}),
+    ("ground-truth", {"test_fraction": 1.0}),
+    ("features", {"probes": [{"name": "p", "kind": "uniform_sparse", "sample_users": 1.5}]}),
 ])
 def test_bad_stage_config_exits_2_with_one_config_error_line(pipeline, tmp_path, capsys, command, changes):
     cfg = rerun_config(pipeline, STAGE_CONFIGS[command], changes, tmp_path)
@@ -393,6 +405,19 @@ def test_bad_stage_config_exits_2_with_one_config_error_line(pipeline, tmp_path,
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_space_that_can_draw_bad_params_exits_2_whatever_the_seed(pipeline, tmp_path, capsys, seed):
+    """The space is checked by what it can draw, not by the draws one seed makes."""
+    space = {"n_iter": 1, "inner_folds": 2, "distributions": {"max_depth": {"type": "int_range", "low": 0, "high": 3}}}
+    cfg = rerun_config(pipeline, "eval_cfg", {"space": space}, tmp_path)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", str(seed)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: int_range distribution of 'max_depth' draws 0, but max_depth must be >= 1\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_a_cli_process_never_imports_scipy_stats(pipeline, tmp_path):

@@ -301,7 +301,7 @@ class TestCsvRoundTrip:
         back = read_interactions_csv(path)
         assert back.ratings.tolist() == [2.5, 1 / 3]
 
-    @pytest.mark.parametrize("timestamp", ["inf", "-inf", "nan", "1e400", "9.3e18", "-1e19"])
+    @pytest.mark.parametrize("timestamp", ["inf", "-inf", "nan", "1e400", "9.3e18", "-1e19", "9223372036854775808"])
     def test_timestamp_outside_int64_is_a_row_error(self, tmp_path, timestamp):
         path = tmp_path / "d.csv"
         path.write_text(f"user,item,rating,timestamp\na,x,1.0,0\na,y,1.0,{timestamp}\n")
@@ -312,6 +312,15 @@ class TestCsvRoundTrip:
         path = tmp_path / "d.csv"
         path.write_text("user,item,rating,timestamp\na,x,1.0,-9223372036854775808\na,y,1.0,9.2233720368547748e18\n")
         assert read_interactions_csv(path).timestamps.tolist() == [-2**63, 2**63 - 1024]
+
+    def test_integer_timestamps_keep_every_digit(self, tmp_path):
+        """Nanosecond clocks lie above 2**53, where reading through a float ties these two stamps."""
+        path = tmp_path / "d.csv"
+        path.write_text("user,item,rating,timestamp\na,x,1.0,1600000000123456789\na,y,1.0,1600000000123456700\n")
+        ds = read_interactions_csv(path)
+        assert ds.timestamps.tolist() == [1600000000123456789, 1600000000123456700]
+        split = temporal_split_per_user(ds, 0.5)
+        assert [split.test.item_ids[i] for i in split.test.items] == ["x"]  # the later stamp, listed first
 
     def test_repeated_pair_is_a_row_error_naming_both_rows(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -249,6 +249,48 @@ class TestSearchSpace:
             SearchSpace.from_dict({"n_iters": 2, "inner_folds": 2})
 
 
+_INT_BOUND = st.one_of(st.integers(-2, 12), st.sampled_from([2**63, True, 1.0]))
+_FLOAT_BOUND = st.one_of(st.floats(-0.5, 1.5), st.integers(-1, 2), st.sampled_from([0.0, 1.0, float("nan")]))
+
+
+@st.composite
+def distribution_specs(draw):
+    """Mostly ordered bounds and values near the edges of the GBDT ranges, some of a wrong type."""
+    kind = draw(st.sampled_from(sorted(experiment.DISTRIBUTIONS)))
+    if kind == "choice":
+        return {"type": kind, "values": draw(st.lists(st.one_of(_INT_BOUND, _FLOAT_BOUND), min_size=1, max_size=3))}
+    bound = _INT_BOUND if kind == "int_range" else _FLOAT_BOUND
+    low, high = draw(bound), draw(bound)
+    if not (low <= high):
+        low, high = high, low
+    return {"type": kind, "low": low, "high": high}
+
+
+@given(st.dictionaries(st.sampled_from(["num_trees", "learning_rate", "max_depth", "min_samples_leaf", "subsample"]),
+                       distribution_specs(), min_size=1, max_size=2),
+       st.integers(0, 2**32))
+@settings(max_examples=1000, deadline=None)
+def test_every_draw_of_an_accepted_space_is_valid_params(distributions, seed):
+    """Acceptance cannot depend on the seed: a space ``from_dict`` takes draws only valid params."""
+    try:
+        space = SearchSpace.from_dict({"n_iter": 1, "inner_folds": 2, "distributions": distributions})
+    except ConfigError:
+        return
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        GBDTParams.from_dict(space.sample(rng))  # checks each value's type, then validate() its range
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"type": "int_range", "low": 0, "high": 3}, "int_range distribution of 'max_depth' draws 0, but max_depth must be >= 1"),
+    ({"type": "uniform", "low": 1, "high": 3}, "search space uniform parameter 'max_depth' must be of type int, found 1.0"),
+    ({"type": "choice", "values": [2, 3.0]}, "search space choice parameter 'max_depth' must be of type int, found 3.0"),
+])
+def test_a_distribution_is_checked_by_what_it_can_draw(spec, message):
+    with pytest.raises(ConfigError, match=message):
+        SearchSpace.from_dict({"distributions": {"max_depth": spec}})
+
+
 def per_user_reference(truth, scores):
     """Argmax choice and per-row ``top_k`` hits, one user at a time."""
     achieved, hits1, hits3 = [], 0, 0

@@ -32,7 +32,7 @@ from recselect.recommenders import implicitmf
 from recselect.recommenders.ease import EaseModel
 from recselect.synth import planted_two_population
 
-from conftest import SMALL_PARAMS, dense_b, log_rows, lu_solve_side, make_dataset, random_dataset, rows_by_user
+from conftest import SMALL_PARAMS, deadline, dense_b, log_rows, lu_solve_side, make_dataset, random_dataset, rows_by_user
 
 
 def brute_force_ndcg(ranking, relevant, k):
@@ -90,6 +90,14 @@ class TestNdcg:
             want = brute_force_ndcg(ranking, relevant, k)
             assert math.isclose(got, want, abs_tol=1e-12)
             assert 0.0 <= got <= 1.0
+
+    def test_ideal_dcgs_equal_a_plain_float_loop(self):
+        """Bit for bit, so they do not depend on how a Python version's ``sum`` adds floats."""
+        table, total = ground_truth._ideal_dcgs(200), 0.0
+        assert table.shape == (201,)
+        for n in range(201):
+            assert table[n] == total, n
+            total += 1.0 / math.log2(n + 2)
 
     @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=9))
     @settings(max_examples=50, deadline=None)
@@ -275,6 +283,22 @@ class TestEvaluatePortfolio:
             for algo, model in models.items():
                 assert got.lookup(user, algo) == ndcg_at_k(recommend_top_k(model, user, k=5).items,
                                                            relevant[user], k=5), (user, algo)
+
+    def test_a_huge_k_takes_linear_time_and_scores_as_ndcg_at_k(self):
+        """k far above the item count: the ideal DCGs are sized by the largest relevant set."""
+        k = 10**6
+        rng = np.random.default_rng(3)
+        split = temporal_split_per_user(random_dataset(rng, n_users=12, n_items=15, min_per_user=4,
+                                                       max_per_user=9), 0.3)
+        matrix = build_train_matrix(split.train)
+        models = train_portfolio(matrix, PortfolioConfig({"pop": {}}))
+        with deadline(20):
+            pm = evaluate_portfolio(matrix, split.test, models, k=k)
+        relevant = {u: {item for item, _, _ in rows} for u, rows in rows_by_user(split.test).items()}
+        assert len(pm.users) == 12
+        for user in pm.users:
+            assert pm.lookup(user, "pop") == ndcg_at_k(recommend_top_k(models["pop"], user, k=k).items,
+                                                       relevant[user], k=k), user
 
     def test_users_laid_out_for_another_matrix_are_a_value_error(self, toy_split, toy_matrix):
         models = train_portfolio(toy_matrix, PortfolioConfig({"pop": {}}))

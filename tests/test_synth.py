@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from recselect.data import temporal_split_per_user
+from recselect.errors import ConfigError
 from recselect.synth import (
     EVENT_TYPES,
     PLANTED_NAME,
@@ -14,7 +15,8 @@ from recselect.synth import (
     planted_two_population,
     popularity_skewed,
     uniform_sparse,
-    write_sample_event_log,
+    sample_event_log,
+    write_event_log,
 )
 from conftest import default_probes, log_rows, rows_by_user
 
@@ -99,6 +101,22 @@ class TestPlantedBenchmark:
         assert sum(head_counts[:5]) > sum(head_counts[15:])
 
 
+@pytest.mark.parametrize("generate, message", [
+    (lambda: planted_two_population(cluster_size=5), "parameter 'cluster_size' must be >= 11, found 5"),
+    (lambda: planted_two_population(head_items=3), "parameter 'head_items' must be >= 4, found 3"),
+    (lambda: planted_two_population(users_per_group=0), "parameter 'users_per_group' must be >= 1, found 0"),
+    (lambda: planted_two_population(users_per_group=-3), "parameter 'users_per_group' must be >= 1, found -3"),
+    (lambda: planted_two_population(clusters=0), "parameter 'clusters' must be >= 1, found 0"),
+    (lambda: uniform_sparse(n_items=5, per_user=6), "parameter 'per_user' must be <= n_items = 5, found 6"),
+    (lambda: popularity_skewed(n_users=0), "the popularity_skewed parameters generate no interactions"),
+    (lambda: neighborhood_clustered(per_user=0), "the neighborhood_clustered parameters generate no interactions"),
+    (lambda: sample_event_log(n_rows=0), "event_log parameter 'n_rows' must be >= 1, found 0"),
+])
+def test_bad_parameters_name_their_bound_or_the_empty_log(generate, message):
+    with pytest.raises(ConfigError, match=message):
+        generate()
+
+
 class TestProbes:
     def test_registry_and_default_bundle(self):
         assert set(PROBE_GENERATORS) == {
@@ -142,8 +160,8 @@ class TestEventLog:
     def test_layout_and_determinism(self, tmp_path):
         path_a = tmp_path / "a.csv"
         path_b = tmp_path / "b.csv"
-        write_sample_event_log(path_a, seed=11, n_rows=50)
-        write_sample_event_log(path_b, seed=11, n_rows=50)
+        write_event_log(sample_event_log(seed=11, n_rows=50), path_a)
+        write_event_log(sample_event_log(seed=11, n_rows=50), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
         with open(path_a, newline="") as fh:
